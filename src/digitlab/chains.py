@@ -535,11 +535,7 @@ def simulate_chain(
     digs = np.searchsorted(_BOUNDS, mant, side="right").clip(1, 9)
     counts = np.bincount(digs, minlength=10)[1:10]
     accepted = int(counts.sum())
-    dist = DigitDistribution(
-        base=10,
-        order=1,
-        probs={d: counts[d - 1] / accepted for d in range(1, 10)} if accepted else {},
-    )
+    dist = DigitDistribution.from_counts(counts)
     skip_rate = (skipped_zeros + dropped) / n
     return ChainRunResult(
         spec_text=render_chain(spec),

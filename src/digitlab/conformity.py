@@ -40,14 +40,22 @@ SIGNIFICANCE = 0.01
 _DIGITS = range(1, 10)
 
 
-def chi_sqr_vs_benford(counts) -> float:
-    """Pearson chi-square of per-digit counts (digits 1..9) against Benford."""
+_BENFORD = np.array(benford_distribution().first_order_vector())
+
+
+def chi_sqr_vs_benford(counts):
+    """Pearson chi-square of per-digit counts (digits 1..9) against Benford.
+
+    Reduces over the last axis: a 1-D vector of 9 counts gives a float, an
+    (rows, 9) array one chi-square per row.  Every row needs a positive total.
+    """
     counts = np.asarray(counts, dtype=np.float64)
-    n = counts.sum()
-    if n <= 0:
+    n = counts.sum(axis=-1, keepdims=True)
+    if np.any(n <= 0):
         raise EmptyInputError("no digits to test")
-    expected = n * np.array([benford_distribution().probs[d] for d in _DIGITS])
-    return float(((counts - expected) ** 2 / expected).sum())
+    expected = n * _BENFORD
+    chi = ((counts - expected) ** 2 / expected).sum(axis=-1)
+    return float(chi) if chi.ndim == 0 else chi
 
 
 def chi_sqr(observed, expected: DigitDistribution) -> float:

@@ -254,6 +254,16 @@ class DigitDistribution:
             if not -1e-12 <= p <= 1.0 + 1e-12:
                 raise BadDigitError(f"probability {p} outside [0, 1]")
 
+    @classmethod
+    def from_counts(cls, counts) -> "DigitDistribution":
+        """Order-1 law of per-digit counts for digits 1..len(counts).
+
+        Each probability is count / total; a zero total gives empty probs.
+        """
+        total = sum(counts)
+        probs = {d: counts[d - 1] / total for d in range(1, len(counts) + 1)} if total else {}
+        return cls(base=len(counts) + 1, order=1, probs=probs)
+
     def first_order_vector(self):
         """Probabilities for digits 1..base-1 as a list (order-1 only)."""
         if self.order != 1:

@@ -37,6 +37,8 @@ __all__ = [
 ]
 
 _BOUNDS = np.array(compartment_boundaries(10))
+# elements per mantissa block of a rate scan; bounds the scan's scratch arrays
+_BLOCK = 2**14
 
 
 @dataclass(frozen=True)
@@ -98,6 +100,15 @@ def generate_series(series: GrowthSeries) -> np.ndarray:
         return 10.0**log10_vals
 
 
+def _mantissa_rows(m_b: float, m_f: np.ndarray, length: int) -> np.ndarray:
+    """frac(m_b + j m_f) for j = 0..length-1, one row per factor mantissa."""
+    x = m_b + np.arange(length, dtype=np.float64) * m_f[:, None]
+    # x - floor(x) is x % 1.0 bit for bit (the remainder by 1 is exact), and
+    # several times cheaper than numpy's remainder
+    x -= np.floor(x)
+    return x
+
+
 def series_mantissas(series: GrowthSeries) -> np.ndarray:
     """frac(log10 B + j log10 f) for j = 0..length-1 (no overflow).
 
@@ -105,25 +116,36 @@ def series_mantissas(series: GrowthSeries) -> np.ndarray:
     are exact powers of ten stay exactly LD-neutral instead of drifting
     across a compartment boundary.
     """
-    j = np.arange(series.length, dtype=np.float64)
-    m_f = math.log10(series.factor) % 1.0
-    m_b = math.log10(series.base) % 1.0
-    return (m_b + j * m_f) % 1.0
+    m_f = np.array([math.log10(series.factor) % 1.0])
+    return _mantissa_rows(math.log10(series.base) % 1.0, m_f, series.length)[0]
 
 
 def _digits_from_mantissas(mant: np.ndarray) -> np.ndarray:
-    # snap mantissas sitting within 1e-9 of a compartment edge onto it, so
-    # accumulated float drift cannot flip exact-boundary series elements
-    # (a series starting at 3 has every mantissa exactly on the digit-3 edge)
-    idx = np.searchsorted(_BOUNDS, mant)
-    below = np.clip(idx - 1, 0, 9)
-    above = np.clip(idx, 0, 9)
-    snapped = mant.copy()
-    near_below = np.abs(mant - _BOUNDS[below]) < 1e-9
-    near_above = np.abs(mant - _BOUNDS[above]) < 1e-9
-    snapped[near_below] = _BOUNDS[below][near_below]
-    snapped[near_above] = _BOUNDS[above][near_above]
-    return np.searchsorted(_BOUNDS, snapped, side="right").clip(1, 9)
+    """First digits of mantissas in [0, 1), elementwise for any shape.
+
+    A mantissa within 1e-9 of a compartment edge log10 d counts as sitting
+    on it, so accumulated float drift cannot flip exact-boundary series
+    elements (a series starting at 3 has every mantissa exactly on the
+    digit-3 edge): it gets digit d.  Within 1e-9 of 0 gives digit 1, within
+    1e-9 below 1 stays digit 9.
+    """
+    edge = np.searchsorted(_BOUNDS, mant).clip(0, 9)  # first edge >= mant
+    return (edge + (np.abs(mant - _BOUNDS[edge]) < 1e-9)).clip(1, 9)
+
+
+def _digit_counts(mant: np.ndarray) -> np.ndarray:
+    """Tallies of digits 1..9 along the last axis of a 1-D or 2-D mantissa array."""
+    digs = np.atleast_2d(_digits_from_mantissas(mant))
+    rows = digs.shape[0]
+    offset = 10 * np.arange(rows)[:, None]
+    counts = np.bincount((digs + offset).ravel(), minlength=10 * rows)
+    return counts.reshape(mant.shape[:-1] + (10,))[..., 1:]
+
+
+def _ld_chi(mant: np.ndarray) -> tuple[DigitDistribution, float]:
+    """Digit law and Benford chi-square of a 1-D mantissa vector."""
+    counts = _digit_counts(mant)
+    return DigitDistribution.from_counts(counts), chi_sqr_vs_benford(counts)
 
 
 def series_ld(values_or_series) -> tuple[DigitDistribution, float]:
@@ -133,21 +155,12 @@ def series_ld(values_or_series) -> tuple[DigitDistribution, float]:
     is processed in log space so huge series cannot overflow.
     """
     if isinstance(values_or_series, GrowthSeries):
-        mant = series_mantissas(values_or_series)
-        digs = _digits_from_mantissas(mant)
-    else:
-        vals = np.asarray(values_or_series, dtype=np.float64)
-        vals = np.abs(vals[vals != 0])
-        if vals.size == 0:
-            raise EmptyInputError("no nonzero values")
-        mant = np.log10(vals) % 1.0
-        digs = _digits_from_mantissas(mant)
-    counts = np.bincount(digs, minlength=10)[1:10]
-    n = counts.sum()
-    dist = DigitDistribution(
-        base=10, order=1, probs={d: counts[d - 1] / n for d in range(1, 10)}
-    )
-    return dist, chi_sqr_vs_benford(counts)
+        return _ld_chi(series_mantissas(values_or_series))
+    vals = np.asarray(values_or_series, dtype=np.float64)
+    vals = np.abs(vals[vals != 0])
+    if vals.size == 0:
+        raise EmptyInputError("no nonzero values")
+    return _ld_chi(np.log10(vals) % 1.0)
 
 
 def _best_rational(x: float, max_den: int) -> tuple[int, int]:
@@ -226,26 +239,37 @@ def rate_scan(
     n_elements: int,
     base: float,
     t_flag: int,
-    detect_tol: float | None = None,
 ) -> list[RateScanCell]:
     """Chi-square and anomaly detection across a grid of growth rates.
 
-    detect_tol defaults to 1/(2 n_elements): a rate within that distance of
-    a bounded-denominator rational behaves anomalously at this series
+    The grid is lo + i*step for i = 0..round((hi - lo)/step).  Each rate's
+    chi-square equals series_ld(GrowthSeries(base, rate, n_elements))[1]:
+    the rates go through in blocks of max(1, _BLOCK // n_elements) series,
+    each block one (rates x n_elements) mantissa matrix, so memory stays
+    bounded whatever the grid size.  Digits come from the mantissas, a
+    mantissa within 1e-9 of the edge log10 d counting as digit d (see
+    _digits_from_mantissas).  A rate is flagged by detect_anomalous
+    with the fixed tolerance 1/(2 n_elements): a rate within that distance
+    of a bounded-denominator rational behaves anomalously at this series
     length, which is what the flag is for.
     """
     if not lo_percent < hi_percent or step <= 0:
         raise BadParamsError("need lo < hi and step > 0")
-    if detect_tol is None:
-        detect_tol = 0.5 / n_elements
-    cells = []
+    GrowthSeries(base=base, percent=lo_percent, length=n_elements)  # validates the lowest rate
     n_steps = int(round((hi_percent - lo_percent) / step))
-    for i in range(n_steps + 1):
-        pct = lo_percent + i * step
-        _, chi = series_ld(GrowthSeries(base=base, percent=pct, length=n_elements))
-        rec = detect_anomalous(pct, t_flag, tol=detect_tol)
-        cells.append(RateScanCell(percent=pct, chi_sqr=chi, anomaly=rec))
-    return cells
+    pcts = [lo_percent + i * step for i in range(n_steps + 1)]
+    m_b = math.log10(base) % 1.0
+    m_f = np.array([math.log10(1.0 + pct / 100.0) % 1.0 for pct in pcts])
+    rows = max(1, _BLOCK // n_elements)
+    chis = np.concatenate([
+        chi_sqr_vs_benford(_digit_counts(_mantissa_rows(m_b, m_f[i:i + rows], n_elements)))
+        for i in range(0, len(pcts), rows)
+    ])
+    tol = 0.5 / n_elements
+    return [
+        RateScanCell(percent=pct, chi_sqr=chi, anomaly=detect_anomalous(pct, t_flag, tol=tol))
+        for pct, chi in zip(pcts, chis.tolist())
+    ]
 
 
 def scan_to_csv(cells: list[RateScanCell]) -> str:
@@ -307,17 +331,8 @@ def random_multiplication_process(
     # mantissas accumulate mod-1 increments so power-of-ten factors stay
     # exactly LD-neutral over arbitrarily long trajectories
     mant = (math.log10(start) % 1.0 + np.cumsum(log10_factors % 1.0)) % 1.0
-    digs = _digits_from_mantissas(mant)
-    counts = np.bincount(digs, minlength=10)[1:10]
-    dist = DigitDistribution(
-        base=10, order=1, probs={d: counts[d - 1] / counts.sum() for d in range(1, 10)}
-    )
-    return MultiplicationResult(
-        log10_values=log10_vals,
-        ld=dist,
-        chi_sqr=chi_sqr_vs_benford(counts),
-        n_rejected=rejected,
-    )
+    dist, chi = _ld_chi(mant)
+    return MultiplicationResult(log10_values=log10_vals, ld=dist, chi_sqr=chi, n_rejected=rejected)
 
 
 def power_transform_ld(
@@ -331,10 +346,4 @@ def power_transform_ld(
     x = np.abs(x[x != 0])
     if x.size == 0:
         raise EmptyInputError("model produced only zeros")
-    mant = (exponent * np.log10(x)) % 1.0
-    digs = _digits_from_mantissas(mant)
-    counts = np.bincount(digs, minlength=10)[1:10]
-    dist = DigitDistribution(
-        base=10, order=1, probs={d: counts[d - 1] / counts.sum() for d in range(1, 10)}
-    )
-    return dist, chi_sqr_vs_benford(counts)
+    return _ld_chi((exponent * np.log10(x)) % 1.0)

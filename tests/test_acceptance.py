@@ -54,12 +54,20 @@ def _announce(tag: str):
     return wrap
 
 
-def _archive(name: str, header, rows):
-    os.makedirs(ARTIFACTS, exist_ok=True)
-    with open(os.path.join(ARTIFACTS, name), "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        w.writerows(rows)
+def _match_archive(name: str, header, rows):
+    """Compare computed rows with the tracked CSV of the same curve.
+
+    Same header, same row count, every value within 1e-12.  A drift fails
+    the test instead of rewriting the file in the source tree.
+    """
+    with open(os.path.join(ARTIFACTS, name), newline="") as fh:
+        tracked = list(csv.reader(fh))
+    assert tracked[0] == header, name
+    assert len(tracked) - 1 == len(rows), name
+    for want, got in zip(tracked[1:], rows):
+        assert [float(v) for v in got] == pytest.approx([float(v) for v in want], abs=1e-12), (
+            f"{name}: computed {got} drifted from archived {want}"
+        )
 
 
 # -- 1. Benford law tables ---------------------------------------------------
@@ -177,7 +185,7 @@ def test_criterion_03b_kx_noninteger_published_figure():
         if abs(g - round(g)) < 1e-9:
             assert dev <= 1e-12, g
         rows.append((round(g, 2), dev))
-    _archive("kx_noninteger_deviation.csv", ["g", "max_abs_deviation"], rows)
+    _match_archive("kx_noninteger_deviation.csv", ["g", "max_abs_deviation"], rows)
     for g in (200.301, 211.301):
         assert _kx_program_deviation(g) == pytest.approx(_kx_deviation(g), abs=1e-12), g
     assert _kx_program_deviation(200.301) > 1e-3
@@ -394,7 +402,7 @@ def test_criterion_09_oscillation_published_figure():
     for d in DIGITS:
         amp = (max(per_digit[d]) - min(per_digit[d])) * 100
         rows.append((d, round(amp, 4)))
-    _archive("exponential_oscillation_amplitudes.csv", ["digit", "amplitude_pct"], rows)
+    _match_archive("exponential_oscillation_amplitudes.csv", ["digit", "amplitude_pct"], rows)
     for d, amp in rows:
         assert amp == pytest.approx(exact[d - 1], abs=1e-3), (
             f"digit {d}: grid amplitude {amp:.4f} vs exact {exact[d - 1]:.4f}"

@@ -206,6 +206,12 @@ class TestGrowth:
         assert lines[0] == "rate_percent,chi_sqr,anomaly_L,anomaly_T"
         assert len(lines) == 12
 
+    @pytest.mark.parametrize("flag,value", [("--n", "0"), ("--base", "0"), ("--lo", "-150")])
+    def test_scan_bad_params_exit_2(self, flag, value, capsys):
+        assert main(["growth", "scan", "--hi", "2", flag, value, "--quiet"]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+
     def test_factors(self, tmp_path):
         out = tmp_path / "f.json"
         rc = main(["growth", "factors", "--rate", "29.154", "--count", "31",

@@ -45,6 +45,15 @@ class TestChiSqr:
         with pytest.raises(BadExpectedError):
             conformity.chi_sqr({1: 5, 2: 5}, lopsided)
 
+    def test_vs_benford_rowwise(self):
+        rows = np.array([[30, 18, 12, 10, 8, 7, 6, 5, 4], [1000] * 9, [0, 0, 5, 0, 0, 0, 0, 0, 0]])
+        got = conformity.chi_sqr_vs_benford(rows)
+        assert isinstance(conformity.chi_sqr_vs_benford(rows[0]), float)
+        assert got.tolist() == [conformity.chi_sqr_vs_benford(r) for r in rows]
+        assert got[1] == pytest.approx(conformity.chi_sqr(list(rows[1]), benford_distribution()))
+        with pytest.raises(EmptyInputError):
+            conformity.chi_sqr_vs_benford(np.vstack([rows, np.zeros(9)]))
+
     def test_power_of_ten_invariance(self):
         vals = benford_sample(20_000, seed=3)
         base = conformity.chi_sqr_vs_benford(_counts(vals))

@@ -147,6 +147,13 @@ class TestBenfordLaws:
         with pytest.raises(BadDigitError):
             digits.benford_pattern([])
 
+    def test_from_counts(self):
+        dist = digits.DigitDistribution.from_counts([3, 0, 1, 0, 0, 0, 0, 0, 2])
+        assert (dist.base, dist.order) == (10, 1)
+        assert dist.first_order_vector() == [3 / 6, 0.0, 1 / 6, 0.0, 0.0, 0.0, 0.0, 0.0, 2 / 6]
+        assert digits.DigitDistribution.from_counts([1, 1, 2]).base == 4
+        assert digits.DigitDistribution.from_counts([0] * 9).probs == {}
+
     def test_second_digit_values(self):
         assert digits.benford_nth_unconditional(2, 5) == pytest.approx(0.097, abs=5e-4)
         assert digits.benford_nth_unconditional(2, 2) == pytest.approx(0.109, abs=5e-4)

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 from digitlab import growth
 from digitlab.digits import benford_first
@@ -208,10 +209,94 @@ class TestRateScan:
 
     def test_csv_format(self):
         cells = growth.rate_scan(21.14, 21.17, 0.01, 500, 3.0, t_flag=50)
-        text = growth.scan_to_csv(cells)
-        lines = text.strip().split("\n")
-        assert lines[0] == "rate_percent,chi_sqr,anomaly_L,anomaly_T"
-        assert len(lines) == len(cells) + 1
+        assert growth.scan_to_csv(cells) == (
+            "rate_percent,chi_sqr,anomaly_L,anomaly_T\n"
+            "21.14,58.0405,1,12\n"
+            "21.15,75.1834,1,12\n"
+            "21.16,38.9074,1,12\n"
+            "21.17,24.7791,1,12\n"
+        )
+
+    @pytest.mark.parametrize("n_elements", [1000, growth._BLOCK + 7])
+    def test_block_seams_match_single_series(self, n_elements):
+        # three full blocks plus a partial one (one series per block once a
+        # series alone fills the block), across the T = 12 spike at 21.15%
+        rows = max(1, growth._BLOCK // n_elements)
+        n_rates = 3 * rows + max(1, rows // 2)
+        lo, step = 21.0, 0.01
+        cells = growth.rate_scan(lo, lo + (n_rates - 1) * step, step, n_elements, 3.0, t_flag=50)
+        assert len(cells) == n_rates
+        j = np.arange(n_elements, dtype=np.float64)
+        for i, c in enumerate(cells):
+            pct = lo + i * step
+            assert c.percent == pct
+            series = growth.GrowthSeries(3.0, pct, n_elements)
+            # the documented mantissa formula, bit for bit
+            want = (math.log10(3.0) % 1.0 + j * (math.log10(1.0 + pct / 100.0) % 1.0)) % 1.0
+            assert np.array_equal(growth.series_mantissas(series), want)
+            assert c.chi_sqr == growth.series_ld(series)[1]
+            assert c.anomaly == growth.detect_anomalous(pct, 50, tol=0.5 / n_elements)
+        if rows > 1:
+            assert any(c.anomaly is not None for c in cells)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{"n_elements": 0}, {"base": 0.0}, {"base": -2.0}, {"lo_percent": -150.0},
+         {"lo_percent": -100.0}],
+    )
+    def test_invalid_scan_rejected(self, kwargs):
+        args = {"lo_percent": 1.0, "hi_percent": 2.0, "step": 0.5, "n_elements": 10,
+                "base": 3.0, "t_flag": 10, **kwargs}
+        with pytest.raises(BadParamsError):
+            growth.rate_scan(**args)
+
+
+def _snap_reference(m: float) -> int:
+    """The documented digit rule, one mantissa at a time: within 1e-9 of
+    the edge log10 d means digit d (d = 10, the edge 1, stays 9); otherwise
+    the compartment [log10 d, log10(d+1)) holding m."""
+    edges = [math.log10(d) for d in range(1, 11)]
+    for d, e in enumerate(edges, start=1):
+        if abs(m - e) < 1e-9:
+            return min(d, 9)
+    return max(1, min(9, sum(1 for e in edges if e <= m)))
+
+
+def _edge_neighbourhood() -> list[float]:
+    out = [1.0 - 2**-53, 1.0 - 1e-10, 1.0 - 1e-9, 1.0 - 2e-9, 0.0, 2**-1074]
+    for e in (math.log10(d) for d in range(1, 11)):
+        out += [e, math.nextafter(e, 0.0), math.nextafter(e, 2.0)]
+        out += [e + s * (1e-9 + t * 1e-12) for s in (-1, 1) for t in (-1, 1)]
+        # a few ulps either side of the snap threshold e +- 1e-9
+        for m in (e - 1e-9, e + 1e-9):
+            for _ in range(3):
+                m = math.nextafter(m, 0.0)
+            for _ in range(7):
+                out.append(m)
+                m = math.nextafter(m, 2.0)
+    return [m for m in out if 0.0 <= m < 1.0]
+
+
+EDGE_VALUES = _edge_neighbourhood()
+
+
+class TestDigitsFromMantissas:
+    @given(st.lists(
+        st.one_of(
+            st.sampled_from(EDGE_VALUES),
+            st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
+            st.builds(lambda e, off: min(max(e + off, 0.0), math.nextafter(1.0, 0.0)),
+                      st.sampled_from(EDGE_VALUES), st.floats(-3e-9, 3e-9)),
+        ),
+        min_size=1, max_size=60,
+    ))
+    @example(EDGE_VALUES)
+    def test_matches_snap_rule(self, mants):
+        got = growth._digits_from_mantissas(np.array(mants))
+        assert got.tolist() == [_snap_reference(m) for m in mants]
+        # the 2-D (block) form is elementwise the same
+        twice = np.array([mants, mants[::-1]])
+        assert growth._digits_from_mantissas(twice).tolist() == [got.tolist(), got.tolist()[::-1]]
 
 
 class TestEquivalentRate:
