@@ -5,9 +5,10 @@ checker, and the named presets.
 A chain is a tree whose internal nodes are distribution families and whose
 leaves are constants; drawing one number resolves parameters leaf-to-root
 by sampling child nodes, then samples the root family once.  Evaluation is
-vectorized: every node produces an n-vector, families sample with
-per-element parameters, and invalid parameter combinations surface as NaN
-and are retried per the resample policy.
+vectorized: every node produces an n-vector, and a family node calls its
+family's own ``valid`` and ``draw`` (distributions.py) with per-element
+parameters.  Invalid parameter combinations surface as NaN and are retried
+per the resample policy.
 
 Mixture nodes (equal-weight choice per draw) and formula nodes (opaque
 vectorized samplers) exist for presets only; the text grammar stays
@@ -30,34 +31,15 @@ from . import analytic
 from .conformity import chi_sqr_vs_benford
 from .digits import DigitDistribution, compartment_boundaries
 from .distributions import (
-    CauchyLorentz,
     ChiSqr,
     Die,
     DistributionModel,
-    Exp2,
-    Exp3,
-    Exp4,
-    Exp5,
-    Exp6,
     Exponential,
-    FisherTippett,
-    Gamma,
-    GeneralizedExp1,
-    GeneralizedExp2,
-    Gompertz,
-    GuptaKundu,
     LogNormal,
-    Logistic,
-    Nakagami,
     Normal,
-    OriginNormal,
-    Pareto,
     PowerLaw,
     Rayleigh,
-    Triangular,
     Uniform,
-    Wald,
-    Weibull,
     family_by_name,
 )
 from .errors import (
@@ -226,178 +208,6 @@ def parse_chain(text: str) -> FamilyNode:
 
 
 # ---------------------------------------------------------------------------
-# vectorized family sampling with per-element parameters
-#
-# Each sampler returns NaN where the element's parameters are invalid;
-# NaN child draws propagate automatically because every comparison with
-# NaN is False.
-
-
-def _masked(valid: np.ndarray, draw: np.ndarray) -> np.ndarray:
-    return np.where(valid, draw, np.nan)
-
-
-def _safe(valid, arr, fallback=1.0):
-    return np.where(valid, arr, fallback)
-
-
-def _sample_vec(family: type, args: list[np.ndarray], rng: np.random.Generator) -> np.ndarray:
-    n = args[0].shape[0] if args else 0
-    if family is Uniform:
-        a, b = args
-        valid = a < b
-        return _masked(valid, rng.uniform(_safe(valid, a, 0.0), _safe(valid, b, 1.0)))
-    if family is Normal:
-        mu, sigma = args
-        valid = sigma > 0
-        return _masked(valid, rng.normal(_safe(valid, mu, 0.0), _safe(valid, sigma)))
-    if family is OriginNormal:
-        (sigma,) = args
-        valid = sigma > 0
-        return _masked(valid, rng.normal(0.0, _safe(valid, sigma)))
-    if family in (Exponential, Exp2, Exp3, Exp4, Exp5, Exp6):
-        (rho,) = args
-        if family is Exponential:
-            valid = rho > 0
-            scale = 1.0 / _safe(valid, rho)
-        elif family is Exp2:
-            valid = rho > 0
-            scale = _safe(valid, rho)
-        elif family is Exp3:
-            valid = rho > 0
-            scale = np.sqrt(_safe(valid, rho))
-        elif family is Exp4:
-            valid = rho > 0
-            scale = _safe(valid, rho) ** 7.5
-        elif family is Exp5:
-            valid = rho > 0
-            scale = _safe(valid, rho) ** 8
-        else:  # Exp6
-            valid = rho > 1
-            scale = np.log(_safe(valid, rho, 2.0))
-        return _masked(valid, rng.exponential(scale))
-    if family is GeneralizedExp1:
-        rho, mu = args
-        valid = rho > 0
-        return _masked(valid, mu + rng.exponential(1.0 / _safe(valid, rho)))
-    if family is GeneralizedExp2:
-        rho, mu = args
-        valid = rho > 0
-        return _masked(valid, mu + rng.exponential(_safe(valid, rho)))
-    if family is Gamma:
-        k, theta = args
-        valid = (k > 0) & (theta > 0)
-        return _masked(valid, rng.gamma(_safe(valid, k), _safe(valid, theta)))
-    if family is Weibull:
-        k, lam = args
-        valid = (k > 0) & (lam > 0)
-        return _masked(valid, _safe(valid, lam) * rng.weibull(_safe(valid, k)))
-    if family is Rayleigh:
-        (sigma,) = args
-        valid = sigma > 0
-        return _masked(valid, rng.rayleigh(_safe(valid, sigma)))
-    if family is Wald:
-        mu, lam = args
-        valid = (mu > 0) & (lam > 0)
-        return _masked(valid, rng.wald(_safe(valid, mu), _safe(valid, lam)))
-    if family is LogNormal:
-        loc, shape = args
-        valid = shape > 0
-        with np.errstate(over="ignore"):
-            return _masked(valid, rng.lognormal(_safe(valid, loc, 0.0), _safe(valid, shape)))
-    if family is Gompertz:
-        b, eta = args
-        valid = (b > 0) & (eta > 0)
-        return _masked(valid, _gompertz_vec(_safe(valid, b), _safe(valid, eta), rng))
-    if family is Nakagami:
-        mu, omega = args
-        valid = (mu > 0) & (omega > 0)
-        g = rng.gamma(_safe(valid, mu), _safe(valid, omega) / _safe(valid, mu))
-        return _masked(valid, np.sqrt(g))
-    if family is GuptaKundu:
-        alpha, lam = args
-        valid = (alpha > 0) & (lam > 0)
-        u = rng.random(n)
-        return _masked(valid, -np.log1p(-u ** (1.0 / _safe(valid, alpha))) / _safe(valid, lam))
-    if family is Pareto:
-        a, theta = args
-        valid = (a > 0) & (theta > 0)
-        u = rng.random(n)
-        return _masked(valid, _safe(valid, a) * u ** (-1.0 / _safe(valid, theta)))
-    if family is FisherTippett:
-        mu, lam = args
-        valid = lam > 0
-        return _masked(valid, rng.gumbel(mu, _safe(valid, lam)))
-    if family is Logistic:
-        mu, s = args
-        valid = s > 0
-        return _masked(valid, rng.logistic(mu, _safe(valid, s)))
-    if family is CauchyLorentz:
-        x0, gamma = args
-        valid = gamma > 0
-        return _masked(valid, x0 + _safe(valid, gamma) * rng.standard_cauchy(n))
-    if family is ChiSqr:
-        (dof,) = args
-        idof = np.floor(dof)  # chained draws round down to an integer dof
-        valid = idof >= 1
-        return _masked(valid, rng.chisquare(_safe(valid, idof)))
-    if family is Die:
-        (faces,) = args
-        ifaces = np.floor(faces)
-        valid = ifaces >= 1
-        u = rng.random(n)
-        return _masked(valid, np.floor(u * _safe(valid, ifaces)) + 1.0)
-    if family is Triangular:
-        a, m, b = args
-        valid = (a <= m) & (m <= b) & (a < b)
-        a_, m_, b_ = _safe(valid, a, 0.0), _safe(valid, m, 0.5), _safe(valid, b, 1.0)
-        rd = rng.random(n)
-        split = (m_ - a_) / (b_ - a_)
-        left = a_ + np.sqrt(rd * (m_ - a_) * (b_ - a_))
-        right = b_ - np.sqrt((1.0 - rd) * (b_ - m_) * (b_ - a_))
-        return _masked(valid, np.where(rd < split, left, right))
-    if family is PowerLaw:
-        m, lo, hi = args
-        valid = (m > 0) & (0 < lo) & (lo < hi)
-        lo_, hi_ = _safe(valid, lo), _safe(valid, hi, 2.0)
-        m_ = _safe(valid, m)
-        u = rng.random(n)
-        p = 1.0 - m_
-        near_one = np.abs(p) < 1e-12
-        log_draw = lo_ * (hi_ / lo_) ** u
-        p_ = np.where(near_one, 1.0, p)
-        pow_draw = (lo_**p_ + u * (hi_**p_ - lo_**p_)) ** (1.0 / p_)
-        return _masked(valid, np.where(near_one, log_draw, pow_draw))
-    raise UnknownPresetError(f"no vectorized sampler for family {family.__name__}")
-
-
-def _gompertz_vec(b: np.ndarray, eta: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Inverse-CDF bisection for F(x) = (1 - e^{-bx}) exp(-eta e^{-bx})."""
-
-    def cdf(x):
-        u = np.exp(-b * x)
-        return (1.0 - u) * np.exp(-eta * u)
-
-    n = b.shape[0]
-    target = rng.random(n)
-    lo = np.zeros(n)
-    hi = 1.0 / b
-    for _ in range(200):
-        short = cdf(hi) < target
-        if not short.any():
-            break
-        hi = np.where(short, hi * 2.0, hi)
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        below = cdf(mid) < target
-        lo = np.where(below, mid, lo)
-        hi = np.where(below, hi, mid)
-        if np.max(cdf(hi) - cdf(lo)) < 1e-10:
-            break
-    return 0.5 * (lo + hi)
-
-
-# ---------------------------------------------------------------------------
 # simulation
 
 
@@ -464,9 +274,23 @@ def _eval_node(node, n: int, rng: np.random.Generator) -> np.ndarray:
                 out[mask] = _eval_node(comp, m, rng)
         return out
     if isinstance(node, FamilyNode):
+        fam = node.family
         args = [_eval_node(a, n, rng) for a in node.args]
-        return _sample_vec(node.family, args, rng)
+        # NaN marks an invalid draw (NaN child draws fail every rule); the
+        # sampler still runs on every row, with 1.0 in place of each invalid
+        # parameter, so the generator stream does not depend on validity
+        with np.errstate(all="ignore"):
+            ok = fam.valid(*args)
+            safe = [np.where(ok, a, 1.0) for a in args]
+            return np.where(ok, fam.draw(rng, n, *safe), np.nan)
     raise TypeError(f"not a chain node: {node!r}")
+
+
+def _ld_counts(values: np.ndarray) -> np.ndarray:
+    """First-digit counts (digit d at index d - 1) of the nonzero finite values."""
+    mant = np.log10(np.abs(values[values != 0.0])) % 1.0
+    digs = np.searchsorted(_BOUNDS, mant, side="right").clip(1, 9)
+    return np.bincount(digs, minlength=10)[1:10]
 
 
 def _draw_batch(spec, n, rng, policy) -> tuple[np.ndarray, int, int]:
@@ -529,12 +353,9 @@ def simulate_chain(
     resampled = sum(p[1] for p in parts)
     dropped = sum(p[2] for p in parts)
 
-    nonzero = values[values != 0.0]
-    skipped_zeros = int(values.size - nonzero.size)
-    mant = np.log10(np.abs(nonzero)) % 1.0
-    digs = np.searchsorted(_BOUNDS, mant, side="right").clip(1, 9)
-    counts = np.bincount(digs, minlength=10)[1:10]
+    counts = _ld_counts(values)
     accepted = int(counts.sum())
+    skipped_zeros = values.size - accepted
     dist = DigitDistribution.from_counts(counts)
     skip_rate = (skipped_zeros + dropped) / n
     return ChainRunResult(
@@ -549,7 +370,7 @@ def simulate_chain(
         ld=dist,
         chi_sqr=chi_sqr_vs_benford(counts) if accepted else math.nan,
         valid=skip_rate <= 0.01,
-        samples=nonzero if keep_samples else None,
+        samples=values[values != 0.0] if keep_samples else None,
     )
 
 
@@ -767,12 +588,7 @@ def power_of_ten_invariance_check(
         c1, c2 = seq.spawn(2)
 
         def empirical(mod, child):
-            rng = np.random.Generator(np.random.PCG64(child))
-            x = mod.sample_n(n, rng)
-            x = np.abs(x[x != 0])
-            mant = np.log10(x) % 1.0
-            digs = np.searchsorted(_BOUNDS, mant, side="right").clip(1, 9)
-            counts = np.bincount(digs, minlength=10)[1:10]
+            counts = _ld_counts(mod.sample_n(n, np.random.Generator(np.random.PCG64(child))))
             return counts / counts.sum()
 
         pa, pb = empirical(model, c1), empirical(scaled, c2)

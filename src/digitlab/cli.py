@@ -394,12 +394,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--version", action="version", version=f"digitlab {__version__}")
     sub = p.add_subparsers(dest="command", required=True)
 
+    # --seed, --threads and --csv are registered only on the commands that read them
     def common(sp):
-        sp.add_argument("--seed", type=int, default=None)
         sp.add_argument("--json", metavar="PATH", default=None)
-        sp.add_argument("--csv", metavar="PATH", default=None)
         sp.add_argument("--quiet", action="store_true")
-        sp.add_argument("--threads", type=int, default=1)
 
     sp = sub.add_parser("analyze", help="conformity report for a dataset file")
     sp.add_argument("path")
@@ -425,6 +423,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--on-exhaustion", choices=("skip", "error"), default="skip")
     sp.add_argument("--samples", metavar="PATH", default=None,
                     help="write accepted samples to a file")
+    sp.add_argument("--threads", type=int, default=1)
+    sp.add_argument("--seed", type=int, default=None)
     common(sp)
     sp.set_defaults(fn=cmd_chain)
 
@@ -461,6 +461,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--center", type=float, default=11.0)
     sp.add_argument("--radius", type=float, default=1.0)
     sp.add_argument("--bins", type=int, default=100)
+    sp.add_argument("--csv", metavar="PATH", default=None)
     common(sp)
     sp.set_defaults(fn=cmd_analytic)
 
@@ -475,6 +476,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--hi", type=float, default=600.0)
     sp.add_argument("--step", type=float, default=0.01)
     sp.add_argument("--count", type=int, default=31)
+    sp.add_argument("--csv", metavar="PATH", default=None)
     common(sp)
     sp.set_defaults(fn=cmd_growth)
 
@@ -486,6 +488,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--scale-only", action="store_true",
                     help="scale only the first form parameter")
     sp.add_argument("--n", type=int, default=10**6)
+    sp.add_argument("--seed", type=int, default=None)
     common(sp)
     sp.set_defaults(fn=cmd_invariance)
 

@@ -1,9 +1,14 @@
 """Parametric distribution families: pdf, sampler, support, and mean.
 
-Each family is a small frozen dataclass.  Samplers draw from a
-caller-supplied numpy Generator, so concurrent use just needs per-caller
-generator states.  ``sample_n`` is vectorized wherever numpy has a native
-generator method; the bisection-based samplers operate on arrays directly.
+Each family is a small frozen dataclass that declares its parameter rule
+and its sampler once, as two vectorized static methods: ``valid(*params)``
+and ``draw(rng, n, *params)``.  Both take scalars or length-n arrays, so the
+scalar model (``__post_init__``, ``sample_n``) and the chain engine, which
+samples with per-element parameters, run the same code.  Samplers draw
+from a caller-supplied numpy Generator, so concurrent use just needs
+per-caller generator states.  Every sampler is closed form or a native
+numpy generator method; Gompertz inverts its CDF through the Wright omega
+function.
 
 The six Exponential variants share one sampler and differ only in how the
 chained parameter maps to the effective scale (rho, 1/rho, sqrt(rho),
@@ -20,7 +25,7 @@ from typing import ClassVar
 import numpy as np
 from scipy import integrate, special
 
-from .errors import BadParamsError, SamplerDivergenceError
+from .errors import BadParamsError
 
 __all__ = [
     "DistributionModel",
@@ -80,23 +85,40 @@ class Support:
         return self.lo <= x <= self.hi
 
 
-def _require(cond: bool, msg: str) -> None:
-    if not cond:
-        raise BadParamsError(msg)
+def _positive(x):
+    """Element-wise 0 < x < inf."""
+    return (x > 0) & (x < math.inf)
 
 
 class DistributionModel:
-    """Base class; subclasses are the concrete families."""
+    """Base class; subclasses are the concrete families.
+
+    A family declares ``valid(*params)``, true where its parameters are
+    admissible (finite ones only), and ``draw(rng, n, *params)``, n draws
+    for parameters that are scalars or length-n arrays of valid values.
+    """
 
     param_names: ClassVar[tuple[str, ...]] = ()
-    # Power-of-ten scaling form, for the LD-invariance checker:
-    #   "scale"          k*f(kx) or (1/k)f(x/k): one scale parameter
-    #   "loc-scale"      (1/b)f((x-a)/b): both parameters scale together
-    #   "rate-loc"       b*f(b(x-a)): the non-invariant counterexample form
-    #   None             no registered form
-    pot_form: ClassVar[str | None] = None
-    # Parameters participating in that form (shape parameters excluded).
+    # Parameters scaled_by_power_of_ten multiplies by default (the
+    # family's scale and location parameters; shape parameters excluded).
     pot_scale_params: ClassVar[tuple[str, ...]] = ()
+
+    def __post_init__(self):
+        name = type(self).__name__
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type == "int" and (isinstance(value, bool) or not isinstance(value, int)):
+                raise BadParamsError(f"{name} {f.name} must be an integer, got {value!r}")
+        if not self.valid(*self.params):
+            raise BadParamsError(f"invalid {name} parameters {self.params}")
+
+    @staticmethod
+    def valid(*params):
+        raise NotImplementedError
+
+    @staticmethod
+    def draw(rng: np.random.Generator, n: int, *params) -> np.ndarray:
+        raise NotImplementedError
 
     @property
     def params(self) -> tuple[float, ...]:
@@ -109,7 +131,10 @@ class DistributionModel:
         return float(self.sample_n(1, rng)[0])
 
     def sample_n(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        raise NotImplementedError
+        # the parameters go in as length-n arrays, as a chain passes its
+        # constants, so numpy takes the same (array ** array, not scalar
+        # power) code paths and both draw the same bits
+        return self.draw(rng, n, *(np.full(n, float(p)) for p in self.params))
 
     def support(self) -> Support:
         raise NotImplementedError
@@ -148,17 +173,18 @@ class Uniform(DistributionModel):
     a: float
     b: float
     param_names = ("a", "b")
-    pot_form = "loc-scale"
     pot_scale_params = ("a", "b")
 
-    def __post_init__(self):
-        _require(self.a < self.b, f"Uniform requires a < b, got ({self.a}, {self.b})")
+    @staticmethod
+    def valid(a, b):
+        return np.isfinite(b - a) & (a < b)
 
     def pdf(self, x):
         return 1.0 / (self.b - self.a) if self.a <= x <= self.b else 0.0
 
-    def sample_n(self, n, rng):
-        return rng.uniform(self.a, self.b, size=n)
+    @staticmethod
+    def draw(rng, n, a, b):
+        return rng.uniform(a, b, n)
 
     def support(self):
         return Support(self.a, self.b)
@@ -172,18 +198,19 @@ class Normal(DistributionModel):
     mu: float
     sigma: float
     param_names = ("mu", "sigma")
-    pot_form = "loc-scale"
     pot_scale_params = ("mu", "sigma")
 
-    def __post_init__(self):
-        _require(self.sigma > 0, f"Normal requires sigma > 0, got {self.sigma}")
+    @staticmethod
+    def valid(mu, sigma):
+        return np.isfinite(mu) & _positive(sigma)
 
     def pdf(self, x):
         z = (x - self.mu) / self.sigma
         return math.exp(-0.5 * z * z) / (self.sigma * _SQRT2PI)
 
-    def sample_n(self, n, rng):
-        return rng.normal(self.mu, self.sigma, size=n)
+    @staticmethod
+    def draw(rng, n, mu, sigma):
+        return rng.normal(mu, sigma, n)
 
     def support(self):
         return Support(-math.inf, math.inf)
@@ -196,18 +223,19 @@ class Normal(DistributionModel):
 class OriginNormal(DistributionModel):
     sigma: float
     param_names = ("sigma",)
-    pot_form = "scale"
     pot_scale_params = ("sigma",)
 
-    def __post_init__(self):
-        _require(self.sigma > 0, f"OriginNormal requires sigma > 0, got {self.sigma}")
+    @staticmethod
+    def valid(sigma):
+        return _positive(sigma)
 
     def pdf(self, x):
         z = x / self.sigma
         return math.exp(-0.5 * z * z) / (self.sigma * _SQRT2PI)
 
-    def sample_n(self, n, rng):
-        return rng.normal(0.0, self.sigma, size=n)
+    @staticmethod
+    def draw(rng, n, sigma):
+        return rng.normal(0.0, sigma, n)
 
     def support(self):
         return Support(-math.inf, math.inf)
@@ -221,23 +249,29 @@ class _ExponentialBase(DistributionModel):
 
     param_names = ("rho",)
 
-    def _scale(self) -> float:
+    @staticmethod
+    def _scale(rho):
         raise NotImplementedError
+
+    @staticmethod
+    def valid(rho):
+        return _positive(rho)
+
+    @classmethod
+    def draw(cls, rng, n, rho):
+        return rng.exponential(cls._scale(rho), n)
 
     def pdf(self, x):
         if x < 0:
             return 0.0
-        s = self._scale()
+        s = self._scale(self.rho)
         return math.exp(-x / s) / s
-
-    def sample_n(self, n, rng):
-        return rng.exponential(self._scale(), size=n)
 
     def support(self):
         return Support(0.0, math.inf)
 
     def mean(self):
-        return self._scale()
+        return self._scale(self.rho)
 
 
 @dataclass(frozen=True)
@@ -245,14 +279,11 @@ class Exponential(_ExponentialBase):
     """Variant 1: rate parameterization, pdf rho * exp(-rho x)."""
 
     rho: float
-    pot_form = "scale"
     pot_scale_params = ("rho",)
 
-    def __post_init__(self):
-        _require(self.rho > 0, f"Exponential requires rho > 0, got {self.rho}")
-
-    def _scale(self):
-        return 1.0 / self.rho
+    @staticmethod
+    def _scale(rho):
+        return 1.0 / rho
 
 
 @dataclass(frozen=True)
@@ -260,14 +291,11 @@ class Exp2(_ExponentialBase):
     """Variant 2: scale parameterization, pdf (1/rho) exp(-x/rho)."""
 
     rho: float
-    pot_form = "scale"
     pot_scale_params = ("rho",)
 
-    def __post_init__(self):
-        _require(self.rho > 0, f"Exp2 requires rho > 0, got {self.rho}")
-
-    def _scale(self):
-        return self.rho
+    @staticmethod
+    def _scale(rho):
+        return rho
 
 
 @dataclass(frozen=True)
@@ -276,11 +304,9 @@ class Exp3(_ExponentialBase):
 
     rho: float
 
-    def __post_init__(self):
-        _require(self.rho > 0, f"Exp3 requires rho > 0, got {self.rho}")
-
-    def _scale(self):
-        return math.sqrt(self.rho)
+    @staticmethod
+    def _scale(rho):
+        return np.sqrt(rho)
 
 
 @dataclass(frozen=True)
@@ -289,11 +315,9 @@ class Exp4(_ExponentialBase):
 
     rho: float
 
-    def __post_init__(self):
-        _require(self.rho > 0, f"Exp4 requires rho > 0, got {self.rho}")
-
-    def _scale(self):
-        return self.rho**7.5
+    @staticmethod
+    def _scale(rho):
+        return rho**7.5
 
 
 @dataclass(frozen=True)
@@ -302,11 +326,9 @@ class Exp5(_ExponentialBase):
 
     rho: float
 
-    def __post_init__(self):
-        _require(self.rho > 0, f"Exp5 requires rho > 0, got {self.rho}")
-
-    def _scale(self):
-        return self.rho**8
+    @staticmethod
+    def _scale(rho):
+        return rho**8
 
 
 @dataclass(frozen=True)
@@ -315,11 +337,13 @@ class Exp6(_ExponentialBase):
 
     rho: float
 
-    def __post_init__(self):
-        _require(self.rho > 1, f"Exp6 requires rho > 1, got {self.rho}")
+    @staticmethod
+    def _scale(rho):
+        return np.log(rho)
 
-    def _scale(self):
-        return math.log(self.rho)
+    @staticmethod
+    def valid(rho):
+        return (rho > 1) & (rho < math.inf)
 
 
 @dataclass(frozen=True)
@@ -330,18 +354,19 @@ class GeneralizedExp1(DistributionModel):
     mu: float
     param_names = ("rho", "mu")
     pot_scale_params = ("rho", "mu")
-    pot_form = "rate-loc"
 
-    def __post_init__(self):
-        _require(self.rho > 0, f"GeneralizedExp1 requires rho > 0, got {self.rho}")
+    @staticmethod
+    def valid(rho, mu):
+        return _positive(rho) & np.isfinite(mu)
 
     def pdf(self, x):
         if x < self.mu:
             return 0.0
         return self.rho * math.exp(-self.rho * (x - self.mu))
 
-    def sample_n(self, n, rng):
-        return self.mu + rng.exponential(1.0 / self.rho, size=n)
+    @staticmethod
+    def draw(rng, n, rho, mu):
+        return mu + rng.exponential(1.0 / rho, n)
 
     def support(self):
         return Support(self.mu, math.inf)
@@ -358,18 +383,19 @@ class GeneralizedExp2(DistributionModel):
     mu: float
     param_names = ("rho", "mu")
     pot_scale_params = ("rho", "mu")
-    pot_form = "loc-scale"
 
-    def __post_init__(self):
-        _require(self.rho > 0, f"GeneralizedExp2 requires rho > 0, got {self.rho}")
+    @staticmethod
+    def valid(rho, mu):
+        return _positive(rho) & np.isfinite(mu)
 
     def pdf(self, x):
         if x < self.mu:
             return 0.0
         return math.exp(-(x - self.mu) / self.rho) / self.rho
 
-    def sample_n(self, n, rng):
-        return self.mu + rng.exponential(self.rho, size=n)
+    @staticmethod
+    def draw(rng, n, rho, mu):
+        return mu + rng.exponential(rho, n)
 
     def support(self):
         return Support(self.mu, math.inf)
@@ -385,8 +411,9 @@ class Gamma(DistributionModel):
     param_names = ("k", "theta")
     pot_scale_params = ("theta",)
 
-    def __post_init__(self):
-        _require(self.k > 0 and self.theta > 0, f"Gamma requires k, theta > 0, got {self.params}")
+    @staticmethod
+    def valid(k, theta):
+        return _positive(k) & _positive(theta)
 
     def pdf(self, x):
         if x <= 0:
@@ -394,8 +421,9 @@ class Gamma(DistributionModel):
         k, th = self.k, self.theta
         return x ** (k - 1) * math.exp(-x / th - special.gammaln(k)) / th**k
 
-    def sample_n(self, n, rng):
-        return rng.gamma(self.k, self.theta, size=n)
+    @staticmethod
+    def draw(rng, n, k, theta):
+        return rng.gamma(k, theta, n)
 
     def support(self):
         return Support(0.0, math.inf)
@@ -413,8 +441,9 @@ class Weibull(DistributionModel):
     param_names = ("k", "lam")
     pot_scale_params = ("lam",)
 
-    def __post_init__(self):
-        _require(self.k > 0 and self.lam > 0, f"Weibull requires k, lam > 0, got {self.params}")
+    @staticmethod
+    def valid(k, lam):
+        return _positive(k) & _positive(lam)
 
     def pdf(self, x):
         if x <= 0:
@@ -423,8 +452,9 @@ class Weibull(DistributionModel):
         z = x / lam
         return (k / lam) * z ** (k - 1) * math.exp(-(z**k))
 
-    def sample_n(self, n, rng):
-        return self.lam * rng.weibull(self.k, size=n)
+    @staticmethod
+    def draw(rng, n, k, lam):
+        return lam * rng.weibull(k, n)
 
     def support(self):
         return Support(0.0, math.inf)
@@ -438,10 +468,10 @@ class Rayleigh(DistributionModel):
     sigma: float
     param_names = ("sigma",)
     pot_scale_params = ("sigma",)
-    pot_form = "scale"
 
-    def __post_init__(self):
-        _require(self.sigma > 0, f"Rayleigh requires sigma > 0, got {self.sigma}")
+    @staticmethod
+    def valid(sigma):
+        return _positive(sigma)
 
     def pdf(self, x):
         if x < 0:
@@ -449,8 +479,9 @@ class Rayleigh(DistributionModel):
         s2 = self.sigma**2
         return x * math.exp(-0.5 * x * x / s2) / s2
 
-    def sample_n(self, n, rng):
-        return rng.rayleigh(self.sigma, size=n)
+    @staticmethod
+    def draw(rng, n, sigma):
+        return rng.rayleigh(sigma, n)
 
     def support(self):
         return Support(0.0, math.inf)
@@ -468,8 +499,9 @@ class Wald(DistributionModel):
     param_names = ("mu", "lam")
     pot_scale_params = ("mu", "lam")
 
-    def __post_init__(self):
-        _require(self.mu > 0 and self.lam > 0, f"Wald requires mu, lam > 0, got {self.params}")
+    @staticmethod
+    def valid(mu, lam):
+        return _positive(mu) & _positive(lam)
 
     def pdf(self, x):
         if x <= 0:
@@ -479,8 +511,9 @@ class Wald(DistributionModel):
             -lam * (x - mu) ** 2 / (2.0 * mu**2 * x)
         )
 
-    def sample_n(self, n, rng):
-        return rng.wald(self.mu, self.lam, size=n)
+    @staticmethod
+    def draw(rng, n, mu, lam):
+        return rng.wald(mu, lam, n)
 
     def support(self):
         return Support(0.0, math.inf)
@@ -497,8 +530,9 @@ class LogNormal(DistributionModel):
     shape: float
     param_names = ("location", "shape")
 
-    def __post_init__(self):
-        _require(self.shape > 0, f"LogNormal requires shape > 0, got {self.shape}")
+    @staticmethod
+    def valid(location, shape):
+        return np.isfinite(location) & _positive(shape)
 
     def pdf(self, x):
         if x <= 0:
@@ -506,8 +540,9 @@ class LogNormal(DistributionModel):
         z = (math.log(x) - self.location) / self.shape
         return math.exp(-0.5 * z * z) / (x * self.shape * _SQRT2PI)
 
-    def sample_n(self, n, rng):
-        return rng.lognormal(self.location, self.shape, size=n)
+    @staticmethod
+    def draw(rng, n, location, shape):
+        return rng.lognormal(location, shape, n)
 
     def support(self):
         return Support(0.0, math.inf)
@@ -521,8 +556,8 @@ class Gompertz(DistributionModel):
     """pdf b e^{-bx} e^{-eta e^{-bx}} [1 + eta (1 - e^{-bx})] on (0, +inf).
 
     The CDF works out to F(x) = (1 - e^{-bx}) exp(-eta e^{-bx}); sampling
-    bisects it to 1e-10 in probability.  The mean has no closed form and is
-    integrated numerically (closed_form_mean is False).
+    inverts it in closed form (see quantile).  The mean has no closed form
+    and is integrated numerically (closed_form_mean is False).
     """
 
     b: float
@@ -531,11 +566,9 @@ class Gompertz(DistributionModel):
     pot_scale_params = ("b",)
     closed_form_mean = False
 
-    _CDF_TOL = 1e-10
-    _MAX_BISECT = 200
-
-    def __post_init__(self):
-        _require(self.b > 0 and self.eta > 0, f"Gompertz requires b, eta > 0, got {self.params}")
+    @staticmethod
+    def valid(b, eta):
+        return _positive(b) & _positive(eta)
 
     def pdf(self, x):
         if x < 0:
@@ -549,28 +582,35 @@ class Gompertz(DistributionModel):
         out = (1.0 - u) * np.exp(-self.eta * u)
         return np.where(x <= 0, 0.0, out)
 
-    def sample_n(self, n, rng):
-        u = rng.random(n)
-        lo = np.zeros(n)
-        # Bracket: CDF(x) -> 1, so expand hi until it covers every draw.
-        hi = np.full(n, 1.0 / self.b)
-        for _ in range(200):
-            short = self.cdf(hi) < u
-            if not short.any():
-                break
-            hi[short] *= 2.0
-        else:
-            raise SamplerDivergenceError("Gompertz bracket expansion failed")
-        for _ in range(self._MAX_BISECT):
-            mid = 0.5 * (lo + hi)
-            below = self.cdf(mid) < u
-            lo = np.where(below, mid, lo)
-            hi = np.where(below, hi, mid)
-            if np.max(self.cdf(hi) - self.cdf(lo)) < self._CDF_TOL:
-                break
-        else:
-            raise SamplerDivergenceError("Gompertz bisection did not converge")
-        return 0.5 * (lo + hi)
+    @staticmethod
+    def quantile(p, b, eta):
+        """x with F(x) = p, for p in [0, 1).
+
+        With u = e^{-bx}, F = p solves to eta (1 - u) = omega(z), z =
+        ln eta + ln p + eta, omega the Wright omega function (Lambert W of
+        eta p e^eta; Corless et al. 1996).  v = 1 - u is taken as
+        p e^(eta - omega) for eta <= 1 (exact down to subnormal eta) and as
+        omega / eta above.  Where eta > 1 and v > 1/2, 1 - v cancels, so u
+        comes from ln omega + omega = z instead: t = eta u = ln v - ln p.
+        For u < 1/2, t lies in [eta/(eta + 2), eta/(eta + 1)] * (-ln p);
+        clipping to that bracket absorbs the rounding of ln v when p is
+        within a few ulps of 1.
+        """
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            log_p, log_eta = np.log(p), np.log(eta)
+            w = special.wrightomega(log_eta + log_p + eta)
+            small = eta <= 1.0
+            v = np.where(small, p * np.exp(eta - w), np.fmin(w / eta, 1.0))
+            t = np.clip(np.log(v) - log_p,
+                        -log_p * (eta / (eta + 2.0)), -log_p * (eta / (eta + 1.0)))
+            x = np.where(~small & (v > 0.5),
+                         log_eta - np.log(t),
+                         -np.log1p(-np.minimum(v, 1.0 - 2.0**-53))) / b
+            return np.where(p == 0, 0.0, x)
+
+    @staticmethod
+    def draw(rng, n, b, eta):
+        return Gompertz.quantile(rng.random(n), b, eta)
 
     def support(self):
         return Support(0.0, math.inf)
@@ -590,8 +630,9 @@ class Nakagami(DistributionModel):
     omega: float
     param_names = ("mu", "omega")
 
-    def __post_init__(self):
-        _require(self.mu > 0 and self.omega > 0, f"Nakagami requires mu, omega > 0, got {self.params}")
+    @staticmethod
+    def valid(mu, omega):
+        return _positive(mu) & _positive(omega)
 
     def pdf(self, x):
         if x <= 0:
@@ -606,8 +647,9 @@ class Nakagami(DistributionModel):
             )
         )
 
-    def sample_n(self, n, rng):
-        return np.sqrt(rng.gamma(self.mu, self.omega / self.mu, size=n))
+    @staticmethod
+    def draw(rng, n, mu, omega):
+        return np.sqrt(rng.gamma(mu, omega / mu, n))
 
     def support(self):
         return Support(0.0, math.inf)
@@ -626,8 +668,9 @@ class GuptaKundu(DistributionModel):
     param_names = ("alpha", "lam")
     pot_scale_params = ("lam",)
 
-    def __post_init__(self):
-        _require(self.alpha > 0 and self.lam > 0, f"GuptaKundu requires alpha, lam > 0, got {self.params}")
+    @staticmethod
+    def valid(alpha, lam):
+        return _positive(alpha) & _positive(lam)
 
     def pdf(self, x):
         if x <= 0:
@@ -636,9 +679,9 @@ class GuptaKundu(DistributionModel):
         e = math.exp(-lam * x)
         return a * lam * e * (1.0 - e) ** (a - 1.0)
 
-    def sample_n(self, n, rng):
-        u = rng.random(n)
-        return -np.log1p(-u ** (1.0 / self.alpha)) / self.lam
+    @staticmethod
+    def draw(rng, n, alpha, lam):
+        return -np.log1p(-rng.random(n) ** (1.0 / alpha)) / lam
 
     def support(self):
         return Support(0.0, math.inf)
@@ -656,17 +699,18 @@ class Pareto(DistributionModel):
     param_names = ("a", "theta")
     pot_scale_params = ("a",)
 
-    def __post_init__(self):
-        _require(self.a > 0 and self.theta > 0, f"Pareto requires a, theta > 0, got {self.params}")
+    @staticmethod
+    def valid(a, theta):
+        return _positive(a) & _positive(theta)
 
     def pdf(self, x):
         if x < self.a:
             return 0.0
         return (self.theta / self.a) * (x / self.a) ** (-(self.theta + 1.0))
 
-    def sample_n(self, n, rng):
-        u = rng.random(n)
-        return self.a * u ** (-1.0 / self.theta)
+    @staticmethod
+    def draw(rng, n, a, theta):
+        return a * rng.random(n) ** (-1.0 / theta)
 
     def support(self):
         return Support(self.a, math.inf)
@@ -685,17 +729,18 @@ class FisherTippett(DistributionModel):
     lam: float
     param_names = ("mu", "lam")
     pot_scale_params = ("mu", "lam")
-    pot_form = "loc-scale"
 
-    def __post_init__(self):
-        _require(self.lam > 0, f"FisherTippett requires lam > 0, got {self.lam}")
+    @staticmethod
+    def valid(mu, lam):
+        return np.isfinite(mu) & _positive(lam)
 
     def pdf(self, x):
         z = (x - self.mu) / self.lam
         return math.exp(-z - math.exp(-z)) / self.lam
 
-    def sample_n(self, n, rng):
-        return rng.gumbel(self.mu, self.lam, size=n)
+    @staticmethod
+    def draw(rng, n, mu, lam):
+        return rng.gumbel(mu, lam, n)
 
     def support(self):
         return Support(-math.inf, math.inf)
@@ -710,17 +755,18 @@ class Logistic(DistributionModel):
     s: float
     param_names = ("mu", "s")
     pot_scale_params = ("mu", "s")
-    pot_form = "loc-scale"
 
-    def __post_init__(self):
-        _require(self.s > 0, f"Logistic requires s > 0, got {self.s}")
+    @staticmethod
+    def valid(mu, s):
+        return np.isfinite(mu) & _positive(s)
 
     def pdf(self, x):
         e = math.exp(-(x - self.mu) / self.s)
         return e / (self.s * (1.0 + e) ** 2)
 
-    def sample_n(self, n, rng):
-        return rng.logistic(self.mu, self.s, size=n)
+    @staticmethod
+    def draw(rng, n, mu, s):
+        return rng.logistic(mu, s, n)
 
     def support(self):
         return Support(-math.inf, math.inf)
@@ -735,17 +781,18 @@ class CauchyLorentz(DistributionModel):
     gamma: float
     param_names = ("x0", "gamma")
     pot_scale_params = ("x0", "gamma")
-    pot_form = "loc-scale"
 
-    def __post_init__(self):
-        _require(self.gamma > 0, f"CauchyLorentz requires gamma > 0, got {self.gamma}")
+    @staticmethod
+    def valid(x0, gamma):
+        return np.isfinite(x0) & _positive(gamma)
 
     def pdf(self, x):
         z = (x - self.x0) / self.gamma
         return 1.0 / (math.pi * self.gamma * (1.0 + z * z))
 
-    def sample_n(self, n, rng):
-        return self.x0 + self.gamma * rng.standard_cauchy(size=n)
+    @staticmethod
+    def draw(rng, n, x0, gamma):
+        return x0 + gamma * rng.standard_cauchy(n)
 
     def support(self):
         return Support(-math.inf, math.inf)
@@ -757,15 +804,14 @@ class CauchyLorentz(DistributionModel):
 
 @dataclass(frozen=True)
 class ChiSqr(DistributionModel):
-    """Chi-square with integer degrees of freedom."""
+    """Chi-square with integer degrees of freedom (a chained dof is floored)."""
 
     dof: int
     param_names = ("dof",)
 
-    def __post_init__(self):
-        _require(isinstance(self.dof, int) and not isinstance(self.dof, bool),
-                 f"ChiSqr dof must be an integer, got {self.dof!r}")
-        _require(self.dof >= 1, f"ChiSqr requires dof >= 1, got {self.dof}")
+    @staticmethod
+    def valid(dof):
+        return (np.floor(dof) >= 1) & (dof < math.inf)
 
     def pdf(self, x):
         if x <= 0:
@@ -776,8 +822,9 @@ class ChiSqr(DistributionModel):
             - 0.5 * k * math.log(2.0) - special.gammaln(0.5 * k)
         )
 
-    def sample_n(self, n, rng):
-        return rng.chisquare(self.dof, size=n)
+    @staticmethod
+    def draw(rng, n, dof):
+        return rng.chisquare(np.floor(dof), n)
 
     def support(self):
         return Support(0.0, math.inf)
@@ -800,9 +847,9 @@ class Triangular(DistributionModel):
     param_names = ("a", "m", "b")
     pot_scale_params = ("a", "m", "b")
 
-    def __post_init__(self):
-        _require(self.a <= self.m <= self.b and self.a < self.b,
-                 f"Triangular requires a <= m <= b and a < b, got {self.params}")
+    @staticmethod
+    def valid(a, m, b):
+        return (a <= m) & (m <= b) & (a < b) & np.isfinite(b - a)
 
     def pdf(self, x):
         a, m, b = self.a, self.m, self.b
@@ -814,19 +861,19 @@ class Triangular(DistributionModel):
             return 2.0 * (b - x) / ((b - a) * (b - m))
         return 2.0 / (b - a)
 
-    def sample_from_cumulative(self, rd):
-        a, m, b = self.a, self.m, self.b
-        rd = np.asarray(rd, dtype=float)
+    @staticmethod
+    def quantile(rd, a, m, b):
         split = (m - a) / (b - a)
         left = a + np.sqrt(rd * (m - a) * (b - a))
         right = b - np.sqrt((1.0 - rd) * (b - m) * (b - a))
         return np.where(rd < split, left, right)
 
-    def sample(self, rng):
-        return float(self.sample_from_cumulative(rng.random()))
+    def sample_from_cumulative(self, rd):
+        return self.quantile(np.asarray(rd, dtype=float), *self.params)
 
-    def sample_n(self, n, rng):
-        return self.sample_from_cumulative(rng.random(n))
+    @staticmethod
+    def draw(rng, n, a, m, b):
+        return Triangular.quantile(rng.random(n), a, m, b)
 
     def support(self):
         return Support(self.a, self.b)
@@ -848,9 +895,9 @@ class PowerLaw(DistributionModel):
     param_names = ("m", "lo", "hi")
     pot_scale_params = ("lo", "hi")
 
-    def __post_init__(self):
-        _require(self.m > 0, f"PowerLaw requires m > 0, got {self.m}")
-        _require(0 < self.lo < self.hi, f"PowerLaw requires 0 < lo < hi, got {self.params}")
+    @staticmethod
+    def valid(m, lo, hi):
+        return _positive(m) & (lo > 0) & (lo < hi) & (hi < math.inf)
 
     @property
     def k(self) -> float:
@@ -864,12 +911,15 @@ class PowerLaw(DistributionModel):
             return 0.0
         return self.k * x ** (-self.m)
 
-    def sample_n(self, n, rng):
+    @staticmethod
+    def draw(rng, n, m, lo, hi):
         u = rng.random(n)
-        if self.m == 1.0:
-            return self.lo * (self.hi / self.lo) ** u
-        p = 1.0 - self.m
-        return (self.lo**p + u * (self.hi**p - self.lo**p)) ** (1.0 / p)
+        # within 1e-12 of m = 1 the power form loses its precision: use the log form
+        p = 1.0 - m
+        near_one = np.abs(p) < 1e-12
+        p = np.where(near_one, 1.0, p)
+        power = (lo**p + u * (hi**p - lo**p)) ** (1.0 / p)
+        return np.where(near_one, lo * (hi / lo) ** u, power)
 
     def support(self):
         return Support(self.lo, self.hi)
@@ -884,22 +934,23 @@ class PowerLaw(DistributionModel):
 
 @dataclass(frozen=True)
 class Die(DistributionModel):
-    """Discrete uniform on 1..faces; pdf() reports the pmf."""
+    """Discrete uniform on 1..faces (chained faces are floored); pdf() reports the pmf."""
 
     faces: int
     param_names = ("faces",)
 
-    def __post_init__(self):
-        _require(isinstance(self.faces, int) and self.faces >= 1,
-                 f"Die requires an integer faces >= 1, got {self.faces!r}")
+    @staticmethod
+    def valid(faces):
+        return (np.floor(faces) >= 1) & (faces < math.inf)
 
     def pdf(self, x):
         if isinstance(x, float) and not x.is_integer():
             return 0.0
         return 1.0 / self.faces if 1 <= int(x) <= self.faces else 0.0
 
-    def sample_n(self, n, rng):
-        return rng.integers(1, self.faces + 1, size=n).astype(float)
+    @staticmethod
+    def draw(rng, n, faces):
+        return np.floor(rng.random(n) * np.floor(faces)) + 1.0
 
     def support(self):
         return Support(1.0, float(self.faces))

@@ -50,10 +50,10 @@ class GrowthSeries:
     length: int
 
     def __post_init__(self):
-        if self.base <= 0:
-            raise BadParamsError(f"base must be > 0, got {self.base}")
-        if self.percent <= -100:
-            raise BadParamsError(f"percent must be > -100, got {self.percent}")
+        if not 0 < self.base < math.inf:
+            raise BadParamsError(f"base must be finite and > 0, got {self.base}")
+        if not -100 < self.percent < math.inf:
+            raise BadParamsError(f"percent must be finite and > -100, got {self.percent}")
         if self.length < 1:
             raise BadParamsError(f"length must be >= 1, got {self.length}")
 
@@ -253,8 +253,8 @@ def rate_scan(
     of a bounded-denominator rational behaves anomalously at this series
     length, which is what the flag is for.
     """
-    if not lo_percent < hi_percent or step <= 0:
-        raise BadParamsError("need lo < hi and step > 0")
+    if not (lo_percent < hi_percent < math.inf and 0 < step < math.inf):
+        raise BadParamsError("need lo < hi and step > 0, all finite")
     GrowthSeries(base=base, percent=lo_percent, length=n_elements)  # validates the lowest rate
     n_steps = int(round((hi_percent - lo_percent) / step))
     pcts = [lo_percent + i * step for i in range(n_steps + 1)]

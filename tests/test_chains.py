@@ -19,6 +19,7 @@ from digitlab.distributions import (
 )
 from digitlab.errors import (
     ArityMismatchError,
+    BadParamsError,
     ChainSyntaxError,
     PolicyExhaustedError,
     UnknownFamilyError,
@@ -133,6 +134,14 @@ class TestSimulate:
         assert res.n_resampled > 0
         assert res.n_accepted + res.policy_dropped + res.skipped_zeros == 5_000
 
+    def test_infinite_parameters_are_invalid(self):
+        # Uniform(0, 1e999) used to abort with numpy's bare OverflowError
+        with pytest.raises(BadParamsError):
+            Uniform(0.0, math.inf)
+        res = chains.simulate_chain("Uniform(0, 1e999)", 1000, seed=1)
+        assert res.policy_dropped == 1000
+        assert not res.valid
+
     def test_json_document(self):
         res = chains.simulate_chain("Uniform(0, 100)", 1000, seed=3)
         doc = res.to_json_dict()
@@ -179,6 +188,34 @@ class TestSimulate:
         spread4 = max(a[0] for a in deep) - min(a[0] for a in deep)
         spread2 = max(a[0] for a in shallow) - min(a[0] for a in shallow)
         assert spread4 < spread2 / 2
+
+
+# Exact first-digit tallies and resample counts of seeded 2e4-draw chains,
+# recorded from the two-sampler code this engine replaced: the three
+# benchmark chains, two presets, and one spec with invalid parameter draws
+# per rejection sampler (Gamma, ChiSqr through chisquare, Nakagami).
+GOLDEN_TALLIES = [
+    ("flehinger", 1, 1, (6098, 3424, 2594, 1952, 1525, 1281, 1178, 1018, 930), 0),
+    ("Gompertz(Uniform(0,10), 1)", 2, 1, (6022, 3837, 2634, 1866, 1502, 1270, 1054, 950, 865), 0),
+    ("Normal(Uniform(-1,1), Uniform(-0.5,2))", 3, 2,
+     (6521, 3162, 2012, 1580, 1514, 1465, 1355, 1241, 1150), 4995),
+    ("table8_chain", 4, 1, (5919, 3815, 2686, 2012, 1522, 1218, 1075, 904, 849), 0),
+    ("mini_hill", 5, 1, (4881, 2195, 1876, 3865, 2874, 1309, 1161, 1035, 804), 0),
+    ("Gamma(Normal(2, 1), Normal(1, 1))", 6, 1,
+     (5659, 3628, 2755, 2091, 1622, 1333, 1154, 924, 834), 4311),
+    ("ChiSqr(Uniform(-1, 3))", 7, 1, (5957, 3684, 2706, 1899, 1507, 1272, 1094, 1006, 875), 19754),
+    ("Nakagami(Normal(1, 1), Uniform(-1, 2))", 8, 1,
+     (7183, 2069, 1665, 1554, 1615, 1561, 1556, 1469, 1322), 15771),
+]
+
+
+@pytest.mark.parametrize("text,seed,workers,counts,resampled", GOLDEN_TALLIES,
+                         ids=[g[0] for g in GOLDEN_TALLIES])
+def test_golden_tallies(text, seed, workers, counts, resampled):
+    spec = chains.preset(text) if "(" not in text else text
+    res = chains.simulate_chain(spec, 20_000, seed=seed, workers=workers)
+    assert res.ld_counts == counts
+    assert res.n_resampled == resampled
 
 
 class TestSequentialChiSqr:

@@ -121,12 +121,35 @@ class TestChain:
         assert da["ld_counts"] == db["ld_counts"]
         assert da["chi_sqr"] == db["chi_sqr"]
 
+    def test_infinite_parameter_resampled_not_crashed(self, tmp_path):
+        out = tmp_path / "inf.json"
+        rc = main(["chain", "--spec", "Uniform(0,1e999)", "--n", "1000", "--seed", "1",
+                   "--quiet", "--json", str(out)])
+        assert rc == EXIT_OK
+        doc = json.loads(out.read_text())
+        assert doc["valid"] is False
+        assert doc["policy_dropped"] == 1000
+
     def test_threads_flag(self, tmp_path):
         a = tmp_path / "a.json"
         rc = main(["chain", "--spec", "Uniform(0, Uniform(0, 1e5))", "--n", "10000",
                    "--seed", "5", "--threads", "4", "--quiet", "--json", str(a)])
         assert rc == EXIT_OK
         assert sum(json.loads(a.read_text())["ld_counts"].values()) > 9000
+
+
+class TestFlags:
+    @pytest.mark.parametrize("argv", [
+        ["scheme", "simple", "--threads", "2"],
+        ["scheme", "simple", "--seed", "1"],
+        ["scheme", "simple", "--csv", "out.csv"],
+        ["analyze", "data.txt", "--seed", "1"],
+        ["chain", "--spec", "Uniform(0, 1)", "--n", "10", "--csv", "out.csv"],
+        ["invariance", "--family", "normal", "--params", "0", "1", "--threads", "2"],
+    ], ids=" ".join)
+    def test_flags_only_where_read(self, argv):
+        # --seed, --threads and --csv are rejected by commands that ignore them
+        assert main([*argv, "--quiet"]) == EXIT_USAGE
 
 
 class TestScheme:
@@ -206,7 +229,9 @@ class TestGrowth:
         assert lines[0] == "rate_percent,chi_sqr,anomaly_L,anomaly_T"
         assert len(lines) == 12
 
-    @pytest.mark.parametrize("flag,value", [("--n", "0"), ("--base", "0"), ("--lo", "-150")])
+    @pytest.mark.parametrize("flag,value", [("--n", "0"), ("--base", "0"), ("--lo", "-150"),
+                                            ("--hi", "inf"), ("--step", "nan"),
+                                            ("--base", "nan"), ("--base", "inf")])
     def test_scan_bad_params_exit_2(self, flag, value, capsys):
         assert main(["growth", "scan", "--hi", "2", flag, value, "--quiet"]) == EXIT_USAGE
         err = capsys.readouterr().err
@@ -235,6 +260,11 @@ class TestInvariance:
                    "--m", "2", "--quiet", "--json", str(out)])
         assert rc == EXIT_OK
         assert json.loads(out.read_text())["max_ld_difference"] < 1e-9
+
+    def test_infinite_parameter_exit_2(self, capsys):
+        rc = main(["invariance", "--family", "uniform", "--params", "0", "inf", "--quiet"])
+        assert rc == EXIT_USAGE
+        assert "Traceback" not in capsys.readouterr().err
 
     def test_genexp2_scale_only(self, tmp_path):
         out = tmp_path / "i.json"

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
+from digitlab import chains
 from digitlab import distributions as dm
 from digitlab.errors import BadParamsError, UnknownFamilyError
 
@@ -223,6 +224,42 @@ class TestGompertzSampler:
         x = g.sample_n(50_000, rng)
         for q in (0.5, 2.0):
             assert abs(np.mean(x <= q) - g.cdf(q)) < 4.0 / math.sqrt(x.size)
+
+    def test_quantile_inverts_cdf_over_the_double_range(self):
+        # every (b, eta, p) combination, from subnormal eta to eta near the
+        # largest double, p from 0 to the largest double below 1
+        b, eta, p = np.meshgrid(
+            [1e-300, 1e-3, 1.0, 1e300],
+            [5e-324, 1e-310, 2.2e-308, 1e-300, 1e-10, 0.5, 0.9999, 1.0, 1.0 + 1e-9, 1.0001,
+             2.0, 10.0, 1e6, 1e12, 1e100, 1e300, 1.7e308, 1.79e308],
+            [0.0, 5e-324, 1e-300, 1e-10, 0.1, 0.5, 0.9, 1.0 - 1e-10,
+             1.0 - 4 * 2.0**-53, 1.0 - 2 * 2.0**-53, 1.0 - 2.0**-53],
+            indexing="ij")
+        x = dm.Gompertz.quantile(p, b, eta)
+        assert np.all(np.isfinite(x)) and np.all(x >= 0)
+        with np.errstate(divide="ignore"):
+            u = np.exp(-b * x)
+            cdf = np.exp(np.log1p(-u) - eta * u)
+        assert np.max(np.abs(cdf - p)) <= 1e-10
+
+
+# One parameterization per family, plus the power law away from m = 1,
+# where the power form (not the log form) draws.
+AGREEMENT_MODELS = MODELS + [dm.PowerLaw(2.0, 1.0, 1000.0)]
+
+
+def test_agreement_models_cover_every_family():
+    assert {type(m) for m in AGREEMENT_MODELS} == set(dm.FAMILIES.values())
+
+
+@pytest.mark.parametrize("model", AGREEMENT_MODELS, ids=repr)
+def test_sample_n_draws_what_a_chain_draws(model):
+    # the scalar model and a chain with the same constants share one sampler
+    x = model.sample_n(4000, np.random.default_rng(5))
+    node = chains.FamilyNode(type(model), tuple(float(v) for v in model.params))
+    res = chains.simulate_chain(node, 4000, seed=5, keep_samples=True)
+    assert res.n_resampled == 0
+    assert np.array_equal(res.samples, x[x != 0])
 
 
 class TestPowerOfTenScaling:
