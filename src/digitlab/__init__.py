@@ -17,5 +17,6 @@ from .digits import (  # noqa: F401
     digit_pattern,
     first_digit,
     lda,
+    leading_digits,
     mantissa10,
 )

@@ -29,7 +29,7 @@ import numpy as np
 
 from . import analytic
 from .conformity import chi_sqr_vs_benford
-from .digits import DigitDistribution, compartment_boundaries
+from .digits import DigitDistribution, leading_digits
 from .distributions import (
     ChiSqr,
     Die,
@@ -66,9 +66,6 @@ __all__ = [
     "power_of_ten_invariance_check",
     "preset",
 ]
-
-_BOUNDS = np.array(compartment_boundaries(10))
-
 
 # ---------------------------------------------------------------------------
 # chain spec trees
@@ -253,7 +250,7 @@ class ChainRunResult:
             "policy_dropped": self.policy_dropped,
             "ld_counts": {str(d): int(self.ld_counts[d - 1]) for d in range(1, 10)},
             "ld_probs": {str(d): self.ld.probs.get(d, 0.0) for d in range(1, 10)},
-            "chi_sqr": self.chi_sqr,
+            "chi_sqr": None if math.isnan(self.chi_sqr) else self.chi_sqr,
             "valid": self.valid,
         }
 
@@ -288,9 +285,7 @@ def _eval_node(node, n: int, rng: np.random.Generator) -> np.ndarray:
 
 def _ld_counts(values: np.ndarray) -> np.ndarray:
     """First-digit counts (digit d at index d - 1) of the nonzero finite values."""
-    mant = np.log10(np.abs(values[values != 0.0])) % 1.0
-    digs = np.searchsorted(_BOUNDS, mant, side="right").clip(1, 9)
-    return np.bincount(digs, minlength=10)[1:10]
+    return np.bincount(leading_digits(values[values != 0.0]).prefix, minlength=10)[1:10]
 
 
 def _draw_batch(spec, n, rng, policy) -> tuple[np.ndarray, int, int]:

@@ -23,6 +23,7 @@ import io
 import json
 import sys
 import time
+from dataclasses import fields
 
 import numpy as np
 
@@ -30,7 +31,7 @@ from . import __version__
 from . import analytic, chains, conformity, growth, schemes
 from .digits import benford_first
 from .distributions import family_by_name
-from .errors import DigitLabError
+from .errors import BadParamsError, DigitLabError
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -366,7 +367,13 @@ def cmd_growth(args) -> int:
 def cmd_invariance(args) -> int:
     try:
         cls = family_by_name(args.family)
-        model = cls(*args.params)
+        kinds = [f.type for f in fields(cls)]
+        if len(args.params) != len(kinds):
+            raise BadParamsError(f"{cls.__name__} takes {len(kinds)} parameter(s), "
+                                 f"got {len(args.params)}")
+        # integral values go to the integer fields (ChiSqr dof, Die faces) as ints
+        model = cls(*(int(p) if kind == "int" and p.is_integer() else p
+                      for kind, p in zip(kinds, args.params)))
         subset = None
         if args.scale_only:
             subset = [model.pot_scale_params[0] if model.pot_scale_params else model.param_names[0]]

@@ -18,8 +18,7 @@ from .digits import (
     DigitDistribution,
     benford_distribution,
     compartment_boundaries,
-    digit_pattern,
-    first_digit,
+    leading_digits,
 )
 from .errors import BadExpectedError, EmptyInputError
 
@@ -97,10 +96,6 @@ def _clean(values) -> tuple[np.ndarray, int]:
     return np.abs(nonzero), vals.size - nonzero.size
 
 
-def _mantissas(vals: np.ndarray) -> np.ndarray:
-    return np.log10(vals) % 1.0
-
-
 @dataclass(frozen=True)
 class KSResult:
     statistic: float
@@ -114,7 +109,7 @@ def mantissa_uniformity_test(values, significance: float = SIGNIFICANCE) -> KSRe
     vals, _ = _clean(values)
     if vals.size == 0:
         raise EmptyInputError("mantissa test needs nonzero values")
-    m = np.sort(_mantissas(vals))
+    m = np.sort(np.log10(vals) % 1.0)
     n = m.size
     i = np.arange(1, n + 1)
     d_plus = np.max(i / n - m)
@@ -131,6 +126,19 @@ class AllotmentResult:
     n: int
 
 
+def _first_counts(vals: np.ndarray) -> np.ndarray:
+    """Counts of first digits 1..9 of the nonzero finite values."""
+    return np.bincount(leading_digits(vals).prefix, minlength=10)[1:10]
+
+
+def _allotment(counts: np.ndarray) -> AllotmentResult:
+    n = int(counts.sum())
+    benford = benford_distribution()
+    masses = {d: counts[d - 1] / n for d in _DIGITS}
+    max_dev = max(abs(masses[d] - benford.probs[d]) for d in _DIGITS)
+    return AllotmentResult(masses=masses, max_deviation=max_dev, n=n)
+
+
 def compartmental_allotment_test(values) -> AllotmentResult:
     """Mantissa mass per LD compartment against the Benford widths.
 
@@ -141,13 +149,7 @@ def compartmental_allotment_test(values) -> AllotmentResult:
     vals, _ = _clean(values)
     if vals.size == 0:
         raise EmptyInputError("compartment test needs nonzero values")
-    digs = np.array([first_digit(float(v)) for v in vals])
-    counts = np.bincount(digs, minlength=10)[1:10]
-    n = vals.size
-    benford = benford_distribution()
-    masses = {d: counts[d - 1] / n for d in _DIGITS}
-    max_dev = max(abs(masses[d] - benford.probs[d]) for d in _DIGITS)
-    return AllotmentResult(masses=masses, max_deviation=max_dev, n=n)
+    return _allotment(_first_counts(vals))
 
 
 def reshuffle_within_compartments(values, seed=0) -> np.ndarray:
@@ -160,7 +162,7 @@ def reshuffle_within_compartments(values, seed=0) -> np.ndarray:
     vals, _ = _clean(values)
     rng = np.random.default_rng(seed)
     bounds = np.array(compartment_boundaries(10))
-    digs = np.array([first_digit(float(v)) for v in vals])
+    digs = leading_digits(vals).prefix
     lo = bounds[digs - 1]
     hi = bounds[digs]
     # squeeze each compartment's mass into its lower half: masses intact,
@@ -174,7 +176,9 @@ def scale_invariance_probe(values, factors, expected: DigitDistribution | None =
     """Chi-square deltas under multiplication by each factor.
 
     Returns {factor: chi_sqr(factor * x) - chi_sqr(x)}; powers of ten give
-    exactly zero since they never change leading digits.
+    exactly zero whenever the products keep the values' decimal digits, as
+    for every integer-valued x.  Products that overflow or underflow to 0
+    are left out of their tally.
     """
     vals, _ = _clean(values)
     if vals.size == 0:
@@ -183,8 +187,7 @@ def scale_invariance_probe(values, factors, expected: DigitDistribution | None =
         expected = benford_distribution()
 
     def chi_of(arr: np.ndarray) -> float:
-        digs = np.searchsorted(np.array(compartment_boundaries(10)), _mantissas(arr), side="right")
-        counts = np.bincount(digs.clip(1, 9), minlength=10)[1:10]
+        counts = _first_counts(_clean(arr)[0])
         return chi_sqr({d: int(counts[d - 1]) for d in _DIGITS}, expected)
 
     base_chi = chi_of(vals)
@@ -192,7 +195,9 @@ def scale_invariance_probe(values, factors, expected: DigitDistribution | None =
     for c in factors:
         if c <= 0:
             raise BadExpectedError(f"factors must be positive, got {c}")
-        out[c] = chi_of(vals * c) - base_chi
+        with np.errstate(over="ignore"):
+            scaled = vals * c
+        out[c] = chi_of(scaled) - base_chi
     return out
 
 
@@ -207,6 +212,7 @@ class ConformityReport:
     observed_third: dict[int, int]
     excluded_second: int
     excluded_third: int
+    ambiguous: int
     chi_sqr_first: float | None
     chi_sqr_critical_001: float
     l_inf: float | None
@@ -226,6 +232,7 @@ class ConformityReport:
             "observed_third": {str(k): v for k, v in self.observed_third.items()},
             "excluded_second": self.excluded_second,
             "excluded_third": self.excluded_third,
+            "ambiguous": self.ambiguous,
             "chi_sqr_first": self.chi_sqr_first,
             "chi_sqr_critical_001": self.chi_sqr_critical_001,
             "l_inf": self.l_inf,
@@ -239,19 +246,6 @@ class ConformityReport:
             ),
             "annotations": list(self.annotations),
         }
-
-
-def _significant_digits_available(x: float) -> int:
-    """Significant decimal digits of x's shortest representation.
-
-    Trailing zeros do not count ('50' carries one significant digit here),
-    so integers like 5 are excluded from 2nd/3rd-order tallies.
-    """
-    s = repr(abs(float(x)))
-    if "e" in s or "E" in s:
-        s = s.split("e")[0].split("E")[0]
-    s = s.replace(".", "").lstrip("0").rstrip("0")
-    return max(1, len(s))
 
 
 def report(values) -> ConformityReport:
@@ -268,6 +262,7 @@ def report(values) -> ConformityReport:
             observed_third={},
             excluded_second=0,
             excluded_third=0,
+            ambiguous=0,
             chi_sqr_first=None,
             chi_sqr_critical_001=crit,
             l_inf=None,
@@ -278,23 +273,13 @@ def report(values) -> ConformityReport:
             annotations=["empty input"],
         )
 
-    first_counts = {d: 0 for d in _DIGITS}
-    second_counts = {d: 0 for d in range(10)}
-    third_counts = {d: 0 for d in range(10)}
-    excluded2 = excluded3 = 0
-    for v in vals:
-        x = float(v)
-        avail = _significant_digits_available(x)
-        pat = digit_pattern(x, 3)
-        first_counts[pat[0]] += 1
-        if avail >= 2:
-            second_counts[pat[1]] += 1
-        else:
-            excluded2 += 1
-        if avail >= 3:
-            third_counts[pat[2]] += 1
-        else:
-            excluded3 += 1
+    lead = leading_digits(vals, 3)
+    first = np.bincount(lead.prefix // 100, minlength=10)[1:10]
+    second = np.bincount((lead.prefix // 10 % 10)[lead.ndig >= 2], minlength=10)
+    third = np.bincount((lead.prefix % 10)[lead.ndig >= 3], minlength=10)
+    first_counts = {d: int(first[d - 1]) for d in _DIGITS}
+    second_counts = {d: int(second[d]) for d in range(10)}
+    third_counts = {d: int(third[d]) for d in range(10)}
 
     benford = benford_distribution()
     chi = chi_sqr(first_counts, benford)
@@ -302,7 +287,7 @@ def report(values) -> ConformityReport:
     l_inf = max(abs(shares[d] - benford.probs[d]) for d in _DIGITS)
     l1 = sum(abs(shares[d] - benford.probs[d]) for d in _DIGITS)
     ks = mantissa_uniformity_test(vals)
-    allot = compartmental_allotment_test(vals)
+    allot = _allotment(first)
 
     annotations = []
     if n < 1000:
@@ -321,8 +306,9 @@ def report(values) -> ConformityReport:
         observed_first=first_counts,
         observed_second=second_counts,
         observed_third=third_counts,
-        excluded_second=excluded2,
-        excluded_third=excluded3,
+        excluded_second=n - int(second.sum()),
+        excluded_third=n - int(third.sum()),
+        ambiguous=lead.ambiguous,
         chi_sqr_first=chi,
         chi_sqr_critical_001=crit,
         l_inf=l_inf,

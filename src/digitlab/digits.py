@@ -1,10 +1,17 @@
 """Digit extraction, mantissa arithmetic, and the Benford probability laws.
 
-Everything here is pure and deterministic.  First digits are extracted by
-normalizing |x| into [1, base) with exponent arithmetic (no decimal string
-round-trips), then truncating.  Inputs whose digit flips under a one-ulp
-perturbation are counted in a diagnostics counter, since digit-law testing
-is exactly about mass near compartment boundaries.
+Everything here is pure and deterministic.  Decimal digits are those of
+the value's shortest ``repr`` (the decimal a data file held, if it had at
+most 15 significant digits), read without strings: T[e, n] =
+float(f"{n}e{e-k+1}") rounds the k-digit prefix n at decade e correctly,
+rounding is monotone, so x's prefix is the largest n with T[e, n] <= |x|,
+and x has fewer than k significant digits when |x| == T[e, n] and n ends
+in zeros.  A decade's threshold row is built when a value first needs it
+and memoised, never at import.  Below about 1e-320 several short decimals
+round to one double (equal adjacent thresholds); such *ambiguous* values
+take their digits from ``repr``, and ``leading_digits`` counts them.
+Other bases use the double's exact value: their thresholds are the
+smallest doubles >= n * base**(e-k+1).
 
 Conventions: digits are plain ints, digit patterns are tuples of ints, the
 mantissa is the fractional part of log10|x| (one-complement for |x| < 1),
@@ -13,8 +20,15 @@ and exact powers of the base have mantissa 0 (half-open throughout).
 
 from __future__ import annotations
 
+import bisect
+import functools
 import math
+import sys
 from dataclasses import dataclass
+from fractions import Fraction
+from typing import NamedTuple
+
+import numpy as np
 
 from .errors import (
     BadBaseError,
@@ -25,7 +39,9 @@ from .errors import (
 
 __all__ = [
     "DigitDistribution",
+    "LeadingDigits",
     "Significand",
+    "leading_digits",
     "first_digit",
     "digit_pattern",
     "mantissa10",
@@ -37,23 +53,7 @@ __all__ = [
     "benford_distribution",
     "compartment_boundaries",
     "digital_usage",
-    "boundary_ambiguities",
-    "reset_diagnostics",
 ]
-
-# Diagnostics only: number of inputs whose extracted digits changed under a
-# one-ulp perturbation.  Not part of any result; callers may reset at will.
-_BOUNDARY_AMBIGUITIES = 0
-
-
-def boundary_ambiguities() -> int:
-    """Return the count of boundary-ambiguous extractions seen so far."""
-    return _BOUNDARY_AMBIGUITIES
-
-
-def reset_diagnostics() -> None:
-    global _BOUNDARY_AMBIGUITIES
-    _BOUNDARY_AMBIGUITIES = 0
 
 
 def _check_base(base: int) -> None:
@@ -87,49 +87,135 @@ def _normalize(a: float, base: int) -> tuple[float, int]:
     return s, e
 
 
-def _digits_of(s: float, k: int, base: int) -> tuple[int, ...]:
-    """First k digits of a significand s in [1, base)."""
-    out = []
-    for _ in range(k):
-        d = int(s)
-        if d >= base:  # guard against accumulated rounding at the top edge
-            d = base - 1
-        out.append(d)
-        s = (s - d) * base
-    return tuple(out)
+def _ceil_double(q: Fraction) -> float:
+    """The smallest double >= q > 0 (inf beyond the double range)."""
+    try:
+        t = float(q)
+    except OverflowError:
+        return math.inf
+    return t if Fraction(t) >= q else math.nextafter(t, math.inf)
 
 
-def _note_ambiguity(a: float, k: int, base: int, got: tuple[int, ...]) -> None:
-    global _BOUNDARY_AMBIGUITIES
-    for neighbour in (math.nextafter(a, math.inf), math.nextafter(a, 0.0)):
-        if neighbour == 0.0:
-            continue
-        s, _ = _normalize(neighbour, base)
-        if _digits_of(s, k, base) != got:
-            _BOUNDARY_AMBIGUITIES += 1
-            return
+# a double carries at most 17 significant decimal digits; rows grow as base**k
+_MAX_ROW = 10**5
+
+
+@functools.cache
+def _row(base: int, k: int, e: int) -> tuple[float, ...]:
+    """Thresholds of the k-digit prefixes n = base**(k-1) .. base**k - 1 at decade e.
+
+    A value x has prefix n exactly when row[n - base**(k-1)] <= |x| < the
+    next threshold (the next row's first one after the last).
+    """
+    s = e - k + 1
+    prefixes = range(base ** (k - 1), base**k)
+    if base == 10:
+        return tuple(float(f"{n}e{s}") for n in prefixes)
+    unit = Fraction(base) ** s
+    return tuple(_ceil_double(n * unit) for n in prefixes)
+
+
+def _repr_digits(a: float, k: int) -> tuple[int, int]:
+    """(k-digit prefix, significant digits capped at k) read off repr(a)."""
+    sig = repr(float(a)).split("e")[0].replace(".", "").strip("0")
+    return int(sig[:k].ljust(k, "0")), min(len(sig), k)
+
+
+def _prefix(a: float, k: int, base: int) -> int:
+    """The k-digit prefix of a finite a > 0: the scalar lookup in the same rows."""
+    if base**k > _MAX_ROW:
+        raise BadDigitError(f"{k} base-{base} digits need rows of {base}**{k} thresholds; "
+                            f"at most {_MAX_ROW} are built")
+    if base == 10 and a < sys.float_info.min:
+        return _repr_digits(a, k)[0]  # subnormal: possibly ambiguous
+    e = math.floor(math.log10(a) if base == 10 else math.log(a, base))
+    while a < _row(base, k, e)[0]:  # the log can land a decade off
+        e -= 1
+    while a >= _row(base, k, e + 1)[0]:
+        e += 1
+    return base ** (k - 1) + bisect.bisect_right(_row(base, k, e), a) - 1
+
+
+class LeadingDigits(NamedTuple):
+    """Per-value k-digit prefixes and significant-digit counts (capped at k)."""
+
+    prefix: np.ndarray
+    ndig: np.ndarray
+    ambiguous: int
+
+
+@functools.cache
+def _bin_prefix(k: int) -> np.ndarray:
+    """Row index of the prefix at the start of each of 4 * 10**k mantissa bins (+ one for m = 1).
+
+    A bin is narrower than any prefix's mantissa interval.
+    """
+    edges = np.log10(np.arange(10 ** (k - 1), 10**k)) - (k - 1)
+    return np.searchsorted(edges, np.arange(4 * 10**k + 1) / (4 * 10**k), side="right") - 1
+
+
+def leading_digits(values, k: int = 1) -> LeadingDigits:
+    """Decimal k-digit prefixes (k <= 3) of finite nonzero values, vectorized.
+
+    ``prefix`` is each |x|'s first k digits as one integer, ``ndig`` its
+    significant digits capped at k (50.0 has one), both as its shortest
+    repr gives them; ``ambiguous`` counts the values read off repr.  The
+    rows of the decades present and their neighbours form one sorted
+    table; a value's index in it, estimated from its mantissa, is within
+    one entry for a normal double and is corrected by a step each way.
+    Subnormals are searched for.
+    """
+    if not 1 <= k <= 3:
+        raise BadDigitError(f"prefix length must be 1..3, got {k}")
+    a = np.abs(np.asarray(values, dtype=np.float64)).ravel()
+    if a.size == 0:
+        return LeadingDigits(np.zeros(0, np.int16), np.zeros(0, np.int8), 0)
+    if not (np.isfinite(a).all() and a.all()):
+        raise ZeroInputError("leading digits need finite nonzero values")
+    m = np.log10(a)
+    e = np.floor(m)
+    m -= e
+    lo = int(e.min())
+    e = (e - lo).astype(np.int64)
+    present = np.flatnonzero(np.bincount(e))
+    decades = np.unique(np.concatenate([present - 1, present, present + 1]))
+    width = 9 * 10 ** (k - 1)
+    table = np.array([t for d in decades for t in _row(10, k, lo + int(d))])
+    row_start = np.zeros(decades[-1] + 2, dtype=np.int64)
+    row_start[decades + 1] = np.arange(decades.size) * width
+    j = row_start[e + 1] + _bin_prefix(k)[(m * (4 * 10**k)).astype(np.intp)]
+    j += a >= table[j + 1]
+    j -= a < table[j]
+    tiny = np.flatnonzero(a < sys.float_info.min)
+    j[tiny] = np.searchsorted(table, a[tiny], side="right") - 1
+    prefix = (j % width).astype(np.int16) + 10 ** (k - 1)
+    ndig = np.full(a.size, k, dtype=np.int8)
+    if k > 1:
+        hit = table[j] == a
+        for t in range(1, k):
+            ndig -= hit & (prefix % 10**t == 0)
+    ambiguous = tiny[(table[j[tiny]] == a[tiny]) & (table[j[tiny] - 1] == a[tiny])]
+    for t in ambiguous:
+        prefix[t], ndig[t] = _repr_digits(a[t], k)
+    return LeadingDigits(prefix, ndig, int(ambiguous.size))
 
 
 def first_digit(x: float, base: int = 10) -> int:
     """First significant digit of |x| in the given base (never 0)."""
     _check_base(base)
-    a = _check_input(x)
-    s, _ = _normalize(a, base)
-    got = _digits_of(s, 1, base)
-    _note_ambiguity(a, 1, base, got)
-    return got[0]
+    return _prefix(_check_input(x), 1, base)
 
 
 def digit_pattern(x: float, k: int, base: int = 10) -> tuple[int, ...]:
-    """The first k significant digits of |x|, in order; first is never 0."""
+    """The first k significant digits of |x|, in order; first is never 0.
+
+    Positions past the last significant digit are 0.
+    """
     _check_base(base)
     if k < 1:
         raise BadDigitError(f"pattern length must be >= 1, got {k}")
-    a = _check_input(x)
-    s, _ = _normalize(a, base)
-    got = _digits_of(s, k, base)
-    _note_ambiguity(a, k, base, got)
-    return got
+    n = _prefix(_check_input(x), k, base)
+    return tuple(n // base**j % base for j in range(k - 1, -1, -1))
 
 
 def mantissa10(x: float) -> float:

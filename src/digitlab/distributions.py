@@ -159,12 +159,13 @@ class DistributionModel:
                     f"{type(self).__name__} has no power-of-ten parameter form"
                 )
             subset = self.pot_scale_params
-        factor = 10.0**m
-        names = tuple(subset)
-        kwargs = {
-            f.name: getattr(self, f.name) * (factor if f.name in names else 1.0)
-            for f in fields(self)
-        }
+        kwargs = {}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.name in subset:
+                # an integer field (ChiSqr dof, Die faces) stays an integer
+                value = value * 10**m if f.type == "int" and m >= 0 else value * 10.0**m
+            kwargs[f.name] = value
         return type(self)(**kwargs)
 
 
@@ -253,9 +254,11 @@ class _ExponentialBase(DistributionModel):
     def _scale(rho):
         raise NotImplementedError
 
-    @staticmethod
-    def valid(rho):
-        return _positive(rho)
+    @classmethod
+    def valid(cls, rho):
+        # the effective scale must be a finite positive double as well
+        with np.errstate(all="ignore"):
+            return _positive(rho) & _positive(cls._scale(np.asarray(rho, dtype=np.float64)))
 
     @classmethod
     def draw(cls, rng, n, rho):

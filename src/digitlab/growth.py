@@ -126,11 +126,12 @@ def _digits_from_mantissas(mant: np.ndarray) -> np.ndarray:
     A mantissa within 1e-9 of a compartment edge log10 d counts as sitting
     on it, so accumulated float drift cannot flip exact-boundary series
     elements (a series starting at 3 has every mantissa exactly on the
-    digit-3 edge): it gets digit d.  Within 1e-9 of 0 gives digit 1, within
-    1e-9 below 1 stays digit 9.
+    digit-3 edge): it gets digit d.  Within 1e-9 of 0, and within 1e-9
+    below 1 (an element that is a power of ten), give digit 1.
     """
     edge = np.searchsorted(_BOUNDS, mant).clip(0, 9)  # first edge >= mant
-    return (edge + (np.abs(mant - _BOUNDS[edge]) < 1e-9)).clip(1, 9)
+    digs = edge + (np.abs(mant - _BOUNDS[edge]) < 1e-9)
+    return np.where(digs == 10, 1, digs)
 
 
 def _digit_counts(mant: np.ndarray) -> np.ndarray:

@@ -8,6 +8,10 @@ import pytest
 from digitlab.cli import EXIT_EMPTY, EXIT_OK, EXIT_USAGE, main
 
 
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
 @pytest.fixture
 def benford_file(tmp_path):
     rng = np.random.default_rng(1)
@@ -62,6 +66,17 @@ class TestAnalyze:
         rc = main(["analyze", str(path), "--quiet", "--json", str(out)])
         assert rc == EXIT_OK
         assert json.loads(out.read_text())["n"] == 1
+
+    def test_subnormals_analysed(self, tmp_path, capsys):
+        path, out = tmp_path / "tiny.txt", tmp_path / "tiny.json"
+        path.write_text("1e-320\n5e-324\n2.5\n30\n")
+        rc = main(["analyze", str(path), "--json", str(out)])
+        assert rc == EXIT_OK
+        assert "Traceback" not in capsys.readouterr().err
+        doc = json.loads(out.read_text())
+        assert doc["observed_first"] == {"1": 1, "2": 1, "3": 1, "4": 0, "5": 1, "6": 0,
+                                         "7": 0, "8": 0, "9": 0}
+        assert doc["ambiguous"] == 1  # 5e-324: 3e-324 .. 7e-324 parse to it
 
     def test_unreadable_exits_2(self, capsys):
         assert main(["analyze", "/no/such/file", "--quiet"]) == EXIT_USAGE
@@ -126,9 +141,10 @@ class TestChain:
         rc = main(["chain", "--spec", "Uniform(0,1e999)", "--n", "1000", "--seed", "1",
                    "--quiet", "--json", str(out)])
         assert rc == EXIT_OK
-        doc = json.loads(out.read_text())
+        doc = json.loads(out.read_text(), parse_constant=_reject_constant)
         assert doc["valid"] is False
         assert doc["policy_dropped"] == 1000
+        assert doc["chi_sqr"] is None
 
     def test_threads_flag(self, tmp_path):
         a = tmp_path / "a.json"
@@ -265,6 +281,19 @@ class TestInvariance:
         rc = main(["invariance", "--family", "uniform", "--params", "0", "inf", "--quiet"])
         assert rc == EXIT_USAGE
         assert "Traceback" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("family,param", [("chisqr", "4"), ("die", "6")])
+    def test_integer_parameter_families(self, family, param, tmp_path):
+        out = tmp_path / "i.json"
+        rc = main(["invariance", "--family", family, "--params", param, "--mode", "montecarlo",
+                   "--scale-only", "--n", "20000", "--seed", "1", "--quiet", "--json", str(out)])
+        assert rc == EXIT_OK
+        assert json.loads(out.read_text())["max_ld_difference"] >= 0.0
+
+    def test_wrong_parameter_count_exit_2(self, capsys):
+        rc = main(["invariance", "--family", "normal", "--params", "1", "--quiet"])
+        assert rc == EXIT_USAGE
+        assert "takes 2 parameter(s)" in capsys.readouterr().err
 
     def test_genexp2_scale_only(self, tmp_path):
         out = tmp_path / "i.json"

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from digitlab import conformity
 from digitlab.digits import benford_distribution, benford_first
@@ -157,6 +158,12 @@ class TestScaleInvarianceProbe:
         assert deltas[10.0] == pytest.approx(0.0, abs=1e-9)
         assert deltas[100.0] == pytest.approx(0.0, abs=1e-9)
 
+    def test_round_values_exactly_zero(self):
+        # products of integers by 10 and 100 are exact, so no value moves
+        # between compartments (30 leads with 3, not with 2)
+        vals = [3.0 * 10**k for k in range(12)] + [d * 10.0**k for d in DIGITS for k in range(12)]
+        assert conformity.scale_invariance_probe(vals, [10.0, 100.0]) == {10.0: 0.0, 100.0: 0.0}
+
     def test_non_conforming_data_detected(self):
         rng = np.random.default_rng(13)
         vals = rng.random(100_000)
@@ -217,6 +224,27 @@ class TestReport:
         assert rep.observed_second[5] == 1  # from 1.5
         assert rep.observed_second[2] == 1  # from 5.25
         assert rep.observed_third[5] == 1  # from 5.25
+
+    def test_subnormals_tallied_and_ambiguous_counted(self):
+        rep = conformity.report([5e-324, 1e-323, 1e-320, 2.5, 0.0])
+        assert (rep.n, rep.skipped_zeros) == (4, 1)
+        assert rep.observed_first == {1: 2, 2: 1, 3: 0, 4: 0, 5: 1, 6: 0, 7: 0, 8: 0, 9: 0}
+        assert rep.ambiguous == 2  # 3e-324..7e-324 and 8e-324..1e-323 share a double
+        assert rep.excluded_second == 3 and rep.observed_second[5] == 1
+        assert rep.to_json_dict()["ambiguous"] == 2
+
+    @given(st.lists(st.one_of(
+        st.floats(allow_nan=True, allow_infinity=True),
+        st.sampled_from([0.0, 5e-324, 1e-320, 1.0, 30.0, 0.125]),
+        st.integers(-10**15, 10**15).map(float),
+    ), max_size=80))
+    def test_tallies_plus_exclusions_equal_n(self, xs):
+        rep = conformity.report(xs)
+        assert rep.n == sum(1 for x in xs if math.isfinite(x) and x != 0)
+        assert rep.n + rep.skipped_zeros == len(xs)
+        assert sum(rep.observed_first.values()) == rep.n
+        assert sum(rep.observed_second.values()) + rep.excluded_second == rep.n
+        assert sum(rep.observed_third.values()) + rep.excluded_third == rep.n
 
     def test_json_round_trip(self):
         import json

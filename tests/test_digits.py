@@ -1,7 +1,9 @@
 """Tests for digit extraction, mantissa arithmetic, and the Benford laws."""
 
 import math
+from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -40,6 +42,14 @@ class TestFirstDigit:
     def test_matches_pattern_head(self, x):
         assert digits.first_digit(x) == digits.digit_pattern(x, 3)[0]
 
+    @pytest.mark.parametrize(
+        "x,expected",
+        [(1e-11, 1), (30.0, 3), (40.0, 4), (0.03, 3), (5e-324, 5), (1e-323, 1),
+         (1.7976931348623157e308, 1), (2.2250738585072014e-308, 2)],
+    )
+    def test_decimal_boundaries_and_extremes(self, x, expected):
+        assert digits.first_digit(x) == expected
+
 
 class TestDigitPattern:
     @pytest.mark.parametrize(
@@ -50,6 +60,11 @@ class TestDigitPattern:
     def test_known_values(self, x, k, expected):
         assert digits.digit_pattern(x, k) == expected
 
+    def test_shortest_repr_digits(self):
+        assert digits.digit_pattern(12.3, 3) == (1, 2, 3)
+        assert digits.digit_pattern(0.3, 3) == (3, 0, 0)
+        assert digits.digit_pattern(5e-324, 3) == (5, 0, 0)
+
     def test_first_element_never_zero(self):
         for x in (0.001, 0.0999, 5e-7, 123.456):
             assert digits.digit_pattern(x, 4)[0] != 0
@@ -57,6 +72,116 @@ class TestDigitPattern:
     def test_bad_length(self):
         with pytest.raises(BadDigitError):
             digits.digit_pattern(5, 0)
+        with pytest.raises(BadDigitError):  # a 9e19-entry row is never built
+            digits.digit_pattern(5, 20)
+
+
+def _repr_reference(x: float, k: int) -> tuple[int, int]:
+    """(k-digit prefix, significant digits capped at k) from the repr string."""
+    sig = repr(abs(float(x))).split("e")[0].replace(".", "").strip("0")
+    return int(sig[:k].ljust(k, "0")), min(len(sig), k)
+
+
+def _round_values() -> list[float]:
+    """Every d*10^k on the double range and its one-ulp neighbours."""
+    out = []
+    for e in range(-324, 309):
+        for d in range(1, 10):
+            x = float(f"{d}e{e}")
+            if 0.0 < x < math.inf:
+                out += [x, math.nextafter(x, 0.0), math.nextafter(x, math.inf)]
+    return [x for x in out if 0.0 < x < math.inf]
+
+
+ROUND_VALUES = _round_values()
+POSITIVE_DOUBLES = st.floats(min_value=5e-324, max_value=1.7976931348623157e308)
+
+
+class TestLeadingDigits:
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_round_values_and_neighbours_match_repr(self, k):
+        lead = digits.leading_digits(ROUND_VALUES, k)
+        got = list(zip(lead.prefix.tolist(), lead.ndig.tolist()))
+        assert got == [_repr_reference(x, k) for x in ROUND_VALUES]
+        scalar = [digits.digit_pattern(x, k) for x in ROUND_VALUES]
+        assert scalar == [tuple(int(c) for c in f"{p:0{k}d}") for p, _ in got]
+
+    @given(st.lists(POSITIVE_DOUBLES | st.floats(min_value=-1e300, max_value=-5e-324),
+                    min_size=1, max_size=50), st.integers(1, 3))
+    def test_random_doubles_match_repr(self, xs, k):
+        lead = digits.leading_digits(xs, k)
+        assert list(zip(lead.prefix.tolist(), lead.ndig.tolist())) == [
+            _repr_reference(x, k) for x in xs]
+        assert [digits.first_digit(x) for x in xs] == [_repr_reference(x, 1)[0] for x in xs]
+
+    @given(st.lists(st.integers(1, 2**53), min_size=1, max_size=50), st.integers(1, 3))
+    def test_integers_match_integer_arithmetic(self, ints, k):
+        lead = digits.leading_digits([float(i) for i in ints], k)
+        for i, p, nd in zip(ints, lead.prefix.tolist(), lead.ndig.tolist()):
+            width = len(str(i))
+            prefix = i // 10 ** (width - k) if width >= k else i * 10 ** (k - width)
+            assert (p, nd) == (prefix, min(len(str(i).rstrip("0")), k))
+
+    @given(st.lists(st.tuples(st.integers(1, 10**15 - 1), st.integers(-280, 270)),
+                    min_size=1, max_size=50), st.integers(-15, 15))
+    def test_counts_unchanged_exactly_under_powers_of_ten(self, decimals, m):
+        # the decimals n*10^e and n*10^(e+m) carry the same digits, and any
+        # decimal of up to 15 digits survives parsing, so every tally agrees
+        a = digits.leading_digits([float(f"{n}e{e}") for n, e in decimals], 3)
+        b = digits.leading_digits([float(f"{n}e{e + m}") for n, e in decimals], 3)
+        assert np.array_equal(a.prefix, b.prefix)
+        assert np.array_equal(a.ndig, b.ndig)
+
+    def test_ambiguous_subnormals_counted(self):
+        # 3e-324 .. 7e-324 all round to 5e-324; 8e-324 .. 1e-323 to 1e-323
+        lead = digits.leading_digits([5e-324, 1e-323, 1.0, 2.5], 1)
+        assert lead.ambiguous == 2
+        assert lead.prefix.tolist() == [5, 1, 1, 2]
+        assert digits.leading_digits([1.0, 2.5, 1e-300], 3).ambiguous == 0
+
+    def test_empty_and_bad_input(self):
+        assert digits.leading_digits([], 3).prefix.size == 0
+        with pytest.raises(BadDigitError):
+            digits.leading_digits([1.0], 4)
+        for bad in (0.0, math.inf, math.nan):
+            with pytest.raises(ZeroInputError):
+                digits.leading_digits([1.0, bad])
+
+
+def _exact_prefix(x: float, k: int, base: int) -> int:
+    """k-digit base-B prefix of the exact value of the double x."""
+    q = Fraction(abs(x))
+    e = 0
+    while q >= Fraction(base) ** (e + 1):
+        e += 1
+    while q < Fraction(base) ** e:
+        e -= 1
+    return math.floor(q / Fraction(base) ** (e - k + 1))
+
+
+class TestOtherBases:
+    @given(st.integers(2, 16), st.integers(1, 3), st.integers(1, 2**53))
+    def test_integers(self, base, k, i):
+        digs, rest = [], i
+        while rest:
+            rest, r = divmod(rest, base)
+            digs.insert(0, r)
+        assert digits.digit_pattern(float(i), k, base) == tuple((digs + [0] * k)[:k])
+
+    @pytest.mark.parametrize("base", [2, 3, 7, 10 + 1, 16])
+    def test_powers_and_neighbours_match_exact_value(self, base):
+        emax = int(1024 / math.log2(base))
+        for e in range(-emax - 60, emax, 7):
+            for d in range(1, base):
+                x = float(Fraction(d) * Fraction(base) ** e) if e < emax - 1 else 0.0
+                for y in (x, math.nextafter(x, 0.0), math.nextafter(x, math.inf)):
+                    if 0.0 < y < math.inf:
+                        assert digits.first_digit(y, base) == _exact_prefix(y, 1, base)
+
+    @given(st.integers(2, 16), POSITIVE_DOUBLES.filter(lambda x: 1e-200 < x < 1e200))
+    def test_random_doubles_match_exact_value(self, base, x):
+        n = _exact_prefix(x, 3, base)
+        assert digits.digit_pattern(x, 3, base) == (n // base**2, n // base % base, n % base)
 
 
 class TestMantissa:
@@ -216,17 +341,6 @@ class TestDigitalUsage:
     @pytest.mark.parametrize("k", [1, 2, 3, 4, 7, 12])
     def test_rows_sum_to_one(self, k):
         assert math.fsum(digits.digital_usage(k).values()) == pytest.approx(1.0, abs=1e-12)
-
-
-class TestDiagnostics:
-    def test_boundary_ambiguity_counter(self):
-        digits.reset_diagnostics()
-        digits.first_digit(2.34)  # interior: no ambiguity
-        base = digits.boundary_ambiguities()
-        digits.first_digit(1.0)  # exact boundary: one ulp below normalizes to 9.99..
-        assert digits.boundary_ambiguities() > base
-        digits.reset_diagnostics()
-        assert digits.boundary_ambiguities() == 0
 
 
 class TestDigitDistribution:

@@ -164,6 +164,17 @@ class TestExponentialVariants:
         assert dm.Exp5(rho).mean() == pytest.approx(rho**8)
         assert dm.Exp6(rho).mean() == pytest.approx(math.log(rho))
 
+    @pytest.mark.parametrize("cls,rho", [(dm.Exp4, 1e50), (dm.Exp5, 1e50), (dm.Exp5, 1e39),
+                                         (dm.Exponential, 5e-324)])
+    def test_scale_beyond_double_range_invalid(self, cls, rho):
+        with pytest.raises(BadParamsError):
+            cls(rho)
+        assert cls.valid(np.array([2.0, rho])).tolist() == [True, False]
+
+    def test_largest_valid_scale_finite(self):
+        assert math.isfinite(dm.Exp4(1e40).mean())
+        assert math.isfinite(dm.Exp5(1e38).pdf(1.0))
+
     def test_variant2_lln(self):
         rng = np.random.default_rng(3)
         x = dm.Exp2(10.0).sample_n(100_000, rng)
@@ -272,6 +283,12 @@ class TestPowerOfTenScaling:
     def test_subset(self):
         m = dm.GeneralizedExp2(1.0, 3.0).scaled_by_power_of_ten(1, subset=["rho"])
         assert m == dm.GeneralizedExp2(10.0, 3.0)
+
+    def test_integer_fields_stay_integers(self):
+        assert dm.ChiSqr(4).scaled_by_power_of_ten(1, subset=["dof"]) == dm.ChiSqr(40)
+        assert dm.Die(6).scaled_by_power_of_ten(2, subset=["faces"]) == dm.Die(600)
+        with pytest.raises(BadParamsError):  # 0.4 faces
+            dm.Die(4).scaled_by_power_of_ten(-1, subset=["faces"])
 
     def test_no_form(self):
         from digitlab.errors import UnsupportedFormError

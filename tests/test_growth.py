@@ -56,6 +56,19 @@ class TestSeriesLd:
         _, chi = growth.series_ld(growth.GrowthSeries(3.0, 300.0, 10**6))
         assert math.isfinite(chi) and chi < 25
 
+    def test_power_of_ten_elements_lead_with_one(self):
+        # 10^(j/12): every 12th element is a power of ten, whose accumulated
+        # mantissa can land just below 1; the leaders are those of the exact
+        # values, taken at 40 digits
+        from decimal import Decimal, localcontext
+
+        ld, _ = growth.series_ld(growth.GrowthSeries(1.0, growth.AnomalyRecord(1, 12).percent, 120))
+        with localcontext() as ctx:
+            ctx.prec = 40
+            leaders = [int(str(Decimal(10) ** (Decimal(j) / 12))[0]) for j in range(120)]
+        assert ld.probs == {d: leaders.count(d) / 120 for d in DIGITS}
+        assert ld.probs[9] == 0.0
+
     def test_value_vector_input(self):
         vals = [1, 1, 1, 2, 2, 3, 0, -4]
         ld, _ = growth.series_ld(vals)
@@ -253,12 +266,12 @@ class TestRateScan:
 
 def _snap_reference(m: float) -> int:
     """The documented digit rule, one mantissa at a time: within 1e-9 of
-    the edge log10 d means digit d (d = 10, the edge 1, stays 9); otherwise
-    the compartment [log10 d, log10(d+1)) holding m."""
+    the edge log10 d means digit d (d = 10, the edge 1, is a power of ten:
+    digit 1); otherwise the compartment [log10 d, log10(d+1)) holding m."""
     edges = [math.log10(d) for d in range(1, 11)]
     for d, e in enumerate(edges, start=1):
         if abs(m - e) < 1e-9:
-            return min(d, 9)
+            return 1 if d == 10 else d
     return max(1, min(9, sum(1 for e in edges if e <= m)))
 
 
