@@ -256,9 +256,8 @@ def cmd_scheme(args) -> int:
         if args.kind == "simple":
             res = schemes.simple_scheme(args.lb, args.ub_min, args.ub_max)
         elif args.kind == "iterated":
-            lo, hi = (int(x) for x in args.top.split(":"))
             res = schemes.iterated_scheme(
-                args.lb, args.inner_min, (lo, hi), args.depth, mid_min=args.mid_min
+                args.lb, args.inner_min, args.top, args.depth, mid_min=args.mid_min
             )
         else:  # twist
             res = schemes.benford_twist_scheme(args.rate, args.start, args.end, lb=args.lb)
@@ -395,6 +394,14 @@ def cmd_invariance(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _top_range(text: str) -> tuple[int, int]:
+    lo, _, hi = text.partition(":")
+    try:
+        return int(lo), int(hi)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected lo:hi, got {text!r}") from None
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="digitlab", description=__doc__,
                                 formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -443,7 +450,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--depth", type=int, default=2)
     sp.add_argument("--inner-min", type=int, default=1)
     sp.add_argument("--mid-min", type=int, default=None)
-    sp.add_argument("--top", default="1:9999", help="top range as lo:hi")
+    sp.add_argument("--top", type=_top_range, default="1:9999", help="top range as lo:hi")
     sp.add_argument("--rate", type=float, default=2.0, help="twist growth percent")
     sp.add_argument("--start", type=int, default=99)
     sp.add_argument("--end", type=int, default=999)

@@ -89,11 +89,12 @@ def ks_critical(n: int, significance: float = SIGNIFICANCE) -> float:
     return math.sqrt(-0.5 * math.log(significance / 2.0)) / math.sqrt(n)
 
 
-def _clean(values) -> tuple[np.ndarray, int]:
+def _clean(values) -> tuple[np.ndarray, int, int]:
+    """(|x| of the nonzero finite values, number of zeros, number of non-finite values)."""
     vals = np.asarray(values, dtype=np.float64).ravel()
     finite = vals[np.isfinite(vals)]
     nonzero = finite[finite != 0.0]
-    return np.abs(nonzero), vals.size - nonzero.size
+    return np.abs(nonzero), finite.size - nonzero.size, vals.size - finite.size
 
 
 @dataclass(frozen=True)
@@ -106,7 +107,7 @@ class KSResult:
 
 def mantissa_uniformity_test(values, significance: float = SIGNIFICANCE) -> KSResult:
     """KS distance of empirical mantissae from the uniform on [0, 1)."""
-    vals, _ = _clean(values)
+    vals, _, _ = _clean(values)
     if vals.size == 0:
         raise EmptyInputError("mantissa test needs nonzero values")
     m = np.sort(np.log10(vals) % 1.0)
@@ -146,7 +147,7 @@ def compartmental_allotment_test(values) -> AllotmentResult:
     compartment of mantissa10(x) is the first digit of x); it is reported
     in mantissa space.
     """
-    vals, _ = _clean(values)
+    vals, _, _ = _clean(values)
     if vals.size == 0:
         raise EmptyInputError("compartment test needs nonzero values")
     return _allotment(_first_counts(vals))
@@ -159,7 +160,7 @@ def reshuffle_within_compartments(values, seed=0) -> np.ndarray:
     mantissa uniformity is destroyed: mass piles into compartment-local
     uniform blocks instead of the global uniform.
     """
-    vals, _ = _clean(values)
+    vals, _, _ = _clean(values)
     rng = np.random.default_rng(seed)
     bounds = np.array(compartment_boundaries(10))
     digs = leading_digits(vals).prefix
@@ -180,7 +181,7 @@ def scale_invariance_probe(values, factors, expected: DigitDistribution | None =
     for every integer-valued x.  Products that overflow or underflow to 0
     are left out of their tally.
     """
-    vals, _ = _clean(values)
+    vals, _, _ = _clean(values)
     if vals.size == 0:
         raise EmptyInputError("probe needs nonzero values")
     if expected is None:
@@ -207,6 +208,7 @@ class ConformityReport:
 
     n: int
     skipped_zeros: int
+    skipped_nonfinite: int
     observed_first: dict[int, int]
     observed_second: dict[int, int]
     observed_third: dict[int, int]
@@ -227,6 +229,7 @@ class ConformityReport:
             "schema_version": 1,
             "n": self.n,
             "skipped_zeros": self.skipped_zeros,
+            "skipped_nonfinite": self.skipped_nonfinite,
             "observed_first": {str(k): v for k, v in self.observed_first.items()},
             "observed_second": {str(k): v for k, v in self.observed_second.items()},
             "observed_third": {str(k): v for k, v in self.observed_third.items()},
@@ -249,14 +252,15 @@ class ConformityReport:
 
 
 def report(values) -> ConformityReport:
-    """Fully populated conformity report; zeros counted and skipped."""
-    vals, skipped = _clean(values)
+    """Fully populated conformity report; zeros and non-finite values counted and skipped."""
+    vals, zeros, nonfinite = _clean(values)
     n = int(vals.size)
     crit = chi_sqr_critical()
     if n == 0:
         return ConformityReport(
             n=0,
-            skipped_zeros=int(skipped),
+            skipped_zeros=zeros,
+            skipped_nonfinite=nonfinite,
             observed_first={},
             observed_second={},
             observed_third={},
@@ -302,7 +306,8 @@ def report(values) -> ConformityReport:
 
     return ConformityReport(
         n=n,
-        skipped_zeros=int(skipped),
+        skipped_zeros=zeros,
+        skipped_nonfinite=nonfinite,
         observed_first=first_counts,
         observed_second=second_counts,
         observed_third=third_counts,

@@ -1,15 +1,21 @@
 """Deterministic integer averaging schemes: simple, iterated, Benford's twist.
 
-All results are exact (no sampling).  interval_ld counts digit blocks in
-closed form, so upper bounds up to 1e15 stay exact integer arithmetic.
-The scheme averages use cumulative-sum reuse so iterated schemes cost
-near-linear time in the outermost range.
+All results are exact (no sampling).  One block kernel, _leader_counts,
+counts the leaders of [1, N] for a whole array of N at once in int64
+arithmetic, so every bound may be as large as 10^18.  The simple and
+iterated schemes stream N through it in blocks of _BLOCK rows, carrying the
+running sums of the deeper averages from block to block, so memory stays
+flat in the range.  The twist's geometric bounds are exact floors of
+ub_start*f^j.  A scheme that would evaluate more than 10^8 rows, windows
+or geometric steps is refused before any work starts.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 import numpy as np
 
@@ -28,6 +34,11 @@ __all__ = [
 ]
 
 _DIGITS = range(1, 10)
+_D = np.arange(1, 10, dtype=np.int64)
+_BLOCK = 65_536  # rows per kernel call: about 5 MB per (rows, 9) int64 array
+_MAX_BOUND = 10**18  # 9 * 10^18 still fits in int64
+_MAX_ROWS = 10**8
+_GUARD_BITS = 128  # fraction bits of the exact geometric walk
 
 
 @dataclass(frozen=True)
@@ -47,30 +58,58 @@ class SchemeResult:
         }
 
 
-def _count_leading(n: int, d: int) -> int:
-    """Number of integers in [1, n] whose first decimal digit is d."""
-    if n <= 0:
-        return 0
-    total = 0
-    p = 1
-    while p <= n:
-        block_lo = d * p
-        block_hi = (d + 1) * p - 1
-        if n >= block_hi:
-            total += p
-        elif n >= block_lo:
-            total += n - block_lo + 1
-        p *= 10
-    return total
+def _result(avg: np.ndarray, **meta) -> SchemeResult:
+    probs = {d: float(avg[d - 1]) for d in _DIGITS}
+    return SchemeResult(ld=DigitDistribution(base=10, order=1, probs=probs), meta=meta)
+
+
+def _check_bounds(**bounds) -> None:
+    """The bounds, in the order given, must be integers with 1 <= b1 <= b2 <= ... <= 10^18."""
+    vals = tuple(bounds.values())
+    if not all(isinstance(v, int) for v in vals):
+        raise BadIntervalError(f"bounds must be integers, got {vals}")
+    if not all(a <= b for a, b in zip((1, *vals), vals)):
+        raise BadIntervalError(f"need 1 <= {' <= '.join(bounds)}, got {vals}")
+    if vals[-1] > _MAX_BOUND:
+        raise TooLargeError(f"bound {vals[-1]} exceeds 10^18, the int64 range of the leader count")
+
+
+def _leader_counts(ns) -> np.ndarray:
+    """C[i, d-1] = how many integers in [1, ns[i]] lead with digit d, for 0 <= ns[i] <= 10^18.
+
+    The block formula C_d(N) = sum_k clip(N - d*10^k + 1, 0, 10^k): with 10^E
+    the largest power of ten <= N, the decades below E are full and add
+    (10^E - 1)/9 between them, the decades above add nothing, so only the
+    block of 10^E is clipped.
+    """
+    ns = np.asarray(ns, dtype=np.int64)
+    p = np.ones_like(ns)
+    top, q = int(ns.max(initial=0)), 10
+    while q <= top:
+        p[ns >= q] = q
+        q *= 10
+    counts = ns[:, None] + 1 - _D * p[:, None]
+    np.clip(counts, 0, p[:, None], out=counts)
+    counts += ((p - 1) // 9)[:, None]
+    return counts
+
+
+def _shares(lb: int, ns: np.ndarray) -> np.ndarray:
+    """Row i = digit shares of the integers [lb, ns[i]], for ns >= lb."""
+    return (_leader_counts(ns) - _leader_counts([lb - 1])) / (ns - lb + 1)[:, None]
+
+
+def _blocks(lo: int, hi: int):
+    """lo..hi as consecutive int64 arrays of at most _BLOCK values."""
+    for first in range(lo, hi + 1, _BLOCK):
+        yield np.arange(first, min(first + _BLOCK, hi + 1), dtype=np.int64)
 
 
 def interval_ld_counts(lb: int, ub: int) -> dict[int, int]:
-    """Exact per-digit leader counts over the integers [lb, ub]."""
-    if not (isinstance(lb, int) and isinstance(ub, int)):
-        raise BadIntervalError("interval bounds must be integers")
-    if not 1 <= lb <= ub:
-        raise BadIntervalError(f"need 1 <= lb <= ub, got ({lb}, {ub})")
-    return {d: _count_leading(ub, d) - _count_leading(lb - 1, d) for d in _DIGITS}
+    """Exact per-digit leader counts over the integers [lb, ub], 1 <= lb <= ub <= 10^18."""
+    _check_bounds(lb=lb, ub=ub)
+    below, upto = _leader_counts([lb - 1, ub])
+    return {d: int(upto[d - 1] - below[d - 1]) for d in _DIGITS}
 
 
 def interval_ld(lb: int, ub: int) -> DigitDistribution:
@@ -80,57 +119,35 @@ def interval_ld(lb: int, ub: int) -> DigitDistribution:
     return DigitDistribution(base=10, order=1, probs={d: counts[d] / size for d in _DIGITS})
 
 
-def _first_digits_upto(n: int) -> np.ndarray:
-    """First digits of 1..n as an int8 array (index 0 unused)."""
-    idx = np.arange(n + 1, dtype=np.int64)
-    fd = np.zeros(n + 1, dtype=np.int64)
-    if n >= 1:
-        vals = idx[1:]
-        e = np.floor(np.log10(vals.astype(np.float64))).astype(np.int64)
-        p = 10 ** e.astype(object)  # exact integer powers
-        p = np.array(p, dtype=np.int64) if n < 10**15 else p
-        d = vals // p
-        # log10 rounding guard at decade edges
-        low = d < 1
-        if low.any():
-            d[low] = vals[low] // (10 ** (e[low] - 1))
-        high = d > 9
-        if high.any():
-            d[high] = vals[high] // (10 ** (e[high] + 1))
-        fd[1:] = d
-    return fd
+def _nested_mean(lb: int, starts: tuple[int, ...], lo: int, hi: int) -> np.ndarray:
+    """Mean over N in [lo, hi] of v(N), streamed through _leader_counts in blocks of N.
 
-
-def _share_matrix(lb: int, ub_max: int) -> np.ndarray:
-    """Row N = per-digit share vector of interval [lb, N], N in [lb, ub_max].
-
-    Returned as a (ub_max+1) x 9 float array with rows < lb zeroed; built
-    from one cumulative count pass.
+    v(N) starts as the digit shares of [lb, N]; each s of starts in turn
+    replaces it by its running mean over [s, N], whose running sum is
+    carried from block to block.  Needs lb <= starts[0] <= ... <= lo <= hi.
     """
-    fd = _first_digits_upto(ub_max)
-    onehot = np.zeros((ub_max + 1, 9), dtype=np.int64)
-    rows = np.arange(1, ub_max + 1)
-    onehot[rows, fd[1:] - 1] = 1
-    cum = np.cumsum(onehot, axis=0)
-    shares = np.zeros((ub_max + 1, 9), dtype=np.float64)
-    ns = np.arange(lb, ub_max + 1)
-    sizes = (ns - lb + 1).astype(np.float64)
-    base = cum[lb - 1]
-    shares[lb:] = (cum[lb:] - base) / sizes[:, None]
-    return shares
+    first = starts[0] if starts else lo
+    if hi - first + 1 > _MAX_ROWS:
+        raise TooLargeError(f"the scheme would evaluate {hi - first + 1} rows, the cap is 10^8")
+    carry = [np.zeros(9) for _ in starts]
+    total = np.zeros(9)
+    for n in _blocks(first, hi):
+        v = _shares(lb, n)
+        for i, s in enumerate(starts):
+            v[: max(s - n[0], 0)] = 0.0
+            v = np.cumsum(v, axis=0)
+            v += carry[i]
+            carry[i] = v[-1].copy()
+            v /= np.maximum(n - s + 1, 1)[:, None]
+        total += v[max(lo - n[0], 0) :].sum(axis=0)
+    return total / (hi - lo + 1)
 
 
 def simple_scheme(lb: int, ub_min: int, ub_max: int) -> SchemeResult:
     """Unweighted average of interval_ld(lb, N) for N = ub_min..ub_max."""
-    if not 1 <= lb <= ub_min <= ub_max:
-        raise BadIntervalError(f"need 1 <= lb <= ub_min <= ub_max, got ({lb}, {ub_min}, {ub_max})")
-    shares = _share_matrix(lb, ub_max)
-    avg = shares[ub_min : ub_max + 1].mean(axis=0)
-    probs = {d: float(avg[d - 1]) for d in _DIGITS}
-    return SchemeResult(
-        ld=DigitDistribution(base=10, order=1, probs=probs),
-        meta={"scheme": "simple", "lb": lb, "ub_min": ub_min, "ub_max": ub_max},
-    )
+    _check_bounds(lb=lb, ub_min=ub_min, ub_max=ub_max)
+    avg = _nested_mean(lb, (), ub_min, ub_max)
+    return _result(avg, scheme="simple", lb=lb, ub_min=ub_min, ub_max=ub_max)
 
 
 def iterated_scheme(
@@ -152,89 +169,75 @@ def iterated_scheme(
         raise DepthUnsupportedError(f"iterated_scheme supports depths 2 and 3, got {depth}")
     if mid_min is None:
         mid_min = inner_ub_min
-    if not 1 <= lb <= inner_ub_min <= top_lo <= top_hi:
-        raise BadIntervalError(
-            f"need 1 <= lb <= inner_ub_min <= top_lo <= top_hi, got ({lb}, {inner_ub_min}, {top_lo}, {top_hi})"
-        )
-    shares = _share_matrix(lb, top_hi)
-    # level-2 value at T: mean of share rows inner_ub_min..T
-    cum_shares = np.cumsum(shares, axis=0)
-    t_vals = np.arange(inner_ub_min, top_hi + 1)
-    level2 = (cum_shares[inner_ub_min:] - cum_shares[inner_ub_min - 1]) / (
-        (t_vals - inner_ub_min + 1).astype(np.float64)[:, None]
-    )
-    if depth == 2:
-        avg = level2[top_lo - inner_ub_min : top_hi - inner_ub_min + 1].mean(axis=0)
-    else:
-        if mid_min < inner_ub_min or mid_min > top_lo:
-            raise BadIntervalError(f"need inner_ub_min <= mid_min <= top_lo, got mid_min={mid_min}")
-        cum_l2 = np.cumsum(level2, axis=0)
-        w_vals = np.arange(top_lo, top_hi + 1)
-        i_w = w_vals - inner_ub_min
-        i_lo = mid_min - inner_ub_min
-        base = cum_l2[i_lo - 1] if i_lo > 0 else 0.0
-        level3 = (cum_l2[i_w] - base) / ((w_vals - mid_min + 1).astype(np.float64)[:, None])
-        avg = level3.mean(axis=0)
-    probs = {d: float(avg[d - 1]) for d in _DIGITS}
-    return SchemeResult(
-        ld=DigitDistribution(base=10, order=1, probs=probs),
-        meta={
-            "scheme": "iterated",
-            "lb": lb,
-            "inner_ub_min": inner_ub_min,
-            "mid_min": mid_min,
-            "top_range": list(top_range),
-            "depth": depth,
-        },
+    mids = {"mid_min": mid_min} if depth == 3 else {}
+    _check_bounds(lb=lb, inner_ub_min=inner_ub_min, **mids, top_lo=top_lo, top_hi=top_hi)
+    avg = _nested_mean(lb, (inner_ub_min, *mids.values()), top_lo, top_hi)
+    return _result(
+        avg,
+        scheme="iterated",
+        lb=lb,
+        inner_ub_min=inner_ub_min,
+        mid_min=mid_min,
+        top_range=list(top_range),
+        depth=depth,
     )
 
 
 def geometric_upper_bounds(growth_percent: float, ub_start: int, ub_end: int) -> list[int]:
-    """Floor of ub_start*(1+g)**j up to ub_end, consecutive duplicates collapsed."""
-    if growth_percent <= 0:
-        raise BadIntervalError(f"growth_percent must be > 0, got {growth_percent}")
-    f = 1.0 + growth_percent / 100.0
-    bounds: list[int] = []
-    ub = float(ub_start)
-    while True:
-        b = math.floor(ub)
+    """floor(ub_start * f**j) up to ub_end, consecutive duplicates collapsed.
+
+    f = 1 + r/100 exactly, with r the shortest repr of growth_percent read as
+    a Fraction, so each bound is the exact floor.  The rate must be finite
+    and > 0, 1 <= ub_start <= ub_end <= 10^18, and reaching ub_end may take
+    at most 10^8 steps.
+    """
+    return list(_geometric_bounds(growth_percent, ub_start, ub_end))
+
+
+def _geometric_bounds(growth_percent: float, ub_start: int, ub_end: int):
+    """Generator behind geometric_upper_bounds; checks its arguments on the first next()."""
+    _check_bounds(ub_start=ub_start, ub_end=ub_end)
+    if not (math.isfinite(growth_percent) and growth_percent > 0):
+        raise BadIntervalError(f"growth_percent must be finite and > 0, got {growth_percent}")
+    growth = math.log1p(growth_percent / 100.0)
+    if growth == 0.0 or math.log((ub_end + 1) / ub_start) > _MAX_ROWS * growth:
+        raise TooLargeError(f"growth_percent {growth_percent} needs more than 10^8 steps to reach {ub_end}")
+    f = 1 + Fraction(repr(float(growth_percent))) / 100
+    fn, fd = f.numerator, f.denominator
+    # x is ub_start*f^j*2^_GUARD_BITS rounded down at every step, so it lags
+    # by less than sum_{i<j} f^i <= j*f^(j-1) < j*(ub_end + 1): the walk only
+    # reaches step j while ub_start*f^(j-1) < ub_end + 1
+    x, lag, last = ub_start << _GUARD_BITS, ub_end + 1, None
+    for j in itertools.count():
+        b = x >> _GUARD_BITS
+        if (x + j * lag) >> _GUARD_BITS != b:  # an integer may lie within the lag
+            b = ub_start * fn**j // fd**j
         if b > ub_end:
-            break
-        if not bounds or b != bounds[-1]:
-            bounds.append(b)
-        ub *= f
-    return bounds
+            return
+        if b != last:
+            yield b
+            last = b
+        x = x * fn // fd
 
 
 def benford_twist_scheme(
     growth_percent: float, ub_start: int, ub_end: int, lb: int = 1
 ) -> SchemeResult:
-    """Average of interval_ld over geometrically growing upper bounds."""
-    if ub_start > ub_end:
-        raise BadIntervalError(f"need ub_start <= ub_end, got ({ub_start}, {ub_end})")
-    if ub_start == ub_end:
-        bounds = [ub_start]
-    else:
-        bounds = geometric_upper_bounds(growth_percent, ub_start, ub_end)
-    if lb > min(bounds):
-        raise BadIntervalError(f"lb={lb} exceeds the smallest upper bound {min(bounds)}")
-    acc = np.zeros(9)
-    for b in bounds:
-        counts = interval_ld_counts(lb, b)
-        size = b - lb + 1
-        acc += np.array([counts[d] / size for d in _DIGITS])
-    avg = acc / len(bounds)
-    probs = {d: float(avg[d - 1]) for d in _DIGITS}
-    return SchemeResult(
-        ld=DigitDistribution(base=10, order=1, probs=probs),
-        meta={
-            "scheme": "benford_twist",
-            "growth_percent": growth_percent,
-            "lb": lb,
-            "ub_start": ub_start,
-            "ub_end": ub_end,
-            "n_bounds": len(bounds),
-        },
+    """Average of interval_ld(lb, b) over the geometric upper bounds b."""
+    _check_bounds(lb=lb, ub_start=ub_start, ub_end=ub_end)
+    bounds = _geometric_bounds(growth_percent, ub_start, ub_end)
+    total, n_bounds = np.zeros(9), 0
+    while (b := np.fromiter(itertools.islice(bounds, _BLOCK), dtype=np.int64)).size:
+        total += _shares(lb, b).sum(axis=0)
+        n_bounds += b.size
+    return _result(
+        total / n_bounds,
+        scheme="benford_twist",
+        growth_percent=growth_percent,
+        lb=lb,
+        ub_start=ub_start,
+        ub_end=ub_end,
+        n_bounds=n_bounds,
     )
 
 
@@ -244,18 +247,14 @@ def fixed_width_scheme(width: int, a_min: int, a_max: int) -> SchemeResult:
     The counterexample scheme: upper and lower bounds move in unison, so
     nothing close to the logarithmic emerges.
     """
-    if width < 1 or a_min < 1 or a_min > a_max:
-        raise BadIntervalError("need width >= 1 and 1 <= a_min <= a_max")
-    acc = np.zeros(9)
-    for a in range(a_min, a_max + 1):
-        counts = interval_ld_counts(a, a + width - 1)
-        acc += np.array([counts[d] / width for d in _DIGITS])
-    avg = acc / (a_max - a_min + 1)
-    probs = {d: float(avg[d - 1]) for d in _DIGITS}
-    return SchemeResult(
-        ld=DigitDistribution(base=10, order=1, probs=probs),
-        meta={"scheme": "fixed_width", "width": width, "a_min": a_min, "a_max": a_max},
-    )
+    _check_bounds(a_min=a_min, a_max=a_max, **{"a_max + width - 1": a_max + width - 1})
+    if a_max - a_min + 1 > _MAX_ROWS:
+        raise TooLargeError(f"{a_max - a_min + 1} windows, the cap is 10^8")
+    total = np.zeros(9)
+    for a in _blocks(a_min, a_max):
+        total += ((_leader_counts(a + width - 1) - _leader_counts(a - 1)) / width).sum(axis=0)
+    avg = total / (a_max - a_min + 1)
+    return _result(avg, scheme="fixed_width", width=width, a_min=a_min, a_max=a_max)
 
 
 def scheme_dataset(
@@ -278,8 +277,7 @@ def scheme_dataset(
     Returns (values, histogram) where histogram[v] is the frequency of the
     integer v (the unadjusted per-unit-length density table).
     """
-    if not 1 <= lb <= ub_min <= ub_max:
-        raise BadIntervalError(f"need 1 <= lb <= ub_min <= ub_max, got ({lb}, {ub_min}, {ub_max})")
+    _check_bounds(lb=lb, ub_min=ub_min, ub_max=ub_max)
     max_len = ub_max - lb + 1
     est_total = max_len * (ub_max - ub_min + 1)
     if est_total > count_cap:

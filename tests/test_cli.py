@@ -192,6 +192,20 @@ class TestScheme:
         assert main(["scheme", "simple", "--lb", "9", "--ub-min", "1", "--ub-max", "5",
                      "--quiet"]) == EXIT_USAGE
 
+    @pytest.mark.parametrize("argv", [
+        ["iterated", "--top", "5"],
+        ["iterated", "--top", "a:b"],
+        ["twist", "--rate", "nan"],
+        ["twist", "--rate", "inf"],
+        ["twist", "--rate", "1e-300"],
+        ["twist", "--rate", "5e-324"],
+        ["simple", "--ub-max", "10000000000000000000000"],
+    ], ids=" ".join)
+    def test_bad_input_exits_2(self, argv, capsys):
+        # each of these used to raise a traceback or, for the tiny rates, never return
+        assert main(["scheme", *argv, "--quiet"]) == EXIT_USAGE
+        assert "Traceback" not in capsys.readouterr().err
+
 
 class TestAnalytic:
     def test_kx(self, tmp_path):

@@ -199,6 +199,11 @@ class TestReport:
         assert rep.n == 2
         assert rep.skipped_zeros == 2
 
+    def test_nonfinite_counted_apart_from_zeros(self):
+        rep = conformity.report([math.inf, math.nan, 0.0, 5.0])
+        assert (rep.n, rep.skipped_zeros, rep.skipped_nonfinite) == (1, 1, 2)
+        assert rep.to_json_dict()["skipped_nonfinite"] == 2
+
     def test_sign_neutrality(self):
         vals = np.array([1.5, -2.5, 33.0, -470.0, 0.062])
         a = conformity.report(vals)
@@ -241,7 +246,8 @@ class TestReport:
     def test_tallies_plus_exclusions_equal_n(self, xs):
         rep = conformity.report(xs)
         assert rep.n == sum(1 for x in xs if math.isfinite(x) and x != 0)
-        assert rep.n + rep.skipped_zeros == len(xs)
+        assert rep.skipped_zeros == sum(1 for x in xs if x == 0)
+        assert rep.n + rep.skipped_zeros + rep.skipped_nonfinite == len(xs)
         assert sum(rep.observed_first.values()) == rep.n
         assert sum(rep.observed_second.values()) + rep.excluded_second == rep.n
         assert sum(rep.observed_third.values()) + rep.excluded_third == rep.n

@@ -4,6 +4,10 @@ The closed-form digit-block counting is checked against brute-force
 enumeration; the published scheme tables are regression targets.
 """
 
+import math
+import tracemalloc
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -20,6 +24,16 @@ def brute_counts(lb: int, ub: int) -> dict[int, int]:
     for n in range(lb, ub + 1):
         counts[first_digit(n)] += 1
     return counts
+
+
+def fraction_bounds(rate: str, start: int, end: int) -> list[int]:
+    """floor(start (1 + rate/100)^j) up to end in exact rational arithmetic, duplicates collapsed."""
+    f, x, out = 1 + Fraction(rate) / 100, Fraction(start), []
+    while math.floor(x) <= end:
+        if not out or math.floor(x) != out[-1]:
+            out.append(math.floor(x))
+        x *= f
+    return out
 
 
 class TestIntervalLd:
@@ -50,6 +64,22 @@ class TestIntervalLd:
         c = schemes.interval_ld_counts(1, 10**15)
         # counts for digit 1 in [1, 10^15]: sum of 10^k for k=0..14 plus 1
         assert c[1] == sum(10**k for k in range(15)) + 1
+        c = schemes.interval_ld_counts(10**18 - 5, 10**18)
+        assert c == {1: 1, 2: 0, 3: 0, 4: 0, 5: 0, 6: 0, 7: 0, 8: 0, 9: 5}
+
+    @pytest.mark.parametrize("call", [
+        lambda: schemes.interval_ld_counts(1, 10**18 + 1),
+        lambda: schemes.simple_scheme(1, 1, 10**22),
+        lambda: schemes.simple_scheme(1, 1, 10**8 + 1),
+        lambda: schemes.iterated_scheme(1, 1, (5, 10**8 + 1), 2),
+        lambda: schemes.fixed_width_scheme(3, 1, 10**8 + 1),
+        lambda: schemes.fixed_width_scheme(10**18, 1, 2),
+        lambda: schemes.benford_twist_scheme(1e-300, 1, 10),
+    ], ids=["bound", "simple bound", "simple rows", "iterated rows", "windows", "window bound",
+            "twist steps"])
+    def test_too_large_refused(self, call):
+        with pytest.raises(TooLargeError):
+            call()
 
     def test_validation(self):
         with pytest.raises(BadIntervalError):
@@ -176,6 +206,25 @@ class TestBenfordTwist:
         for d in DIGITS:
             assert r.ld.probs[d] == pytest.approx(base.probs[d], abs=1e-15)
 
+    @pytest.mark.parametrize("rate", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_rate_must_be_finite_and_positive(self, rate):
+        with pytest.raises(BadIntervalError):
+            schemes.benford_twist_scheme(rate, 99, 999)
+
+    @pytest.mark.parametrize("rate,index,want", [("0.1", 14290, 591862695),
+                                                 ("0.25", 5931, 405680106)])
+    def test_bounds_are_exact_floors(self, rate, index, want):
+        # a float walk x *= f lands one below the true floor at these indices
+        bounds = schemes.geometric_upper_bounds(float(rate), 7, 10**9)
+        assert bounds == fraction_bounds(rate, 7, 10**9)
+        assert bounds[index] == want
+
+    def test_bounds_exact_with_few_guard_bits(self, monkeypatch):
+        # 24 fraction bits are too few for the walk alone: nearly every step
+        # must fall back on the exact recheck, and the floors stay exact
+        monkeypatch.setattr(schemes, "_GUARD_BITS", 24)
+        assert schemes.geometric_upper_bounds(2.0, 99, 10**6) == fraction_bounds("2.0", 99, 10**6)
+
     def test_bounds_sequence(self):
         # 2% growth from 99: the published head of the sequence, fractions floored
         bounds = schemes.geometric_upper_bounds(2.0, 99, 125)
@@ -187,6 +236,65 @@ class TestFixedWidthCounterexample:
         r = schemes.fixed_width_scheme(1000, 1, 9000)
         counts = [r.ld.probs[d] * 9000 for d in DIGITS]
         assert chi_sqr_vs_benford(counts) > 100
+
+
+# ranges spanning three 65,536-row blocks of the streamed schemes, with lb > 1
+SPAN = 3 * 65_536 + 7
+LB, INNER, MID, TOP_LO = 7, 50, 70_001, 140_000
+
+
+@pytest.fixture(scope="module")
+def leader_cumsum():
+    """cum[n, d-1] = how many of 1..n lead with d, read off the decimal strings."""
+    first = np.array([0] + [int(str(n)[0]) for n in range(1, SPAN + 2000)])
+    return np.cumsum(first[:, None] == np.arange(1, 10), axis=0)
+
+
+def _shares(cum):
+    n = np.arange(LB, SPAN + 1)
+    return n, (cum[n] - cum[LB - 1]) / (n - LB + 1)[:, None]
+
+
+def _running_mean(n, v, start):
+    """Rows N >= start of the mean of v over [start, N]."""
+    keep = n >= start
+    return n[keep], np.cumsum(v[keep], axis=0) / (n[keep] - start + 1)[:, None]
+
+
+def _probs(result):
+    return np.array([result.ld.probs[d] for d in DIGITS])
+
+
+class TestBlockStreaming:
+    def test_simple(self, leader_cumsum):
+        n, v = _shares(leader_cumsum)
+        got = _probs(schemes.simple_scheme(LB, MID, SPAN))
+        np.testing.assert_allclose(got, v[n >= MID].mean(axis=0), rtol=0, atol=1e-12)
+
+    def test_depth2(self, leader_cumsum):
+        n, v = _running_mean(*_shares(leader_cumsum), INNER)
+        got = _probs(schemes.iterated_scheme(LB, INNER, (TOP_LO, SPAN), 2))
+        np.testing.assert_allclose(got, v[n >= TOP_LO].mean(axis=0), rtol=0, atol=1e-12)
+
+    def test_depth3(self, leader_cumsum):
+        n, v = _running_mean(*_running_mean(*_shares(leader_cumsum), INNER), MID)
+        got = _probs(schemes.iterated_scheme(LB, INNER, (TOP_LO, SPAN), 3, mid_min=MID))
+        np.testing.assert_allclose(got, v[n >= TOP_LO].mean(axis=0), rtol=0, atol=1e-12)
+
+    def test_fixed_width(self, leader_cumsum):
+        width, a = 1234, np.arange(5, SPAN + 1)
+        want = ((leader_cumsum[a + width - 1] - leader_cumsum[a - 1]) / width).mean(axis=0)
+        got = _probs(schemes.fixed_width_scheme(width, 5, SPAN))
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+    def test_memory_stays_flat(self):
+        tracemalloc.start()
+        try:
+            schemes.simple_scheme(1, 1, 2_000_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 40e6
 
 
 class TestSchemeDataset:
