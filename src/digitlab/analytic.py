@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
 from .digits import DigitDistribution, benford_first
 from .distributions import DistributionModel, Exponential, LogNormal
@@ -47,6 +46,16 @@ __all__ = [
 
 _DIGITS = range(1, 10)
 _LOG10 = math.log(10.0)
+# log10 of the smallest subnormal and of the largest double
+_LOG10_LO, _LOG10_HI = -324.0, 308.25
+_MAX_DECADES = 1000  # cap of each exponential decade walk; the doubles span about 632
+
+
+def _check_log_support(name: str, a: float, b: float) -> None:
+    """[a, b] is a log10 support: a < b, and 10**a, 10**b are doubles."""
+    if not _LOG10_LO <= a < b <= _LOG10_HI:
+        raise BadParamsError(f"{name} needs a log10 support [a, b] with "
+                             f"{_LOG10_LO} <= a < b <= {_LOG10_HI}, got [{a}, {b}]")
 
 
 def _digit_dist(vec) -> DigitDistribution:
@@ -70,6 +79,7 @@ def ld_kx(s: float, g: float) -> DigitDistribution:
     if g <= 0:
         raise BadRangeError(f"need g > 0, got {g}")
     lo, hi = s, s + g
+    _check_log_support("k/x", lo, hi)
     vec = []
     for d in _DIGITS:
         block_lo, block_hi = math.log10(d), math.log10(d + 1)
@@ -116,30 +126,26 @@ def ld_exponential(p: float) -> DigitDistribution:
     """LD of the exponential density p e^{-px}, by the exact decade sum.
 
     P(d) = sum over decades j of exp(-p d 10^j) - exp(-p (d+1) 10^j),
-    truncated once terms fall below 1e-16.
+    truncated once terms fall below 1e-16.  p lies in [1e-300, 1e300], where
+    every decade the sum visits is a double.
     """
-    if p <= 0:
-        raise BadParamsError(f"need p > 0, got {p}")
+    if not 1e-300 <= p <= 1e300:
+        raise BadParamsError(f"need 1e-300 <= p <= 1e300, got {p}")
     j0 = round(math.log10(1.0 / p))
     vec = []
     for d in _DIGITS:
         total = 0.0
-        # upward from the inflection decade
-        j = j0
-        while True:
-            term = math.exp(-p * d * 10.0**j) - math.exp(-p * (d + 1) * 10.0**j)
-            total += term
-            if term < 1e-16 and j > j0:
-                break
-            j += 1
-        # downward
-        j = j0 - 1
-        while True:
-            term = math.exp(-p * d * 10.0**j) - math.exp(-p * (d + 1) * 10.0**j)
-            total += term
-            if term < 1e-16:
-                break
-            j -= 1
+        # upward from the inflection decade, then downward
+        for js in (range(j0, j0 + _MAX_DECADES), range(j0 - 1, j0 - 1 - _MAX_DECADES, -1)):
+            for j in js:
+                term = math.exp(-p * d * 10.0**j) - math.exp(-p * (d + 1) * 10.0**j)
+                total += term
+                if term < 1e-16 and j != j0:
+                    break
+            else:
+                raise QuadratureFailureError(
+                    f"exponential decade sum for p={p} did not fall below 1e-16 "
+                    f"in {_MAX_DECADES} decades")
         vec.append(total)
     return _digit_dist(vec)
 
@@ -176,8 +182,7 @@ class UniformLog:
     s: float
 
     def __post_init__(self):
-        if not self.r < self.s:
-            raise BadParamsError(f"UniformLog requires r < s, got ({self.r}, {self.s})")
+        _check_log_support("UniformLog", self.r, self.s)
 
     @property
     def bounds(self):
@@ -209,8 +214,9 @@ class TriangularLog:
     b: float
 
     def __post_init__(self):
-        if not (self.a <= self.m <= self.b and self.a < self.b):
-            raise BadParamsError(f"TriangularLog requires a <= m <= b, a < b, got {self}")
+        if not self.a <= self.m <= self.b:
+            raise BadParamsError(f"TriangularLog requires a <= m <= b, got {self}")
+        _check_log_support("TriangularLog", self.a, self.b)
 
     @property
     def bounds(self):
@@ -251,8 +257,9 @@ class SemiCircularLog:
     radius: float
 
     def __post_init__(self):
-        if self.radius <= 0:
+        if not self.radius > 0:
             raise BadParamsError(f"SemiCircularLog requires radius > 0, got {self.radius}")
+        _check_log_support("SemiCircularLog", *self.bounds)
 
     @property
     def bounds(self):
@@ -295,10 +302,11 @@ class HangingSemiCircularLog:
     elevation: float
 
     def __post_init__(self):
-        if self.radius <= 0 or self.elevation < 0:
+        if not (self.radius > 0 and 0 <= self.elevation < math.inf):
             raise BadParamsError(
-                f"HangingSemiCircularLog requires radius > 0, elevation >= 0, got {self}"
+                f"HangingSemiCircularLog requires radius > 0, finite elevation >= 0, got {self}"
             )
+        _check_log_support("HangingSemiCircularLog", *self.bounds)
 
     @property
     def _norm(self) -> float:
@@ -388,6 +396,8 @@ def ld_of_density(pdf, support: tuple[float, float], tol: float = 1e-9) -> Digit
     decade by decade once a decade's mass falls below 1e-12 of the running
     total (a few consecutive times, to survive local zeros).
     """
+    from scipy import integrate
+
     lo, hi = support
 
     def side_masses(side_pdf, s_lo: float, s_hi: float) -> np.ndarray:
@@ -481,6 +491,8 @@ def ld_decades(model: DistributionModel, decades: tuple[int, int]) -> DecadeDeco
     normalized over the included decades; the mass outside is reported as
     truncated_mass.
     """
+    from scipy import integrate
+
     j_lo, j_hi = decades
     if j_lo > j_hi:
         raise BadRangeError(f"need j_lo <= j_hi, got {decades}")

@@ -44,6 +44,7 @@ from .distributions import (
 )
 from .errors import (
     ArityMismatchError,
+    BadParamsError,
     ChainSyntaxError,
     PolicyExhaustedError,
     UnknownPresetError,
@@ -327,7 +328,7 @@ def simulate_chain(
     if isinstance(spec, str):
         spec = parse_chain(spec)
     if n < 1:
-        raise PolicyExhaustedError(f"n must be >= 1, got {n}")
+        raise BadParamsError(f"n must be >= 1, got {n}")
 
     seq = np.random.SeedSequence(seed)
     if workers <= 1:

@@ -19,8 +19,8 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
-import io
 import json
+import math
 import sys
 import time
 from dataclasses import fields
@@ -31,12 +31,14 @@ from . import __version__
 from . import analytic, chains, conformity, growth, schemes
 from .digits import benford_first
 from .distributions import family_by_name
-from .errors import BadParamsError, DigitLabError
+from .errors import BadParamsError, BadRangeError, DigitLabError
 
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_EMPTY = 3
 EXIT_NUMERIC = 4
+# library errors that mean a bad argument, not a numerical failure
+_BAD_ARGUMENT = (BadParamsError, BadRangeError)
 
 
 def _manifest(args: argparse.Namespace) -> dict:
@@ -81,19 +83,19 @@ def _ld_table(probs: dict, extra: dict | None = None) -> str:
 # ingestion
 
 
-_FLOAT_CHARS = set("0123456789+-.eE")
+_DROP = str.maketrans("", "", "0123456789+-.eE")  # deletes every float character
 
 
 def _parse_number(text: str):
     """Strict float parsing: scientific notation fine, separators rejected."""
     text = text.strip()
-    if not text or not set(text) <= _FLOAT_CHARS:
+    if text.translate(_DROP):
         return None
     try:
         value = float(text)
     except ValueError:
         return None
-    return value if np.isfinite(value) else None
+    return value if math.isfinite(value) else None
 
 
 def ingest(path: str, fmt: str, selector: str | None):
@@ -151,7 +153,7 @@ def ingest(path: str, fmt: str, selector: str | None):
                 except (ValueError, TypeError, KeyError, json.JSONDecodeError):
                     malformed += 1
                     continue
-                if np.isfinite(v):
+                if math.isfinite(v):
                     values.append(v)
                 else:
                     malformed += 1
@@ -235,7 +237,7 @@ def cmd_chain(args) -> int:
         )
     except DigitLabError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
+        return EXIT_USAGE if isinstance(exc, _BAD_ARGUMENT) else EXIT_NUMERIC
     if args.samples is not None:
         np.savetxt(args.samples, res.samples)
     extra = {
@@ -306,7 +308,7 @@ def cmd_analytic(args) -> int:
             return EXIT_USAGE
     except DigitLabError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
+        return EXIT_USAGE if isinstance(exc, _BAD_ARGUMENT) else EXIT_NUMERIC
     if hist is not None and args.csv:
         _write_csv(args.csv, ["bin_lo", "bin_hi", "density"],
                    [(i / len(hist), (i + 1) / len(hist), h) for i, h in enumerate(hist)])

@@ -2,17 +2,20 @@
 metrics, mantissa uniformity (KS), compartmental allotment, the scale
 invariance probe, and an aggregate ConformityReport.
 
-Critical values come from the asymptotic formulas (chi-square(8) and the
-Kolmogorov distribution), not table lookups.  Default significance 0.01.
+Critical values are computed, not looked up.  The chi-square one inverts
+the upper tail Q(x|nu), which for integer nu is a finite sum (Abramowitz &
+Stegun 26.4.4-26.4.5), by bisection down to adjacent doubles; the KS one is
+the asymptotic Kolmogorov formula.  Default significance 0.01.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats
 
 from .digits import (
     DigitDistribution,
@@ -20,7 +23,7 @@ from .digits import (
     compartment_boundaries,
     leading_digits,
 )
-from .errors import BadExpectedError, EmptyInputError
+from .errors import BadExpectedError, BadParamsError, EmptyInputError
 
 __all__ = [
     "ConformityReport",
@@ -79,9 +82,60 @@ def chi_sqr(observed, expected: DigitDistribution) -> float:
     return total
 
 
+_MAX_DOF = 10**5  # each evaluation of Q sums dof/2 terms
+_LN_1E300 = 300.0 * math.log(10.0)
+
+
+def _chi_sqr_upper_tail(x: float, dof: int) -> float:
+    """Q(x|dof) = P(chi-square(dof) > x) for integer dof >= 1.
+
+    Even dof: e^{-x/2} sum_{k < dof/2} (x/2)^k / k!.  Odd dof: erfc(sqrt(x/2))
+    plus e^{-x/2} sum_{r=1}^{(dof-1)/2} sqrt(2x/pi) x^{r-1} / (3 5 ... (2r-1)).
+    The terms are summed without their e^{-x/2}, which is applied last; a
+    partial sum past 1e300 is scaled down and the scale carried in the exponent.
+    """
+    h = 0.5 * x
+    if dof % 2:
+        head, term, k = math.erfc(math.sqrt(h)), math.sqrt(x * 2.0 / math.pi), 0.5
+    else:
+        head, term, k = 0.0, 1.0, 0.0
+    total, exponent = 0.0, -h
+    for _ in range(dof // 2):
+        if term > 1e300:
+            term *= 1e-300
+            total *= 1e-300
+            exponent += _LN_1E300
+        total += term
+        k += 1.0
+        term *= h / k
+    if exponent > -700.0 or total == 0.0:
+        return head + total * math.exp(exponent)
+    return head + math.exp(exponent + math.log(total))  # e^{-x/2} alone would underflow
+
+
+@functools.lru_cache(maxsize=16, typed=True)  # typed: 8.0 must not hit the entry of 8
 def chi_sqr_critical(significance: float = SIGNIFICANCE, dof: int = 8) -> float:
-    """Upper critical value of the chi-square(dof) distribution."""
-    return float(stats.chi2.isf(significance, dof))
+    """Upper critical value x of the chi-square(dof) law: Q(x|dof) = significance.
+
+    Bisection on [0, hi], hi doubled from max(dof, 2) until it brackets,
+    down to two adjacent doubles lo < hi with Q(lo) > significance >= Q(hi);
+    hi is returned.  dof is an integer in 1..10^5.
+    """
+    if not 0.0 < significance < 1.0:
+        raise BadParamsError(f"significance must lie in (0, 1), got {significance}")
+    if not isinstance(dof, numbers.Integral) or not 1 <= dof <= _MAX_DOF:
+        raise BadParamsError(f"dof must be an integer in 1..{_MAX_DOF}, got {dof!r}")
+    lo, hi = 0.0, float(max(dof, 2))
+    while _chi_sqr_upper_tail(hi, dof) > significance:
+        lo, hi = hi, 2.0 * hi
+    while True:
+        mid = lo + 0.5 * (hi - lo)
+        if not lo < mid < hi:
+            return hi
+        if _chi_sqr_upper_tail(mid, dof) > significance:
+            lo = mid
+        else:
+            hi = mid
 
 
 def ks_critical(n: int, significance: float = SIGNIFICANCE) -> float:

@@ -23,7 +23,6 @@ from dataclasses import dataclass, fields
 from typing import ClassVar
 
 import numpy as np
-from scipy import integrate, special
 
 from .errors import BadParamsError
 
@@ -422,7 +421,7 @@ class Gamma(DistributionModel):
         if x <= 0:
             return 0.0
         k, th = self.k, self.theta
-        return x ** (k - 1) * math.exp(-x / th - special.gammaln(k)) / th**k
+        return x ** (k - 1) * math.exp(-x / th - math.lgamma(k)) / th**k
 
     @staticmethod
     def draw(rng, n, k, theta):
@@ -599,6 +598,8 @@ class Gompertz(DistributionModel):
         clipping to that bracket absorbs the rounding of ln v when p is
         within a few ulps of 1.
         """
+        from scipy import special
+
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             log_p, log_eta = np.log(p), np.log(eta)
             w = special.wrightomega(log_eta + log_p + eta)
@@ -619,6 +620,8 @@ class Gompertz(DistributionModel):
         return Support(0.0, math.inf)
 
     def mean(self):
+        from scipy import integrate
+
         value, _ = integrate.quad(
             lambda x: x * self.pdf(x), 0.0, 40.0 / self.b, limit=200
         )
@@ -644,7 +647,7 @@ class Nakagami(DistributionModel):
         return (
             2.0
             * math.exp(
-                m * math.log(m) - special.gammaln(m) - m * math.log(w)
+                m * math.log(m) - math.lgamma(m) - m * math.log(w)
                 + (2 * m - 1) * math.log(x)
                 - m * x * x / w
             )
@@ -659,7 +662,7 @@ class Nakagami(DistributionModel):
 
     def mean(self):
         m, w = self.mu, self.omega
-        return math.exp(special.gammaln(m + 0.5) - special.gammaln(m)) * math.sqrt(w / m)
+        return math.exp(math.lgamma(m + 0.5) - math.lgamma(m)) * math.sqrt(w / m)
 
 
 @dataclass(frozen=True)
@@ -690,6 +693,8 @@ class GuptaKundu(DistributionModel):
         return Support(0.0, math.inf)
 
     def mean(self):
+        from scipy import special
+
         return (special.digamma(self.alpha + 1.0) - special.digamma(1.0)) / self.lam
 
 
@@ -822,7 +827,7 @@ class ChiSqr(DistributionModel):
         k = self.dof
         return math.exp(
             (0.5 * k - 1.0) * math.log(x) - 0.5 * x
-            - 0.5 * k * math.log(2.0) - special.gammaln(0.5 * k)
+            - 0.5 * k * math.log(2.0) - math.lgamma(0.5 * k)
         )
 
     @staticmethod

@@ -13,7 +13,12 @@ from scipy import stats
 from digitlab import analytic
 from digitlab.digits import benford_first
 from digitlab.distributions import Exponential, LogNormal, Normal, PowerLaw, Uniform
-from digitlab.errors import BadRangeError, UnsupportedFamilyError
+from digitlab.errors import (
+    BadParamsError,
+    BadRangeError,
+    QuadratureFailureError,
+    UnsupportedFamilyError,
+)
 
 DIGITS = range(1, 10)
 LOG10E = math.log10(math.e)
@@ -56,6 +61,16 @@ class TestLdKx:
         with pytest.raises(BadRangeError):
             analytic.ld_kx(0.0, 0.0)
 
+    @pytest.mark.parametrize("s,g", [(0.0, 1e308), (0.0, math.inf), (math.nan, 1.0),
+                                     (0.0, math.nan), (-400.0, 2.0), (308.0, 1.0)])
+    def test_support_outside_the_doubles(self, s, g):
+        # 10**s .. 10**(s+g) must be doubles; g = 1e308 used to loop over 1e308 decades
+        with pytest.raises(BadParamsError):
+            analytic.ld_kx(s, g)
+
+    def test_support_at_the_double_range(self):
+        assert max_dev_from_benford(analytic.ld_kx(-324.0, 632.0)) < 1e-12
+
 
 class TestLdPowerLaw:
     def test_m2_column(self):
@@ -94,6 +109,21 @@ class TestLdExponential:
             a, b = analytic.ld_exponential(p), analytic.ld_exponential(10 * p)
             assert a.l_inf(b) < 1e-12
 
+    @pytest.mark.parametrize("p", [0.0, -1.0, math.nan, math.inf, 1e308, 1e-320])
+    def test_bad_rate(self, p):
+        # 1e308 used to hang (p (d+1) 10^j overflows, then NaN terms), 1e-320 to overflow
+        with pytest.raises(BadParamsError):
+            analytic.ld_exponential(p)
+
+    @pytest.mark.parametrize("p", [1e-300, 1e300])
+    def test_rate_range_ends(self, p):
+        assert math.fsum(analytic.ld_exponential(p).probs.values()) == pytest.approx(1.0)
+
+    def test_decade_walk_capped(self, monkeypatch):
+        monkeypatch.setattr(analytic, "_MAX_DECADES", 3)
+        with pytest.raises(QuadratureFailureError):
+            analytic.ld_exponential(1.0)
+
     def test_never_exactly_benford(self):
         for p in (0.01, 0.069314718, 1.0, 12.0):
             assert max_dev_from_benford(analytic.ld_exponential(p)) > 1e-4
@@ -111,6 +141,19 @@ class TestLdExponential:
 
 
 class TestTenToSymmetric:
+    @pytest.mark.parametrize("make", [
+        lambda: analytic.SemiCircularLog(1e308, 1.0),  # used to divide by a zero total mass
+        lambda: analytic.SemiCircularLog(11.0, 0.0),
+        lambda: analytic.SemiCircularLog(11.0, math.nan),
+        lambda: analytic.SemiCircularLog(11.0, 1e-300),  # both ends round to 11
+        lambda: analytic.UniformLog(0.0, 1e308),
+        lambda: analytic.TriangularLog(0.0, math.nan, 3.0),
+        lambda: analytic.HangingSemiCircularLog(5.0, 1.5, math.inf),
+    ])
+    def test_bad_shapes(self, make):
+        with pytest.raises(BadParamsError):
+            make()
+
     def test_semicircle_r1_column(self):
         r = analytic.ld_ten_to_symmetric(analytic.SemiCircularLog(11.0, 1.0))
         published = [0.2828, 0.1919, 0.1377, 0.1047, 0.0827, 0.0669, 0.0544, 0.0442, 0.0347]

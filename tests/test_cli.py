@@ -1,11 +1,29 @@
 """End-to-end tests for the command-line interface."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
+import digitlab
+from digitlab import cli
 from digitlab.cli import EXIT_EMPTY, EXIT_OK, EXIT_USAGE, main
+
+# the directory holding the digitlab package, for the subprocesses below
+_PACKAGE_ROOT = str(Path(digitlab.__file__).resolve().parents[1])
+_ENV = {**os.environ,
+        "PYTHONPATH": os.pathsep.join(filter(None, [_PACKAGE_ROOT, os.environ.get("PYTHONPATH")]))}
+_TIMEOUT_S = 60  # each command needs well under a second; a hang fails the test
+
+
+def _run(python_args: list[str]) -> subprocess.CompletedProcess:
+    return subprocess.run([sys.executable, *python_args], capture_output=True, text=True,
+                          timeout=_TIMEOUT_S, env=_ENV)
 
 
 def _reject_constant(name):
@@ -106,6 +124,45 @@ class TestAnalyze:
         rc = main(["analyze", str(samples), "--quiet", "--json", str(out)])
         assert rc == EXIT_OK
         assert json.loads(out.read_text())["chi_sqr_first"] < 30
+
+
+def _set_parse_number(text: str):
+    """The set-based field parser that the translate table replaced: the reference."""
+    text = text.strip()
+    if not text or not set(text) <= set("0123456789+-.eE"):
+        return None
+    try:
+        value = float(text)
+    except ValueError:
+        return None
+    return value if np.isfinite(value) else None
+
+
+FIELD_PIECES = st.sampled_from(["", " ", "\t", "\n", "+", "-", ".", "e", "E", "0", "7", "12",
+                                "e5", "1E5", "2.5e-3", "inf", "nan", "1e999", "1e-400", "1_000",
+                                "0x1p3", "\uff11\uff12", "1.2.3", ",", "x"])
+
+
+class TestParseNumber:
+    @given(st.lists(FIELD_PIECES, max_size=6).map("".join) | st.text(max_size=8))
+    @example(" -1.5e3 ")
+    @example("+1E5")
+    @example("1.2.3")
+    @example("\uff11\uff12")  # fullwidth digits: float() reads them, the parser does not
+    def test_matches_set_reference(self, text):
+        assert cli._parse_number(text) == _set_parse_number(text)
+
+    def test_plain_and_csv_count_the_same_rows_malformed(self, tmp_path):
+        fields = ["12", " 3.5 ", "-7e2", "6E-1", "1_000", "0x1p3", "inf", "nan", "1e999", "\uff11",
+                  "1.2.3", "e5", "+", "4.", ".5"]
+        plain, table = tmp_path / "v.txt", tmp_path / "v.csv"
+        plain.write_text("\n".join(fields) + "\n")
+        table.write_text("v\n" + "".join(f'"{f}"\n' for f in fields))
+        want = [v for v in map(_set_parse_number, fields) if v is not None]
+        for values, malformed in (cli.ingest(str(plain), "plain", None),
+                                  cli.ingest(str(table), "csv", "v")):
+            assert values.tolist() == want
+            assert malformed == len(fields) - len(want)
 
 
 class TestChain:
@@ -316,3 +373,60 @@ class TestInvariance:
                    "--seed", "1", "--quiet", "--json", str(out)])
         assert rc == EXIT_OK
         assert json.loads(out.read_text())["max_ld_difference"] > 0.01
+
+
+class TestExitCodes:
+    @pytest.mark.parametrize("argv", [
+        ["analytic", "exponential", "--p", "1e308"],
+        ["analytic", "kx", "--s", "0", "--g", "1e308"],
+        ["analytic", "exponential", "--p", "nan"],
+        ["analytic", "exponential", "--p", "1e-320"],
+        ["analytic", "kx", "--g", "inf"],
+        ["analytic", "ten-to-semicircle", "--center", "1e308", "--radius", "1"],
+        ["analytic", "ten-to-semicircle", "--radius", "0"],
+        ["chain", "--preset", "flehinger", "--n", "0"],
+    ], ids=" ".join)
+    def test_bad_argument_exits_2(self, argv):
+        # the first two used to hang, the next four to end in a traceback (exit 1),
+        # the last two to exit 4 as a numerical failure
+        proc = _run(["-m", "digitlab.cli", *argv, "--quiet"])
+        assert proc.returncode == EXIT_USAGE, proc.stderr
+        assert proc.stderr.startswith("error:")
+
+
+# runs main() and reports its exit code and the scipy modules it left loaded
+_SCIPY_PROBE = """
+import json, sys
+from digitlab.cli import main
+rc = main(sys.argv[1:])
+print(json.dumps({"rc": rc, "scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy")}))
+"""
+
+
+class TestStartup:
+    @pytest.mark.parametrize("argv,loads_scipy", [
+        (["--version"], False),
+        (["analyze", "{data}", "--quiet"], False),
+        (["scheme", "simple", "--quiet"], False),
+        (["scheme", "iterated", "--quiet"], False),
+        (["scheme", "twist", "--quiet"], False),
+        (["growth", "scan", "--lo", "21.1", "--hi", "21.2", "--quiet"], False),
+        (["chain", "--preset", "flehinger", "--n", "20000", "--seed", "1", "--quiet"], False),
+        (["chain", "--spec", "Normal(Uniform(-1,1), Uniform(-0.5,2))", "--n", "20000",
+          "--threads", "2", "--seed", "1", "--quiet"], False),
+        (["analytic", "exponential", "--quiet"], False),
+        (["analytic", "kx", "--quiet"], False),
+        (["analytic", "ten-to-semicircle", "--quiet"], False),
+        # positive controls: quadrature, and the Wright omega quantile imported
+        # for the first time from two worker threads at once
+        (["analytic", "shifted-kx", "--quiet"], True),
+        (["chain", "--spec", "Gompertz(Uniform(0,10), 1)", "--n", "20000",
+          "--threads", "2", "--seed", "1", "--quiet"], True),
+    ], ids=lambda v: " ".join(v) if isinstance(v, list) else f"scipy={v}")
+    def test_scipy_loaded_only_where_needed(self, argv, loads_scipy, benford_file):
+        argv = [a.replace("{data}", str(benford_file)) for a in argv]
+        proc = _run(["-c", _SCIPY_PROBE, *argv])
+        assert proc.returncode == 0, proc.stderr
+        probe = json.loads(proc.stdout.strip().splitlines()[-1])
+        assert probe["rc"] == EXIT_OK
+        assert bool(probe["scipy"]) is loads_scipy, probe["scipy"]

@@ -9,7 +9,7 @@ from hypothesis import given, strategies as st
 from digitlab import conformity
 from digitlab.digits import benford_distribution, benford_first
 from digitlab.distributions import PowerLaw
-from digitlab.errors import BadExpectedError, EmptyInputError
+from digitlab.errors import BadExpectedError, BadParamsError, EmptyInputError
 
 DIGITS = range(1, 10)
 
@@ -74,6 +74,38 @@ class TestCriticalValues:
     def test_chi_sqr_critical(self):
         assert conformity.chi_sqr_critical(0.05, 8) == pytest.approx(15.507, abs=1e-3)
         assert conformity.chi_sqr_critical(0.01, 8) == pytest.approx(20.09, abs=0.01)
+
+    def test_chi_sqr_critical_matches_scipy(self):
+        from scipy import stats
+
+        for dof in range(1, 1001):
+            for significance in (0.1, 0.05, 0.01, 1e-3, 1e-6):
+                want = float(stats.chi2.isf(significance, dof))
+                got = conformity.chi_sqr_critical(significance, dof)
+                assert got == pytest.approx(want, rel=1e-13, abs=0.0), (significance, dof)
+
+    @pytest.mark.parametrize("significance,dof", [(0.01, 2000), (1e-6, 5000), (1e-300, 1000),
+                                                  (1e-300, 1)])
+    def test_chi_sqr_critical_past_the_exponent_range(self, significance, dof):
+        # partial sums past 1e300 (dof >= 2000), or Q near the smallest normal double
+        from scipy import stats
+
+        want = float(stats.chi2.isf(significance, dof))
+        assert conformity.chi_sqr_critical(significance, dof) == pytest.approx(want, rel=1e-13)
+
+    def test_chi_sqr_critical_default_is_scipys_double(self):
+        # the analyze report's chi_sqr_critical_001, bit for bit as scipy gives it
+        assert conformity.chi_sqr_critical() == 20.090235029663233
+        assert conformity.chi_sqr_critical(0.01, 8) == 20.090235029663233
+
+    @pytest.mark.parametrize("significance,dof", [
+        (0.01, 8.5), (0.01, 8.0), (0.01, 0), (0.01, -3), (0.01, 10**5 + 1), (0.01, math.nan),
+        (0.01, "8"),
+        (0.0, 8), (1.0, 8), (-0.1, 8), (math.nan, 8),
+    ])
+    def test_chi_sqr_critical_rejects(self, significance, dof):
+        with pytest.raises(BadParamsError):
+            conformity.chi_sqr_critical(significance, dof)
 
     def test_ks_critical(self):
         # sqrt(-ln(0.005)/2)/sqrt(n)
