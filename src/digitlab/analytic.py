@@ -94,30 +94,37 @@ def ld_kx(s: float, g: float) -> DigitDistribution:
 
 
 def ld_power_law(m: float, lo: float, hi: float) -> DigitDistribution:
-    """LD of the density k/x**m over (lo, hi), by closed-form integration."""
-    if not 0 < lo < hi:
-        raise BadRangeError(f"need 0 < lo < hi, got ({lo}, {hi})")
-    if m <= 0:
-        raise BadRangeError(f"need m > 0, got {m}")
+    """LD of the density k/x**m over (lo, hi), by closed-form integration.
 
-    if m == 1.0:
-        anti = math.log
-    else:
-        p = 1.0 - m
+    With p = 1 - m, a digit block (a, b) holds (b**p - a**p)/p, or ln(b/a)
+    at m = 1.  Each block is taken relative to ref**p, ref the end of (lo, hi)
+    where x**p is largest: (a/lo)**p or (b/hi)**p times -expm1(-|p| L)/|p|,
+    L = ln(b/a).  Every factor is then at most 1, so no finite m overflows,
+    and the block at ref keeps the total positive.
+    """
+    if not 0 < lo < hi < math.inf:
+        raise BadRangeError(f"need 0 < lo < hi < inf, got ({lo}, {hi})")
+    if not 0 < m < math.inf:
+        raise BadRangeError(f"need 0 < m < inf, got {m}")
+    p = 1.0 - m
 
-        def anti(x: float) -> float:
-            return x**p / p
+    def mass(a: float, b: float) -> float:
+        span = math.log1p((b - a) / a)
+        if p == 0.0:
+            return span
+        edge, ref = (a, lo) if p < 0 else (b, hi)
+        return (edge / ref) ** p * -math.expm1(-abs(p) * span) / abs(p)
 
     vec = []
     j_lo = math.floor(math.log10(lo))
-    j_hi = math.floor(math.log10(hi)) + 1
+    j_hi = min(math.floor(math.log10(hi)) + 1, 308)  # 10.0**309 is not a double
     for d in _DIGITS:
         total = 0.0
         for j in range(j_lo, j_hi + 1):
             a = max(lo, d * 10.0**j)
             b = min(hi, (d + 1) * 10.0**j)
             if b > a:
-                total += anti(b) - anti(a)
+                total += mass(a, b)
         vec.append(total)
     return _digit_dist(vec)
 

@@ -224,12 +224,12 @@ def cmd_chain(args) -> int:
             spec = chains.preset(args.preset, **kw)
         else:
             spec = chains.parse_chain(args.spec)
+        policy = chains.ResamplePolicy(
+            max_attempts=args.max_attempts, on_exhaustion=args.on_exhaustion
+        )
     except DigitLabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    policy = chains.ResamplePolicy(
-        max_attempts=args.max_attempts, on_exhaustion=args.on_exhaustion
-    )
     try:
         res = chains.simulate_chain(
             spec, args.n, seed=args.seed, policy=policy,

@@ -61,6 +61,8 @@ __all__ = [
 ]
 
 _SQRT2PI = math.sqrt(2.0 * math.pi)
+_DOUBLE_MAX = 1.7976931348623157e308
+_LN_MAX = math.log(_DOUBLE_MAX)  # exp of more is not a double
 
 
 @dataclass(frozen=True)
@@ -150,6 +152,8 @@ class DistributionModel:
         ``subset`` limits scaling to the named parameters; the default is the
         family's registered power-of-ten form (shape parameters excluded).
         """
+        if not -323 <= m <= 308:
+            raise BadParamsError(f"10**m must be a double, got m = {m}")
         if subset is None:
             if not self.pot_scale_params:
                 from .errors import UnsupportedFormError
@@ -164,6 +168,8 @@ class DistributionModel:
             if f.name in subset:
                 # an integer field (ChiSqr dof, Die faces) stays an integer
                 value = value * 10**m if f.type == "int" and m >= 0 else value * 10.0**m
+                if value > _DOUBLE_MAX:  # inf, or an integer field past the double range
+                    raise BadParamsError(f"{f.name} * 10**{m} is not a double")
             kwargs[f.name] = value
         return type(self)(**kwargs)
 
@@ -184,7 +190,8 @@ class Uniform(DistributionModel):
 
     @staticmethod
     def draw(rng, n, a, b):
-        return rng.uniform(a, b, n)
+        # numpy's uniform evaluates this formula, without its range check
+        return a + (b - a) * rng.random(n)
 
     def support(self):
         return Support(self.a, self.b)
@@ -421,7 +428,14 @@ class Gamma(DistributionModel):
         if x <= 0:
             return 0.0
         k, th = self.k, self.theta
-        return x ** (k - 1) * math.exp(-x / th - math.lgamma(k)) / th**k
+        try:
+            lgamma_k = math.lgamma(k)
+        except OverflowError:
+            raise BadParamsError(f"Gamma pdf needs ln Gamma(k) to be a double, got k = {k}") from None
+        # in log space: x**(k - 1) and theta**k need not be doubles
+        log_th = math.log(th)
+        log_pdf = (k - 1) * (math.log(x) - log_th) - x / th - lgamma_k - log_th
+        return math.exp(log_pdf) if log_pdf < _LN_MAX else math.inf
 
     @staticmethod
     def draw(rng, n, k, theta):

@@ -18,7 +18,7 @@ import numpy as np
 from .conformity import chi_sqr_vs_benford
 from .digits import DigitDistribution, compartment_boundaries
 from .distributions import DistributionModel
-from .errors import BadParamsError, EmptyInputError, PolicyExhaustedError
+from .errors import BadParamsError, EmptyInputError, PolicyExhaustedError, TooLargeError
 
 __all__ = [
     "GrowthSeries",
@@ -39,6 +39,8 @@ __all__ = [
 _BOUNDS = np.array(compartment_boundaries(10))
 # elements per mantissa block of a rate scan; bounds the scan's scratch arrays
 _BLOCK = 2**14
+# rates in one scan: each result cell holds about 270 bytes and 0.1 ms of work
+_MAX_RATES = 10**6
 
 
 @dataclass(frozen=True)
@@ -243,7 +245,8 @@ def rate_scan(
 ) -> list[RateScanCell]:
     """Chi-square and anomaly detection across a grid of growth rates.
 
-    The grid is lo + i*step for i = 0..round((hi - lo)/step).  Each rate's
+    The grid is lo + i*step for i = 0..round((hi - lo)/step), at most
+    _MAX_RATES rates; a larger grid raises TooLargeError.  Each rate's
     chi-square equals series_ld(GrowthSeries(base, rate, n_elements))[1]:
     the rates go through in blocks of max(1, _BLOCK // n_elements) series,
     each block one (rates x n_elements) mantissa matrix, so memory stays
@@ -257,7 +260,10 @@ def rate_scan(
     if not (lo_percent < hi_percent < math.inf and 0 < step < math.inf):
         raise BadParamsError("need lo < hi and step > 0, all finite")
     GrowthSeries(base=base, percent=lo_percent, length=n_elements)  # validates the lowest rate
-    n_steps = int(round((hi_percent - lo_percent) / step))
+    steps = (hi_percent - lo_percent) / step
+    if not steps + 1 <= _MAX_RATES:  # also inf; checked before any list is built
+        raise TooLargeError(f"the grid has {steps + 1:.3g} rates, more than {_MAX_RATES}")
+    n_steps = int(round(steps))
     pcts = [lo_percent + i * step for i in range(n_steps + 1)]
     m_b = math.log10(base) % 1.0
     m_f = np.array([math.log10(1.0 + pct / 100.0) % 1.0 for pct in pcts])

@@ -93,6 +93,38 @@ class TestLdPowerLaw:
         assert exact.l_inf(quad) < 1e-9
 
 
+    @pytest.mark.parametrize("m,lo,digit", [(1e300, 0.5, 5), (1e300, 2.0, 2), (1e17, 7.5, 7)])
+    def test_extreme_exponent_is_a_point_mass(self, m, lo, digit):
+        # x**(1 - m) is far outside the doubles; the mass sits at lo
+        assert analytic.ld_power_law(m, lo, 1000.0).probs[digit] == 1.0
+
+    def test_vanishing_exponent_is_uniform(self):
+        r = analytic.ld_power_law(1e-300, 1.0, 10.0)
+        assert max(abs(r.probs[d] - 1 / 9) for d in DIGITS) < 1e-15
+
+    def test_smooth_through_m1(self):
+        # no cancellation near m = 1: the slope dP/dm holds down to a 1e-12 step
+        at1 = analytic.ld_power_law(1.0, 1.0, 1000.0)
+
+        def slope(h):
+            r = analytic.ld_power_law(1.0 + h, 1.0, 1000.0)
+            return max(abs(r.probs[d] - at1.probs[d]) for d in DIGITS) / abs(h)
+
+        ref = slope(1e-6)
+        for h in (1e-9, -1e-9, 1e-12):
+            assert slope(h) == pytest.approx(ref, rel=1e-2)
+
+    def test_whole_double_range(self):
+        r = analytic.ld_power_law(0.5, 5e-324, 1.7e308)
+        assert math.fsum(r.probs.values()) == pytest.approx(1.0, abs=1e-15)
+
+    @pytest.mark.parametrize("m,lo,hi", [(1.0, 1.0, math.inf), (math.inf, 1.0, 10.0),
+                                         (math.nan, 1.0, 10.0), (1.0, math.nan, 10.0)])
+    def test_non_finite_rejected(self, m, lo, hi):
+        with pytest.raises(BadRangeError):
+            analytic.ld_power_law(m, lo, hi)
+
+
 class TestLdExponential:
     # frozen from the closed-form decade sum, cross-checked against
     # independent quadrature of the density (agreement < 1e-12)

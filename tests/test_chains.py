@@ -1,12 +1,13 @@
 """Tests for the chain engine: grammar, simulation, experiments, presets."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from digitlab import chains
-from digitlab.digits import benford_first
+from digitlab.digits import benford_first, leading_digits
 from digitlab.distributions import (
     Exponential,
     GeneralizedExp1,
@@ -216,6 +217,98 @@ def test_golden_tallies(text, seed, workers, counts, resampled):
     res = chains.simulate_chain(spec, 20_000, seed=seed, workers=workers)
     assert res.ld_counts == counts
     assert res.n_resampled == resampled
+
+
+def _chunked_reference(spec, n, seed, workers, policy=chains.ResamplePolicy()):
+    """The chunked stream rebuilt from _eval_node and the plain resample loop.
+
+    Returns (ld_counts, zeros, resampled, dropped, accepted nonzero draws in
+    worker and stream order).
+    """
+    seq = np.random.SeedSequence(seed)
+    seqs = [seq] if workers == 1 else seq.spawn(workers)
+    sizes = [n // workers + (i < n % workers) for i in range(workers)]
+    kept, resampled, dropped = [], 0, 0
+    for size, child in zip(sizes, seqs):
+        rng = np.random.Generator(np.random.PCG64(child))
+        for start in range(0, size, chains._CHUNK):
+            vals = chains._eval_node(spec, min(chains._CHUNK, size - start), rng)
+            for _ in range(policy.max_attempts):
+                bad = ~np.isfinite(vals)
+                if not bad.any():
+                    break
+                resampled += int(bad.sum())
+                vals[bad] = chains._eval_node(spec, int(bad.sum()), rng)
+            good = np.isfinite(vals)
+            dropped += int((~good).sum())
+            kept.append(vals[good])
+    vals = np.concatenate(kept)
+    nonzero = vals[vals != 0.0]
+    counts = np.bincount(leading_digits(nonzero).prefix, minlength=10)[1:]
+    return tuple(int(c) for c in counts), vals.size - nonzero.size, resampled, dropped, nonzero
+
+
+class TestChunkedStream:
+    N = 3 * chains._CHUNK + 17  # three full chunks and a ragged one per worker at 1
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("text,max_attempts", [
+        ("flehinger", 100),
+        ("Normal(Uniform(-1,1), Uniform(-0.5,2))", 100),  # resamples across the seams
+        ("Uniform(0, Normal(1e-322, 1e-322))", 1),  # zeros, resamples and drops
+    ])
+    def test_matches_chunk_by_chunk_reference(self, text, max_attempts, workers):
+        spec = chains.preset(text) if "(" not in text else chains.parse_chain(text)
+        policy = chains.ResamplePolicy(max_attempts=max_attempts)
+        res = chains.simulate_chain(spec, self.N, seed=11, policy=policy, workers=workers,
+                                    keep_samples=True)
+        counts, zeros, resampled, dropped, samples = _chunked_reference(
+            spec, self.N, 11, workers, policy)
+        assert res.ld_counts == counts
+        assert (res.skipped_zeros, res.n_resampled, res.policy_dropped) == (zeros, resampled, dropped)
+        assert res.n_accepted + res.skipped_zeros + res.policy_dropped == self.N
+        # keep_samples: the accepted nonzero draws in stream order, tallied as ld_counts
+        assert np.array_equal(res.samples, samples)
+        tally = np.bincount(leading_digits(res.samples).prefix, minlength=10)[1:]
+        assert tuple(int(c) for c in tally) == res.ld_counts
+
+    def test_zeros_resamples_and_drops_all_occur(self):
+        policy = chains.ResamplePolicy(max_attempts=1)
+        res = chains.simulate_chain("Uniform(0, Normal(1e-322, 1e-322))", self.N,
+                                    seed=3, policy=policy)
+        assert min(res.skipped_zeros, res.n_resampled, res.policy_dropped) > 1000
+        assert res.n_accepted + res.skipped_zeros + res.policy_dropped == self.N
+
+    def test_one_chunk_is_the_unchunked_stream(self):
+        # at n <= _CHUNK per worker the chunk loop draws exactly what one
+        # _eval_node call and the resample loop draw
+        spec = chains.parse_chain("Normal(Uniform(-1,1), Uniform(-0.5,2))")
+        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(9)))
+        vals = chains._eval_node(spec, chains._CHUNK, rng)
+        bad = ~np.isfinite(vals)
+        while bad.any():
+            vals[bad] = chains._eval_node(spec, int(bad.sum()), rng)
+            bad = ~np.isfinite(vals)
+        res = chains.simulate_chain(spec, chains._CHUNK, seed=9, keep_samples=True)
+        assert np.array_equal(res.samples, vals[vals != 0.0])
+
+    def test_memory_flat_in_n(self):
+        tracemalloc.start()
+        try:
+            chains.simulate_chain(chains.preset("flehinger"), 3_000_000, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 40 * 2**20, peak / 2**20
+
+    @pytest.mark.parametrize("workers", [0, -1, 10**6])
+    def test_workers_out_of_range_refused_before_any_thread(self, workers, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a thread pool was started")
+
+        monkeypatch.setattr(chains, "ThreadPoolExecutor", no_pool)
+        with pytest.raises(BadParamsError, match="workers"):
+            chains.simulate_chain("Uniform(0, 1)", 100, seed=1, workers=workers)
 
 
 class TestSequentialChiSqr:

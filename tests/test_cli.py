@@ -2,6 +2,7 @@
 
 import json
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -385,13 +386,42 @@ class TestExitCodes:
         ["analytic", "ten-to-semicircle", "--center", "1e308", "--radius", "1"],
         ["analytic", "ten-to-semicircle", "--radius", "0"],
         ["chain", "--preset", "flehinger", "--n", "0"],
+        ["analytic", "power-law", "--hi", "inf"],
+        ["analytic", "power-law", "--m", "inf"],
+        ["invariance", "--family", "gamma", "--params", "1.7e308", "1"],
+        ["invariance", "--family", "normal", "--params", "0", "1", "--m", "400"],
+        ["chain", "--preset", "flehinger", "--n", "1000", "--max-attempts", "0"],
+        ["chain", "--preset", "flehinger", "--n", "1000", "--threads", "0"],
+        ["chain", "--preset", "flehinger", "--n", "1000", "--threads", "-1"],
+        ["chain", "--preset", "flehinger", "--n", "1000", "--threads", "1000000"],
     ], ids=" ".join)
     def test_bad_argument_exits_2(self, argv):
         # the first two used to hang, the next four to end in a traceback (exit 1),
-        # the last two to exit 4 as a numerical failure
+        # the next two to exit 4 as a numerical failure; of the rest, the first
+        # five ended in a traceback and the thread counts ran one worker, or
+        # asked for a million threads (refused before any thread starts)
         proc = _run(["-m", "digitlab.cli", *argv, "--quiet"])
         assert proc.returncode == EXIT_USAGE, proc.stderr
         assert proc.stderr.startswith("error:")
+
+    def test_huge_scan_grid_refused_before_allocation(self):
+        # 1e300 rates: refused before any list is built; the address-space
+        # limit makes a regression fail with MemoryError, not take the machine
+        def limit_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (2**31, 2**31))
+
+        proc = subprocess.run(
+            [sys.executable, "-m", "digitlab.cli", "growth", "scan", "--lo", "1", "--hi", "2",
+             "--step", "1e-300", "--quiet"],
+            capture_output=True, text=True, timeout=_TIMEOUT_S, env=_ENV, preexec_fn=limit_memory)
+        assert proc.returncode == EXIT_USAGE, proc.stderr
+        assert proc.stderr.startswith("error:") and "rates" in proc.stderr
+
+    def test_power_law_at_extreme_exponent_is_a_point_mass(self):
+        # k/x**1e300 on (0.5, 1000) puts all its mass at 0.5: digit 5
+        proc = _run(["-m", "digitlab.cli", "analytic", "power-law", "--m", "1e300", "--lo", "0.5"])
+        assert proc.returncode == EXIT_OK, proc.stderr
+        assert "    5      1.00000" in proc.stdout
 
 
 # runs main() and reports its exit code and the scipy modules it left loaded

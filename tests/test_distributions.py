@@ -290,8 +290,40 @@ class TestPowerOfTenScaling:
         with pytest.raises(BadParamsError):  # 0.4 faces
             dm.Die(4).scaled_by_power_of_ten(-1, subset=["faces"])
 
+    @pytest.mark.parametrize("m", [309, 400, -324])
+    def test_exponent_outside_the_doubles_refused(self, m):
+        with pytest.raises(BadParamsError, match="10\\*\\*m"):
+            dm.Normal(0.0, 1.0).scaled_by_power_of_ten(m)
+
+    def test_largest_exponent(self):
+        assert dm.Normal(0.0, 1.0).scaled_by_power_of_ten(308) == dm.Normal(0.0, 1e308)
+        with pytest.raises(BadParamsError, match="not a double"):
+            dm.Die(6).scaled_by_power_of_ten(308, subset=["faces"])
+
     def test_no_form(self):
         from digitlab.errors import UnsupportedFormError
 
         with pytest.raises(UnsupportedFormError):
             dm.Die(6).scaled_by_power_of_ten(1)
+
+
+class TestGammaPdf:
+    @pytest.mark.parametrize("k,theta,xs", [
+        (200.0, 1.0, (150.0, 200.0, 260.0)),  # x**(k - 1) alone overflows
+        (2.0, 1e-300, (1e-300, 3e-300)),  # theta**k underflows
+        (2.0, 1e300, (1e300, 5e300)),  # theta**k overflows
+        (0.5, 1.0, (1e-200, 1.0, 30.0)),
+    ])
+    def test_matches_scipy_where_the_powers_leave_the_doubles(self, k, theta, xs):
+        from scipy import stats
+
+        for x in xs:
+            assert dm.Gamma(k, theta).pdf(x) == pytest.approx(
+                stats.gamma.pdf(x, k, scale=theta), rel=1e-12)
+
+    def test_density_past_the_doubles_is_inf(self):
+        assert dm.Gamma(0.01, 1.0).pdf(5e-324) == math.inf
+
+    def test_shape_past_lgamma_refused(self):
+        with pytest.raises(BadParamsError, match="Gamma"):
+            dm.Gamma(1.7e308, 1.0).pdf(1.0)

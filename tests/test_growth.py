@@ -9,7 +9,7 @@ from hypothesis import example, given, strategies as st
 from digitlab import growth
 from digitlab.digits import benford_first
 from digitlab.distributions import PowerLaw, Uniform
-from digitlab.errors import BadParamsError, EmptyInputError
+from digitlab.errors import BadParamsError, EmptyInputError, TooLargeError
 
 DIGITS = range(1, 10)
 
@@ -262,6 +262,14 @@ class TestRateScan:
                 "base": 3.0, "t_flag": 10, **kwargs}
         with pytest.raises(BadParamsError):
             growth.rate_scan(**args)
+
+
+    @pytest.mark.parametrize("lo,hi,step", [(1.0, 2.0, 1e-300), (-99.0, 1e308, 1e-10),
+                                            (1.0, 1.0 + 0.5 * growth._MAX_RATES, 0.5)])
+    def test_oversized_grid_refused(self, lo, hi, step):
+        # refused before any list is built; the last grid is one rate too many
+        with pytest.raises(TooLargeError):
+            growth.rate_scan(lo, hi, step, 10, 3.0, t_flag=10)
 
 
 def _snap_reference(m: float) -> int:
