@@ -466,7 +466,12 @@ class Weibull(DistributionModel):
             return 0.0
         k, lam = self.k, self.lam
         z = x / lam
-        return (k / lam) * z ** (k - 1) * math.exp(-(z**k))
+        # in log space: z**(k - 1) and z**k need not be doubles, nor z itself
+        log_z = math.log(z) if 0.0 < z < math.inf else math.log(x) - math.log(lam)
+        if k * log_z >= _LN_MAX:
+            return 0.0  # exp(-z**k) with z**k past the doubles
+        log_pdf = math.log(k) - math.log(lam) + (k - 1) * log_z - math.exp(k * log_z)
+        return math.exp(log_pdf) if log_pdf < _LN_MAX else math.inf
 
     @staticmethod
     def draw(rng, n, k, lam):
@@ -490,10 +495,12 @@ class Rayleigh(DistributionModel):
         return _positive(sigma)
 
     def pdf(self, x):
-        if x < 0:
+        if x <= 0:
             return 0.0
-        s2 = self.sigma**2
-        return x * math.exp(-0.5 * x * x / s2) / s2
+        # in log space: sigma**2 need not be a double
+        u = x / self.sigma
+        log_pdf = math.log(x) - 2.0 * math.log(self.sigma) - 0.5 * u * u
+        return math.exp(log_pdf) if log_pdf < _LN_MAX else math.inf
 
     @staticmethod
     def draw(rng, n, sigma):

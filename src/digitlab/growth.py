@@ -9,6 +9,7 @@ never overflow; values themselves are materialized only on request.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -39,8 +40,18 @@ __all__ = [
 _BOUNDS = np.array(compartment_boundaries(10))
 # elements per mantissa block of a rate scan; bounds the scan's scratch arrays
 _BLOCK = 2**14
-# rates in one scan: each result cell holds about 270 bytes and 0.1 ms of work
+# rates in one scan (each result cell holds about 270 bytes and 0.1 ms of
+# work), and (L, T) pairs one enumerate_anomalous call may consider
 _MAX_RATES = 10**6
+# bins of the mantissa digit table: each holds at most one snap threshold
+_BINS = 4096
+# integers up to 2**53 are doubles exactly
+_EXACT = 2**53
+
+
+def _check_percent(percent: float) -> None:
+    if not -100 < percent < math.inf:  # NaN fails too
+        raise BadParamsError(f"percent must be finite and > -100, got {percent}")
 
 
 @dataclass(frozen=True)
@@ -54,8 +65,7 @@ class GrowthSeries:
     def __post_init__(self):
         if not 0 < self.base < math.inf:
             raise BadParamsError(f"base must be finite and > 0, got {self.base}")
-        if not -100 < self.percent < math.inf:
-            raise BadParamsError(f"percent must be finite and > -100, got {self.percent}")
+        _check_percent(self.percent)
         if self.length < 1:
             raise BadParamsError(f"length must be >= 1, got {self.length}")
 
@@ -122,6 +132,37 @@ def series_mantissas(series: GrowthSeries) -> np.ndarray:
     return _mantissa_rows(math.log10(series.base) % 1.0, m_f, series.length)[0]
 
 
+def _snap_threshold(edge: float) -> float:
+    """Smallest double m with abs(m - edge) < 1e-9, by bisection over doubles."""
+    lo, hi = edge - 2e-9, edge  # the rule is false at lo and true at hi
+    while math.nextafter(lo, hi) != hi:
+        mid = (lo + hi) / 2
+        if abs(mid - edge) < 1e-9:
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+@functools.cache
+def _digit_table() -> tuple[np.ndarray, np.ndarray]:
+    """Per mantissa bin [i, i + 1) / _BINS (and one more bin for 1.0): the
+    digit at the bin start and the snap threshold inside the bin (inf if
+    none), where the next digit starts.  Digits run 1..10, 10 being a power
+    of ten; built on first use."""
+    thresholds = [_snap_threshold(edge) for edge in _BOUNDS[1:]]  # digits 2..10
+    starts = np.arange(_BINS + 1) / _BINS
+    start_digit = 1 + np.searchsorted(thresholds, starts, side="right")
+    split = np.full(_BINS + 1, np.inf)
+    for t in thresholds:
+        i = int(t * _BINS)
+        if t > starts[i]:
+            split[i] = t
+    start_digit.setflags(write=False)  # shared by every caller
+    split.setflags(write=False)
+    return start_digit, split
+
+
 def _digits_from_mantissas(mant: np.ndarray) -> np.ndarray:
     """First digits of mantissas in [0, 1), elementwise for any shape.
 
@@ -129,11 +170,16 @@ def _digits_from_mantissas(mant: np.ndarray) -> np.ndarray:
     on it, so accumulated float drift cannot flip exact-boundary series
     elements (a series starting at 3 has every mantissa exactly on the
     digit-3 edge): it gets digit d.  Within 1e-9 of 0, and within 1e-9
-    below 1 (an element that is a power of ten), give digit 1.
+    below 1 (an element that is a power of ten), give digit 1 (so does a
+    mantissa rounded up to 1.0).  The rule is applied through a table: each
+    edge's threshold is the smallest double the rule sends to digit d,
+    found once by bisection.
     """
-    edge = np.searchsorted(_BOUNDS, mant).clip(0, 9)  # first edge >= mant
-    digs = edge + (np.abs(mant - _BOUNDS[edge]) < 1e-9)
-    return np.where(digs == 10, 1, digs)
+    start_digit, split = _digit_table()
+    i = (mant * _BINS).astype(np.intp)
+    digs = start_digit[i] + (mant >= split[i])
+    digs[digs == 10] = 1
+    return digs
 
 
 def _digit_counts(mant: np.ndarray) -> np.ndarray:
@@ -147,6 +193,8 @@ def _digit_counts(mant: np.ndarray) -> np.ndarray:
 
 def _ld_chi(mant: np.ndarray) -> tuple[DigitDistribution, float]:
     """Digit law and Benford chi-square of a 1-D mantissa vector."""
+    if not np.isfinite(mant).all():
+        raise BadParamsError("a non-finite value has no leading digit")
     counts = _digit_counts(mant)
     return DigitDistribution.from_counts(counts), chi_sqr_vs_benford(counts)
 
@@ -166,45 +214,107 @@ def series_ld(values_or_series) -> tuple[DigitDistribution, float]:
     return _ld_chi(np.log10(vals) % 1.0)
 
 
-def _best_rational(x: float, max_den: int) -> tuple[int, int]:
-    """Best rational approximation to x with denominator <= max_den.
+def _limit_denominator(n: np.ndarray, d: np.ndarray, t_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """p, q with p/q == Fraction(n, d).limit_denominator(t_max), row by row.
 
-    Stern-Brocot mediant walk, exact in integer arithmetic via Fraction.
+    CPython's algorithm on every row at once: a fraction whose denominator
+    is <= t_max is its own answer; the others run Euclid's recurrence until
+    the next convergent's denominator would pass t_max (tested as
+    a > (t_max - q0) // q1, so it is never formed), then take the last
+    convergent or semiconvergent, whichever is nearer.  n/d must be reduced
+    with d > 0, in int64 or object (Python int) arrays whose dtype holds d
+    and (n // d + 1) * t_max.
     """
-    fx = Fraction(x).limit_denominator(max_den)
-    return fx.numerator, fx.denominator
+    p, q = n.copy(), d.copy()
+    rows = np.flatnonzero(d > t_max)
+    n, d = n[rows], d[rows]
+    a = n // d
+    p0, q0, p1, q1 = np.ones_like(a), np.zeros_like(a), a, np.ones_like(a)
+    n, d, big_d = d, n - a * d, d
+    while rows.size:
+        a = n // d
+        k = (t_max - q0) // q1
+        stop = a > k
+        if stop.any():
+            # p1/q1 or the semiconvergent (p0 + k p1)/(q0 + k q1), whichever
+            # is nearer, p1/q1 on a tie: 2 d (q0 + k q1) <= big_d, in integers
+            qk = q0 + k * q1
+            near = d <= big_d // (2 * qk)
+            p[rows[stop]] = np.where(near, p1, p0 + k * p1)[stop]
+            q[rows[stop]] = np.where(near, q1, qk)[stop]
+            go = ~stop
+            rows, a, big_d, p0, q0, p1, q1, n, d = (
+                v[go] for v in (rows, a, big_d, p0, q0, p1, q1, n, d))
+        p0, q0, p1, q1 = p1, q1, p0 + a * p1, q0 + a * q1
+        n, d = d, n - a * d
+    return p, q
+
+
+def _anomalies(x: np.ndarray, t_max: int, tol: float) -> list[AnomalyRecord | None]:
+    """detect_anomalous for every x = log10(1 + P/100) of a 1-D array.
+
+    Each positive x is the exact ratio n / 2**s of its double.  Rows where
+    2**s <= 2**62 and (floor(x) + 1) t_max <= 2**53 run the recurrence in
+    int64, where every p and q is also a double exactly; the rest (x < 2**-10,
+    or a large t_max) run the same code on Python ints.
+    """
+    found: list[AnomalyRecord | None] = [None] * x.size
+    mant, exp = np.frexp(x)
+    shift = 53 - exp
+    pos = x > 0  # decay or zero growth never hits a positive L/T
+    small = pos & (shift <= 62) & (np.floor(x) < _EXACT // t_max)
+    for mask, dtype in ((small, np.int64), (pos & ~small, object)):
+        idx = np.flatnonzero(mask)
+        if not idx.size:
+            continue
+        n = (mant[idx] * _EXACT).astype(np.int64).astype(dtype)
+        d = np.left_shift(1, shift[idx].astype(dtype))
+        g = np.minimum(n & -n, d)  # gcd(n, d): d is a power of two
+        p, q = _limit_denominator(n // g, d // g, t_max)
+        xr, pf = x[idx], p.astype(np.float64)
+        ok = (p >= 1) & ~(np.abs(xr - (p / q).astype(np.float64)) > tol)
+        # the power identity T x = L, in log space (10**L may be astronomical)
+        lhs = (q * xr).astype(np.float64)
+        ok &= ~(np.abs(lhs - pf) > 10.0 * tol * np.maximum(1.0, pf))
+        records: dict[tuple[int, int], AnomalyRecord] = {}  # neighbouring rates share one
+        for i, lt in zip(idx[ok].tolist(), zip(p[ok].tolist(), q[ok].tolist())):
+            if lt not in records:
+                records[lt] = AnomalyRecord(*lt)
+            found[i] = records[lt]
+    return found
 
 
 def detect_anomalous(percent: float, t_max: int, tol: float = 1e-10) -> AnomalyRecord | None:
     """Detect whether log10(1 + percent/100) is a rational L/T with T <= t_max.
 
-    Returns the reduced record when the best bounded-denominator rational
-    sits within tol of the fraction and the power identity
-    (1+P/100)**T = 10**L holds within relative 10*tol; else None.
+    L/T is Fraction(x).limit_denominator(t_max) of x = log10(1 + percent/100),
+    computed as an exact continued fraction on the double x.  Returns the
+    reduced record when L >= 1, L/T sits within tol of x and the power
+    identity (1+P/100)**T = 10**L holds within 10*tol*max(1, L) in log
+    space (|T x - L|); else None.  This is the one-rate call of the array
+    kernel rate_scan uses.
     """
-    if percent <= -100:
-        raise BadParamsError(f"percent must be > -100, got {percent}")
+    _check_percent(percent)
     if t_max < 1:
         raise BadParamsError(f"t_max must be >= 1, got {t_max}")
-    x = math.log10(1.0 + percent / 100.0)
-    if x <= 0:
-        return None  # decay or zero growth never hits a positive L/T
-    num, den = _best_rational(x, t_max)
-    if num < 1 or abs(x - num / den) > tol:
-        return None
-    # verify the power identity in log space (10**L may be astronomical)
-    lhs = den * math.log10(1.0 + percent / 100.0)
-    if abs(lhs - num) > 10.0 * tol * max(1.0, num):
-        return None
-    return AnomalyRecord(L=num, T=den)
+    return _anomalies(np.array([math.log10(1.0 + percent / 100.0)]), t_max, tol)[0]
 
 
 def enumerate_anomalous(l_set, t_range: tuple[int, int]) -> list[AnomalyRecord]:
-    """All reduced (L, T) records with L in l_set, T in t_range, by percent."""
+    """All reduced (L, T) records with L in l_set, T in t_range, by percent.
+
+    T values below 1 raise BadParamsError; more than _MAX_RATES (L, T) pairs
+    raise TooLargeError before any record is built.
+    """
     t_lo, t_hi = t_range
+    if min(t_lo, t_hi) < 1:
+        raise BadParamsError(f"T must be >= 1, got the range {t_lo}..{t_hi}")
+    ls = sorted(set(l_set))
+    if len(ls) * (t_hi - t_lo + 1) > _MAX_RATES:
+        raise TooLargeError(f"{len(ls)} L values x T in {t_lo}..{t_hi} is more than {_MAX_RATES} pairs")
     records = [
         AnomalyRecord(L=l, T=t)
-        for l in sorted(set(l_set))
+        for l in ls
         for t in range(t_lo, t_hi + 1)
         if math.gcd(l, t) == 1
     ]
@@ -213,6 +323,7 @@ def enumerate_anomalous(l_set, t_range: tuple[int, int]) -> list[AnomalyRecord]:
 
 def cumulative_factors(percent: float, count: int) -> np.ndarray:
     """(1+P/100)**j for j = 1..count, computed in log space."""
+    _check_percent(percent)
     if count < 1:
         raise BadParamsError(f"count must be >= 1, got {count}")
     j = np.arange(1, count + 1, dtype=np.float64)
@@ -252,30 +363,38 @@ def rate_scan(
     each block one (rates x n_elements) mantissa matrix, so memory stays
     bounded whatever the grid size.  Digits come from the mantissas, a
     mantissa within 1e-9 of the edge log10 d counting as digit d (see
-    _digits_from_mantissas).  A rate is flagged by detect_anomalous
-    with the fixed tolerance 1/(2 n_elements): a rate within that distance
+    _digits_from_mantissas).  A rate is flagged as detect_anomalous(rate,
+    t_flag, tol=1/(2 n_elements)) would flag it: a rate within that distance
     of a bounded-denominator rational behaves anomalously at this series
-    length, which is what the flag is for.
+    length, which is what the flag is for.  The flags come from one exact
+    continued-fraction expansion over _BLOCK rates at a time, on the same
+    x = log10(1 + rate/100) whose fractional part drives the mantissas.
     """
     if not (lo_percent < hi_percent < math.inf and 0 < step < math.inf):
         raise BadParamsError("need lo < hi and step > 0, all finite")
+    if t_flag < 1:
+        raise BadParamsError(f"t_max must be >= 1, got {t_flag}")
     GrowthSeries(base=base, percent=lo_percent, length=n_elements)  # validates the lowest rate
     steps = (hi_percent - lo_percent) / step
     if not steps + 1 <= _MAX_RATES:  # also inf; checked before any list is built
         raise TooLargeError(f"the grid has {steps + 1:.3g} rates, more than {_MAX_RATES}")
     n_steps = int(round(steps))
     pcts = [lo_percent + i * step for i in range(n_steps + 1)]
-    m_b = math.log10(base) % 1.0
-    m_f = np.array([math.log10(1.0 + pct / 100.0) % 1.0 for pct in pcts])
+    # math.log10 as series_mantissas and detect_anomalous take it; numpy's
+    # log10 can differ from it in the last bit
+    x = np.array([math.log10(1.0 + pct / 100.0) for pct in pcts])
+    m_b, m_f = math.log10(base) % 1.0, x % 1.0
     rows = max(1, _BLOCK // n_elements)
     chis = np.concatenate([
         chi_sqr_vs_benford(_digit_counts(_mantissa_rows(m_b, m_f[i:i + rows], n_elements)))
         for i in range(0, len(pcts), rows)
     ])
     tol = 0.5 / n_elements
+    flags = [rec for i in range(0, len(pcts), _BLOCK)
+             for rec in _anomalies(x[i:i + _BLOCK], t_flag, tol)]
     return [
-        RateScanCell(percent=pct, chi_sqr=chi, anomaly=detect_anomalous(pct, t_flag, tol=tol))
-        for pct, chi in zip(pcts, chis.tolist())
+        RateScanCell(percent=pct, chi_sqr=chi, anomaly=rec)
+        for pct, chi, rec in zip(pcts, chis.tolist(), flags)
     ]
 
 

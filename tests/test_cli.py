@@ -394,15 +394,34 @@ class TestExitCodes:
         ["chain", "--preset", "flehinger", "--n", "1000", "--threads", "0"],
         ["chain", "--preset", "flehinger", "--n", "1000", "--threads", "-1"],
         ["chain", "--preset", "flehinger", "--n", "1000", "--threads", "1000000"],
+        ["growth", "factors", "--rate", "-150", "--count", "3"],
+        ["growth", "factors", "--rate", "nan", "--count", "3"],
+        ["growth", "anomalies", "--t-max", "0"],
+        ["growth", "anomalies", "--t-max", "100000000"],
     ], ids=" ".join)
     def test_bad_argument_exits_2(self, argv):
         # the first two used to hang, the next four to end in a traceback (exit 1),
-        # the next two to exit 4 as a numerical failure; of the rest, the first
-        # five ended in a traceback and the thread counts ran one worker, or
-        # asked for a million threads (refused before any thread starts)
+        # the next two to exit 4 as a numerical failure; of the next eight, the
+        # first five ended in a traceback and the thread counts ran one worker, or
+        # asked for a million threads (refused before any thread starts); of the
+        # growth cases, a rate of -150 % ended in a traceback, NaN printed NaN
+        # factors, T <= 0 printed an empty table and 10^8 T values built a record
+        # each (refused before any is built)
         proc = _run(["-m", "digitlab.cli", *argv, "--quiet"])
         assert proc.returncode == EXIT_USAGE, proc.stderr
         assert proc.stderr.startswith("error:")
+
+    @pytest.mark.parametrize("family,params,codes", [
+        ("weibull", ["200", "1"], {EXIT_OK}),
+        # the density now evaluates; its mass, far from decade 0, is not found
+        ("rayleigh", ["1e300"], {EXIT_OK, EXIT_USAGE}),
+    ])
+    def test_pdf_powers_past_the_doubles_are_no_traceback(self, family, params, codes):
+        # both ended in an OverflowError traceback (exit 1)
+        proc = _run(["-m", "digitlab.cli", "invariance", "--family", family, "--params", *params,
+                     "--quiet"])
+        assert proc.returncode in codes, proc.stderr
+        assert "Traceback" not in proc.stderr
 
     def test_huge_scan_grid_refused_before_allocation(self):
         # 1e300 rates: refused before any list is built; the address-space

@@ -327,3 +327,33 @@ class TestGammaPdf:
     def test_shape_past_lgamma_refused(self):
         with pytest.raises(BadParamsError, match="Gamma"):
             dm.Gamma(1.7e308, 1.0).pdf(1.0)
+
+
+class TestWeibullRayleighPdf:
+    @pytest.mark.parametrize("k,lam,xs", [
+        (200.0, 1.0, (0.98, 1.0, 1.01, 10.0)),
+        (2.0, 1e300, (1e300, 3e300)),
+        (2.0, 1e-300, (1e-300, 2e-300)),
+        (0.5, 1.0, (1e-200, 1.0, 30.0)),
+    ])
+    def test_weibull_matches_scipy(self, k, lam, xs):
+        from scipy import stats
+
+        for x in xs:
+            assert dm.Weibull(k, lam).pdf(x) == pytest.approx(
+                stats.weibull_min.pdf(x, k, scale=lam), rel=1e-12)
+
+    @pytest.mark.parametrize("sigma,xs", [
+        (1e300, (1e300, 3e300)),  # sigma**2 overflowed
+        (1e-300, (1e-300, 3e-300)),  # sigma**2 underflowed to 0
+        (1.0, (1e-200, 1.0, 40.0)),
+    ])
+    def test_rayleigh_matches_scipy(self, sigma, xs):
+        from scipy import stats
+
+        for x in xs:
+            assert dm.Rayleigh(sigma).pdf(x) == pytest.approx(
+                stats.rayleigh.pdf(x, scale=sigma), rel=1e-12)
+
+    def test_weibull_tail_past_the_doubles_is_zero(self):
+        assert dm.Weibull(200.0, 1.0).pdf(1e10) == 0.0

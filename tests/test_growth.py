@@ -1,6 +1,8 @@
 """Tests for growth series, singularity detection, and multiplication processes."""
 
+import hashlib
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -79,6 +81,11 @@ class TestSeriesLd:
         with pytest.raises(EmptyInputError):
             growth.series_ld([0.0, 0.0])
 
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_value_rejected(self, bad):
+        with pytest.raises(BadParamsError, match="non-finite"):
+            growth.series_ld([1.0, bad])
+
     def test_distinct_digit_counts_basic_rates(self):
         # Distinct leaders at base 3, 1000 elements, frozen from the residue
         # oracle: the T anchor mantissas frac(log10 3 + k/T) map into
@@ -126,6 +133,73 @@ class TestDetection:
     def test_decay_returns_none(self):
         assert growth.detect_anomalous(-25.0, 100) is None
 
+    @pytest.mark.parametrize("percent", [math.nan, math.inf, -math.inf, -100.0, -150.0])
+    def test_rate_outside_the_series_rule_rejected(self, percent):
+        with pytest.raises(BadParamsError, match="percent"):
+            growth.detect_anomalous(percent, 100)
+
+    def test_t_max_below_one_rejected(self):
+        with pytest.raises(BadParamsError, match="t_max"):
+            growth.detect_anomalous(10.0, 0)
+
+
+def _flag_oracle(x: float, t_max: int, tol: float):
+    """The documented flag rule on one x = log10(1 + P/100), through
+    Fraction.limit_denominator: (L, T) or None."""
+    if x <= 0:
+        return None
+    f = Fraction(x).limit_denominator(t_max)
+    num, den = f.numerator, f.denominator
+    if num < 1 or abs(x - num / den) > tol:
+        return None
+    if abs(den * x - num) > 10.0 * tol * max(1.0, num):
+        return None
+    return num, den
+
+
+def _pairs(records):
+    return [(r.L, r.T) if r else None for r in records]
+
+
+T_MAXES = st.sampled_from([1, 2, 100, 10**4, 2**62, 10**21])
+TOLERANCES = st.sampled_from([1e-10, 0.5 / 1000, 0.5, math.inf])  # inf: limit_denominator alone
+RATES = st.one_of(
+    st.floats(-99.0, 1e4, exclude_min=True),
+    st.floats(1e-12, 1e-3),
+    # the rates of small-T rationals L/T, on them and nudged off
+    st.builds(lambda l, t, nudge: 100.0 * (10.0 ** (l / t) - 1.0) + nudge * 2**-40,
+              st.integers(1, 3), st.integers(1, 120), st.integers(-3, 3)),
+)
+
+
+class TestFlagKernel:
+    @given(st.lists(RATES, min_size=1, max_size=40), T_MAXES, TOLERANCES)
+    def test_matches_limit_denominator(self, rates, t_max, tol):
+        # rows of one call mix the int64 and the Python-int rows
+        x = np.array([math.log10(1.0 + p / 100.0) for p in rates])
+        got = growth._anomalies(x, t_max, tol)
+        assert _pairs(got) == [_flag_oracle(v, t_max, tol) for v in x.tolist()]
+        assert growth.detect_anomalous(rates[0], t_max, tol) == got[0]
+
+    @given(st.integers(1, 30), st.integers(0, 2**20), st.integers(-2, 2), TOLERANCES)
+    @example(1, 0, 0, math.inf)  # x = 1/2, T <= 1: 0/1 and 1/1 tie
+    @example(2, 0, 0, math.inf)  # x = 1/4, T <= 2: 0/1 and 1/2 tie
+    @example(2, 1, 0, math.inf)  # x = 3/4, T <= 2: 1/2 and 1/1 tie
+    @example(1, 2, 0, math.inf)  # x = 5/2, T <= 1: 2/1 and 3/1 tie
+    def test_halfway_ties(self, j, k, dt, tol):
+        # x = (2k + 1) / 2**j sits half-way between k/2**(j-1) and
+        # (k + 1)/2**(j-1); T around 2**(j-1) makes them the two candidates
+        x = (2 * k + 1) / 2**j
+        t_max = max(1, 2 ** (j - 1) + dt)
+        got = growth._anomalies(np.array([x, x / 3, x + 1]), t_max, tol)
+        assert _pairs(got) == [_flag_oracle(v, t_max, tol) for v in (x, x / 3, x + 1)]
+
+    def test_scan_grid_has_no_mismatch(self):
+        pcts = [1.0 + i * 0.01 for i in range(20_000)]
+        x = np.array([math.log10(1.0 + p / 100.0) for p in pcts])
+        got = growth._anomalies(x, 100, 0.5 / 1000)
+        assert _pairs(got) == [_flag_oracle(v, 100, 0.5 / 1000) for v in x.tolist()]
+
 
 class TestEnumerate:
     @pytest.mark.parametrize(
@@ -150,6 +224,19 @@ class TestEnumerate:
     def test_big_l_exact_power(self):
         assert growth.AnomalyRecord(277, 600).first_power_of_ten_factor == 10**277
 
+    @pytest.mark.parametrize("t_range", [(0, 5), (1, 0), (-3, 4)])
+    def test_t_below_one_rejected(self, t_range):
+        with pytest.raises(BadParamsError, match="T must be"):
+            growth.enumerate_anomalous([1], t_range)
+
+    def test_too_many_pairs_refused_before_building(self):
+        # 10**12 pairs would take hours; the cap answers at once
+        with pytest.raises(TooLargeError):
+            growth.enumerate_anomalous([1], (1, 10**12))
+        with pytest.raises(TooLargeError):
+            growth.enumerate_anomalous(range(1, 3), (1, growth._MAX_RATES // 2 + 1))
+        assert len(growth.enumerate_anomalous([1], (1, 1000))) == 1000
+
     def test_invalid_records(self):
         with pytest.raises(BadParamsError):
             growth.AnomalyRecord(2, 4)  # not reduced
@@ -169,6 +256,11 @@ class TestCumulativeFactors:
         f = growth.cumulative_factors(93.070, 28)
         assert f[7 - 1] == pytest.approx(100.0, abs=0.1)
         assert f[14 - 1] == pytest.approx(10000.0, rel=1e-3)
+
+    @pytest.mark.parametrize("percent", [-150.0, -100.0, math.nan, math.inf])
+    def test_rate_outside_the_series_rule_rejected(self, percent):
+        with pytest.raises(BadParamsError, match="percent"):
+            growth.cumulative_factors(percent, 3)
 
     def test_typical_series_column(self):
         f = growth.cumulative_factors(40.0, 31)
@@ -252,6 +344,32 @@ class TestRateScan:
         if rows > 1:
             assert any(c.anomaly is not None for c in cells)
 
+    @pytest.mark.parametrize("args,digest", [
+        # the bench grid's shape: 14,901 rates, n = 1000, T <= 100
+        ((1.0037, 150.0037, 0.01, 1000, 4.217, 100),
+         "a7a85b09751679a4f84ae4322f972652825c6745663fff2a8078afa62bba20b5"),
+        # across 900 %, where log10(1 + P/100) passes 1
+        ((850.0, 950.0, 0.01, 500, 3.0, 100),
+         "f5c40f92c27c7a1a32f61e2db52453e405e7c6a2e5bfa8e5c29f336727ced2e6"),
+        # decay, zero and tiny growth
+        ((-99.0, 5.0, 0.013, 300, 7.3, 60),
+         "48ca18279f77ea228392adc9d20b1a1d2cadfbc6c46b50730db37b434c05c47d"),
+        # tiny rates with large T: the Python-int rows
+        ((1e-9, 1e-3, 1e-6, 200, 2.5, 10**12),
+         "bf41f456feae7311645849314f6168d07b62876ed44c2e201344ed13c5d9d3fe"),
+        ((1e-12, 1e-9, 1e-12, 50, 2.5, 10**21),
+         "3aa3b69aacf77f1511e78158f48e3d3a2bc68d1bba99bce04e99749ca0cb9a02"),
+    ], ids=["bench", "cross-900", "negative", "tiny", "tiny-huge-t"])
+    def test_csv_golden(self, args, digest):
+        # sha256 of scan_to_csv as the per-rate Fraction loop and the
+        # searchsorted digit rule wrote it
+        csv = growth.scan_to_csv(growth.rate_scan(*args))
+        assert hashlib.sha256(csv.encode()).hexdigest() == digest
+
+    def test_t_flag_below_one_rejected(self):
+        with pytest.raises(BadParamsError, match="t_max"):
+            growth.rate_scan(1.0, 2.0, 0.5, 10, 3.0, t_flag=0)
+
     @pytest.mark.parametrize(
         "kwargs",
         [{"n_elements": 0}, {"base": 0.0}, {"base": -2.0}, {"lo_percent": -150.0},
@@ -318,6 +436,20 @@ class TestDigitsFromMantissas:
         # the 2-D (block) form is elementwise the same
         twice = np.array([mants, mants[::-1]])
         assert growth._digits_from_mantissas(twice).tolist() == [got.tolist(), got.tolist()[::-1]]
+
+
+class TestDigitTable:
+    @pytest.mark.parametrize("d", range(2, 11))
+    def test_thresholds_are_where_the_rule_switches(self, d):
+        # the bisected threshold goes to digit d, the double below it does not
+        thr, want = growth._snap_threshold(math.log10(d)), 1 if d == 10 else d
+        below = math.nextafter(thr, 0.0)
+        assert (_snap_reference(below), _snap_reference(thr)) == (d - 1, want)
+        assert growth._digits_from_mantissas(np.array([below, thr])).tolist() == [d - 1, want]
+
+    def test_mantissa_one_counts_as_digit_one(self):
+        # (x - floor(x)) rounds to 1.0 just below a power of ten
+        assert growth._digit_counts(np.array([1.0, 0.0, 0.5])).tolist() == [2, 0, 1, 0, 0, 0, 0, 0, 0]
 
 
 class TestEquivalentRate:
