@@ -7,11 +7,16 @@ Two computational styles coexist on purpose:
   are folded modulo 1 exactly);
 - generic adaptive quadrature over digit intervals (``ld_of_density``),
   which doubles as the independent cross-check path.
+
+Every integral goes through ``quad``: QUADPACK's 21-point Gauss-Kronrod rule
+with global adaptive bisection, in pure Python and numpy (no scipy).
 """
 
 from __future__ import annotations
 
+import heapq
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,6 +38,7 @@ __all__ = [
     "DecadeDecomposition",
     "ld_kx",
     "ld_power_law",
+    "quad",
     "ld_of_density",
     "ld_exponential",
     "ld_ten_to_symmetric",
@@ -395,16 +401,76 @@ def induced_x_density(spec: LogDensitySpec):
 # ---------------------------------------------------------------------------
 # generic quadrature path
 
+# QUADPACK's QK21 rule (Piessens et al., QUADPACK, 1983): the 21 Kronrod nodes
+# on [-1, 1], the Kronrod weights, and the 10-point Gauss weights, which are
+# zero on the Kronrod-only nodes (every second node from the outside in)
+_XK = (0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
+       0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
+       0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
+       0.562757134668604683339000099272694, 0.433395394129247190799265943165784,
+       0.294392862701460198131126603103866, 0.148874338981631210884826001129720)
+_WK = (0.011694638867371874278064396062192, 0.032558162307964727478818972459390,
+       0.054755896574351996031381300244580, 0.075039674810919952767043140916190,
+       0.093125454583697605535065465083366, 0.109387158802297641899210590325805,
+       0.123491976262065851077600525452184, 0.134709217311473325928054001771707,
+       0.142775938577060080797094273138717, 0.147739104901338491374841515972068)
+_WK0 = 0.149445554002916905664936468389821
+_WG = (0.0, 0.066671344308688137593568809893332, 0.0, 0.149451349150580593145776339657697,
+       0.0, 0.219086362515982043995534934228163, 0.0, 0.269266719309996355091226921569469,
+       0.0, 0.295524224714752870173892994651338)
+_NODES = np.array([*(-x for x in _XK), 0.0, *reversed(_XK)])
+_KRONROD = np.array([*_WK, _WK0, *reversed(_WK)])
+_GAUSS = np.array([*_WG, 0.0, *reversed(_WG)])
+_FLOAT_MAX = sys.float_info.max
+_J_LO, _J_HI = -323, 308  # the decades 10**j that are positive doubles
+_LIMIT = 200  # the most pieces one quad call splits its interval into
+
+
+def _qk21(f, a: float, b: float) -> tuple[float, float, float, float]:
+    """(-error, a, b, value) of the 21-point Kronrod rule on [a, b]; error = |K21 - G10|."""
+    center, half = 0.5 * a + 0.5 * b, 0.5 * b - 0.5 * a  # neither overflows
+    fv = np.array([f(x) for x in (center + half * _NODES).tolist()], dtype=float)
+    with np.errstate(all="ignore"):  # an inf or NaN value is reported below
+        k21, g10 = float(half * (_KRONROD @ fv)), float(half * (_GAUSS @ fv))
+    if not math.isfinite(k21):
+        raise QuadratureFailureError(f"integral over ({a}, {b}) is not finite")
+    return -abs(k21 - g10), a, b, k21
+
+
+def quad(f, a: float, b: float, tol: float) -> tuple[float, float]:
+    """(value, abserr) of the integral of f over the finite interval [a, b].
+
+    Globally adaptive: the piece with the largest error estimate is bisected
+    until the summed error is at most tol * max(1, |value|) (tol is both the
+    absolute and the relative tolerance), _LIMIT pieces exist, or no piece can
+    be split further.  A non-finite value raises QuadratureFailureError.
+    """
+    if not (math.isfinite(a) and math.isfinite(b) and a < b):
+        raise BadRangeError(f"quad needs finite limits a < b, got ({a}, {b})")
+    pieces = [_qk21(f, a, b)]
+    value, err = pieces[0][3], -pieces[0][0]
+    while err > tol * max(1.0, abs(value)) and len(pieces) < _LIMIT:
+        _, lo, hi, _ = pieces[0]
+        mid = 0.5 * lo + 0.5 * hi
+        if not lo < mid < hi:
+            break
+        heapq.heapreplace(pieces, _qk21(f, lo, mid))
+        heapq.heappush(pieces, _qk21(f, mid, hi))
+        value, err = math.fsum(p[3] for p in pieces), -math.fsum(p[0] for p in pieces)
+    return value, err
+
 
 def ld_of_density(pdf, support: tuple[float, float], tol: float = 1e-9) -> DigitDistribution:
     """LD of an arbitrary density by adaptive quadrature over digit intervals.
 
-    Negative support contributes through |x|.  Infinite tails are truncated
-    decade by decade once a decade's mass falls below 1e-12 of the running
-    total (a few consecutive times, to survive local zeros).
+    Negative support contributes through |x|.  Each digit interval is one
+    ``quad`` call with tolerance tol.  A side with an open end (0 or inf)
+    starts at the decade 10**j, -323 <= j <= 308, where 10**j pdf(10**j) is
+    largest (or d 10**j pdf(d 10**j), d = 1..9, when every power of ten has
+    zero density), and is truncated towards each open end decade by decade
+    once a decade's mass falls below 1e-12 of the running total (a few
+    consecutive times, to survive local zeros).
     """
-    from scipy import integrate
-
     lo, hi = support
 
     def side_masses(side_pdf, s_lo: float, s_hi: float) -> np.ndarray:
@@ -413,59 +479,62 @@ def ld_of_density(pdf, support: tuple[float, float], tol: float = 1e-9) -> Digit
         if s_hi <= 0 or s_hi <= s_lo:
             return out
         s_lo = max(s_lo, 0.0)
-        if s_lo == 0.0:
-            j_min = None  # open-ended downward
-        else:
-            j_min = math.floor(math.log10(s_lo))
-        j_max = math.floor(math.log10(s_hi)) if math.isfinite(s_hi) else None
+        open_lo, open_hi = s_lo == 0.0, math.isinf(s_hi)
+        j_lo = _J_LO if open_lo else math.floor(math.log10(s_lo))
+        j_hi = _J_HI if open_hi else math.floor(math.log10(s_hi))
 
         def decade_masses(j: int) -> np.ndarray:
             dm = np.zeros(9)
             for d in _DIGITS:
                 a = max(s_lo, d * 10.0**j)
-                b = min(s_hi, (d + 1) * 10.0**j)
+                b = min(s_hi, (d + 1) * 10.0**j, _FLOAT_MAX)
                 if b > a:
-                    val, err = integrate.quad(side_pdf, a, b, limit=200)
-                    if not math.isfinite(val):
-                        raise QuadratureFailureError(f"integral over ({a}, {b}) diverged")
-                    dm[d - 1] = val
+                    dm[d - 1] = quad(side_pdf, a, b, tol)[0]
             return dm
 
-        # expand upward from a representative decade
-        j_start = j_min if j_min is not None else (j_max if j_max is not None else 0)
-        j = j_start
-        misses = 0
-        while j_max is None or j <= j_max:
-            dm = decade_masses(j)
-            out += dm
-            if j_max is None:
-                if dm.sum() < 1e-12 * max(out.sum(), 1e-300):
-                    misses += 1
-                    if misses >= 3:
-                        break
-                else:
-                    misses = 0
-            j += 1
-        # expand downward when the lower edge is 0
-        if j_min is None:
-            j = j_start - 1
+        def walk(js, truncate: bool) -> None:
+            nonlocal out
             misses = 0
-            while True:
+            for j in js:
                 dm = decade_masses(j)
                 out += dm
-                if dm.sum() < 1e-12 * max(out.sum(), 1e-300):
-                    misses += 1
+                if truncate:
+                    misses = misses + 1 if dm.sum() < 1e-12 * max(out.sum(), 1e-300) else 0
                     if misses >= 3:
-                        break
-                else:
-                    misses = 0
-                j -= 1
+                        return
+
+        def weight(x: float) -> float:
+            if not x <= min(s_hi, _FLOAT_MAX):
+                return 0.0
+            try:
+                w = x * side_pdf(x)
+            except ArithmeticError:  # a pdf formula that breaks at an extreme x
+                return 0.0
+            return w if w >= 0 else 0.0  # NaN counts as no mass
+
+        def start_decade() -> int:
+            """The decade j with the largest x pdf(x) at x = 10**j, else at any d 10**j.
+
+            A narrow density can be 0 in double precision at every power of
+            ten, or even at every d 10**j; then the walk starts where it
+            always did: j_lo, else j_hi, else decade 0.
+            """
+            if open_lo or open_hi:
+                js = range(j_lo, j_hi + 1)
+                for ds in ((1,), _DIGITS):
+                    w = [max(weight(d * 10.0**j) for d in ds) for j in js]
+                    if max(w) > 0:
+                        return js[w.index(max(w))]
+            return 0 if open_lo and open_hi else (j_hi if open_lo else j_lo)
+
+        j_start = start_decade()
+        walk(range(j_start, j_hi + 1), open_hi)
+        walk(range(j_start - 1, j_lo - 1, -1), open_lo)
         return out
 
-    masses = side_masses(pdf, max(lo, 0.0) if lo > 0 else 0.0, hi if hi > 0 else 0.0)
+    masses = side_masses(pdf, lo, hi)
     if lo < 0:
-        neg_lo, neg_hi = -min(hi, 0.0), -lo  # |x| range of the negative side
-        masses += side_masses(lambda u: pdf(-u), neg_lo if neg_lo > 0 else 0.0, neg_hi)
+        masses += side_masses(lambda u: pdf(-u), -min(hi, 0.0), -lo)  # |x| on the negative side
 
     total = masses.sum()
     if total <= 0:
@@ -496,28 +565,19 @@ def ld_decades(model: DistributionModel, decades: tuple[int, int]) -> DecadeDeco
     ``decades`` is the inclusive range of exponents j; decade j covers
     [10**j, 10**(j+1)).  Negative support contributes via |x|.  Weights are
     normalized over the included decades; the mass outside is reported as
-    truncated_mass.
+    truncated_mass.  Every mass is one ``quad`` call with tolerance 1e-10.
     """
-    from scipy import integrate
-
     j_lo, j_hi = decades
     if j_lo > j_hi:
         raise BadRangeError(f"need j_lo <= j_hi, got {decades}")
     sup = model.support()
 
     def mass(a: float, b: float) -> float:
-        lo = max(a, sup.lo if sup.lo > 0 else a)
+        """Mass of |x| in [a, b]: the positive side plus the mirrored negative side."""
         out = 0.0
-        if b > lo and sup.hi > lo:
-            val, _ = integrate.quad(model.pdf, max(lo, sup.lo), min(b, sup.hi), limit=200)
-            out += val
-        # negative side folded in via |x|
-        if sup.lo < 0:
-            neg_a, neg_b = -b, -a
-            lo2, hi2 = max(neg_a, sup.lo), min(neg_b, min(sup.hi, 0.0))
-            if hi2 > lo2:
-                val, _ = integrate.quad(model.pdf, lo2, hi2, limit=200)
-                out += val
+        for lo, hi in ((max(a, sup.lo), min(b, sup.hi)), (max(-b, sup.lo), min(-a, sup.hi))):
+            if hi > lo:
+                out += quad(model.pdf, lo, hi, 1e-10)[0]
         return out
 
     weights_raw, locals_, spans = [], [], []

@@ -641,12 +641,11 @@ class Gompertz(DistributionModel):
         return Support(0.0, math.inf)
 
     def mean(self):
-        from scipy import integrate
+        """Mean of Gompertz(1, eta), integrated over [0, 40], divided by b (X = Y / b)."""
+        from .analytic import quad
 
-        value, _ = integrate.quad(
-            lambda x: x * self.pdf(x), 0.0, 40.0 / self.b, limit=200
-        )
-        return value
+        unit = Gompertz(1.0, self.eta)
+        return quad(lambda y: y * unit.pdf(y), 0.0, 40.0, 1e-12)[0] / self.b
 
 
 @dataclass(frozen=True)
@@ -765,6 +764,8 @@ class FisherTippett(DistributionModel):
 
     def pdf(self, x):
         z = (x - self.mu) / self.lam
+        if z < -709.0:  # exp(-z) overflows; the density underflowed to 0 long before
+            return 0.0
         return math.exp(-z - math.exp(-z)) / self.lam
 
     @staticmethod
@@ -790,7 +791,7 @@ class Logistic(DistributionModel):
         return np.isfinite(mu) & _positive(s)
 
     def pdf(self, x):
-        e = math.exp(-(x - self.mu) / self.s)
+        e = math.exp(-abs(x - self.mu) / self.s)  # the density is symmetric about mu
         return e / (self.s * (1.0 + e) ** 2)
 
     @staticmethod

@@ -2,12 +2,14 @@
 
 All results are exact (no sampling).  One block kernel, _leader_counts,
 counts the leaders of [1, N] for a whole array of N at once in int64
-arithmetic, so every bound may be as large as 10^18.  The simple and
-iterated schemes stream N through it in blocks of _BLOCK rows, carrying the
-running sums of the deeper averages from block to block, so memory stays
-flat in the range.  The twist's geometric bounds are exact floors of
-ub_start*f^j.  A scheme that would evaluate more than 10^8 rows, windows
-or geometric steps is refused before any work starts.
+arithmetic, so every bound may be as large as 10^18.  The simple scheme is
+a closed form in harmonic numbers over the O(log N) segments on which the
+leading digit of N is fixed.  The iterated scheme streams N through the
+kernel in blocks of _BLOCK rows, carrying the running sums of the deeper
+averages from block to block, so memory stays flat in the range.  The
+twist's geometric bounds are exact floors of ub_start*f^j.  An iterated
+scheme of more than 10^8 rows, or more than 10^8 windows or geometric
+steps, is refused before any work starts.
 """
 
 from __future__ import annotations
@@ -39,6 +41,7 @@ _BLOCK = 65_536  # rows per kernel call: about 5 MB per (rows, 9) int64 array
 _MAX_BOUND = 10**18  # 9 * 10^18 still fits in int64
 _MAX_ROWS = 10**8
 _GUARD_BITS = 128  # fraction bits of the exact geometric walk
+_H_EXACT = 64  # harmonic terms up to 1/64 are summed one by one
 
 
 @dataclass(frozen=True)
@@ -126,12 +129,11 @@ def _nested_mean(lb: int, starts: tuple[int, ...], lo: int, hi: int) -> np.ndarr
     replaces it by its running mean over [s, N], whose running sum is
     carried from block to block.  Needs lb <= starts[0] <= ... <= lo <= hi.
     """
-    first = starts[0] if starts else lo
-    if hi - first + 1 > _MAX_ROWS:
-        raise TooLargeError(f"the scheme would evaluate {hi - first + 1} rows, the cap is 10^8")
+    if hi - starts[0] + 1 > _MAX_ROWS:
+        raise TooLargeError(f"the scheme would evaluate {hi - starts[0] + 1} rows, the cap is 10^8")
     carry = [np.zeros(9) for _ in starts]
     total = np.zeros(9)
-    for n in _blocks(first, hi):
+    for n in _blocks(starts[0], hi):
         v = _shares(lb, n)
         for i, s in enumerate(starts):
             v[: max(s - n[0], 0)] = 0.0
@@ -143,10 +145,46 @@ def _nested_mean(lb: int, starts: tuple[int, ...], lo: int, hi: int) -> np.ndarr
     return total / (hi - lo + 1)
 
 
+def _em_tail(n: int) -> float:
+    """H(n) - ln n - gamma to within 1/(240 n^8), by Euler-Maclaurin (TAOCP 1.2.7)."""
+    x = 1.0 / n
+    x2 = x * x
+    return x / 2 - x2 / 12 + x2 * x2 / 120 - x2 * x2 * x2 / 252
+
+
+def _harmonic_diff(a: int, b: int) -> float:
+    """H(b) - H(a) = 1/(a+1) + ... + 1/b for integers 0 <= a <= b.
+
+    Terms below _H_EXACT are summed one by one; above it the difference is
+    ln(b/a) plus the difference of the Euler-Maclaurin tails, whose error is
+    below 1/(240 * 64^8), about 1.5e-17.
+    """
+    head = math.fsum(1.0 / k for k in range(a + 1, min(b, _H_EXACT) + 1))
+    a = max(a, _H_EXACT)
+    if b <= a:
+        return head
+    return head + math.log1p((b - a) / a) + (_em_tail(b) - _em_tail(a))
+
+
 def simple_scheme(lb: int, ub_min: int, ub_max: int) -> SchemeResult:
-    """Unweighted average of interval_ld(lb, N) for N = ub_min..ub_max."""
+    """Unweighted average of interval_ld(lb, N) for N = ub_min..ub_max, in closed form.
+
+    Between consecutive cut points m*10^k every N leads with the same digit m,
+    so C_d(N) - C_d(lb-1) = s_d (N - lb + 1) + r_d there, with s_d = [d == m]
+    and an integer r_d.  A segment [u, v] then adds s_d (v - u + 1) +
+    r_d (H(v - lb + 1) - H(u - lb)) to the sum of the shares: at most 9 * 19
+    segments, so the cost is O(log ub_max) and no row cap applies.
+    """
     _check_bounds(lb=lb, ub_min=ub_min, ub_max=ub_max)
-    avg = _nested_mean(lb, (), ub_min, ub_max)
+    cuts = [m * 10**k for k in range(19) for m in range(1, 10) if ub_min < m * 10**k <= ub_max]
+    u = np.array([ub_min, *sorted(cuts)], dtype=np.int64)
+    v = np.append(u[1:] - 1, ub_max)
+    counts = _leader_counts(u)
+    s = counts - _leader_counts(u - 1)  # one-hot: the leading digit of the segment
+    r = counts - _leader_counts([lb - 1]) - s * (u - lb + 1)[:, None]
+    dh = np.array([_harmonic_diff(a - lb, b - lb + 1) for a, b in zip(u.tolist(), v.tolist())])
+    total = (s * (v - u + 1)[:, None]).sum(axis=0) + dh @ r
+    avg = total / (ub_max - ub_min + 1)
     return _result(avg, scheme="simple", lb=lb, ub_min=ub_min, ub_max=ub_max)
 
 

@@ -12,7 +12,16 @@ from scipy import stats
 
 from digitlab import analytic
 from digitlab.digits import benford_first
-from digitlab.distributions import Exponential, LogNormal, Normal, PowerLaw, Uniform
+from digitlab.distributions import (
+    Exponential,
+    Gamma,
+    Gompertz,
+    LogNormal,
+    Normal,
+    PowerLaw,
+    Uniform,
+    Weibull,
+)
 from digitlab.errors import (
     BadParamsError,
     BadRangeError,
@@ -268,7 +277,106 @@ class TestMantissaDensity:
             assert h.mean() == pytest.approx(1.0, abs=1e-12)
 
 
+SHIFTED_KX = (lambda x: 1.0 / (math.log(10.0) * (x - 4.0)), 5.0, 14.0)
+SEMICIRCLE_X, (SEMI_LO, SEMI_HI) = analytic.induced_x_density(analytic.SemiCircularLog(11.0, 0.8))
+
+
+class TestQuad:
+    @pytest.mark.parametrize("f,a,b,tol", [
+        (Normal(0.0, 1.0).pdf, -3.0, 2.0, 1e-10),
+        (Normal(0.0, 1.0).pdf, 0.1, 0.2, 1e-10),
+        (LogNormal(0.0, 1.0).pdf, 0.01, 50.0, 1e-10),
+        (LogNormal(0.0, 1.0).pdf, 1.0, 2.0, 1e-10),
+        # next to the x^(-1/2) pole at 0
+        (Gamma(0.5, 1.0).pdf, 1e-12, 2e-12, 1e-10),
+        (Gamma(0.5, 1.0).pdf, 1e-300, 2e-300, 1e-10),
+        (Gamma(0.5, 1.0).pdf, 1e-8, 1.0, 1e-10),
+        (*SHIFTED_KX, 1e-10),
+        (SEMICIRCLE_X, 2e10, 3e10, 1e-10),
+        # the square-root edges need the tighter tolerance
+        (SEMICIRCLE_X, SEMI_LO, SEMI_HI, 1e-13),
+    ], ids=["normal", "normal-short", "lognormal", "lognormal-short", "gamma-pole-1e-12",
+            "gamma-pole-1e-300", "gamma-to-pole", "shifted-kx", "semicircle-digit", "semicircle"])
+    def test_agrees_with_scipy(self, f, a, b, tol):
+        from scipy import integrate
+
+        want = integrate.quad(f, a, b, limit=200, epsabs=0.0, epsrel=1e-13)[0]
+        value, err = analytic.quad(f, a, b, tol)
+        assert value == pytest.approx(want, rel=1e-12, abs=0.0)
+        assert err <= tol * max(1.0, abs(value))
+
+    @pytest.mark.parametrize("f", [lambda x: math.inf, lambda x: math.nan,
+                                   lambda x: math.inf if x < 0.5 else 1.0])
+    def test_non_finite_raises(self, f):
+        with pytest.raises(QuadratureFailureError):
+            analytic.quad(f, 0.0, 1.0, 1e-9)
+
+    @pytest.mark.parametrize("a,b", [(0.0, math.inf), (1.0, 1.0), (2.0, 1.0), (math.nan, 1.0)])
+    def test_needs_finite_ordered_limits(self, a, b):
+        with pytest.raises(BadRangeError):
+            analytic.quad(math.exp, a, b, 1e-9)
+
+    def test_limit_caps_the_pieces(self, monkeypatch):
+        # sqrt's infinite slope at 0 keeps the error estimate above 1e-15
+        # until the pieces run out; the value is still close
+        monkeypatch.setattr(analytic, "_LIMIT", 5)
+        value, err = analytic.quad(math.sqrt, 0.0, 1.0, 1e-15)
+        assert err > 1e-15
+        assert value == pytest.approx(2.0 / 3.0, rel=1e-4)
+
+    def test_gompertz_mean(self):
+        # the value scipy.integrate.quad gave before the in-house rule
+        assert Gompertz(1.0, 1.0).mean() == pytest.approx(1.4287201581256104, rel=0.0, abs=1e-14)
+        # b scales x: 40/b is not a double here, and scipy read the mean as 2.2e-303
+        assert Gompertz(1e-308, 1.0).mean() == pytest.approx(1.4287201581256104e308, rel=1e-14)
+
+
 class TestLdOfDensity:
+    def test_tolerance_takes_effect(self):
+        # the square-root edges of the semicircle need more pieces the tighter tol is
+        calls = []
+
+        def pdf(x):
+            calls.append(x)
+            return SEMICIRCLE_X(x)
+
+        loose = analytic.ld_of_density(pdf, (SEMI_LO, SEMI_HI), tol=1e-3)
+        n_loose = len(calls)
+        tight = analytic.ld_of_density(pdf, (SEMI_LO, SEMI_HI), tol=1e-13)
+        assert len(calls) - n_loose > 2 * n_loose
+        assert 1e-9 < loose.l_inf(tight) < 1e-3
+
+    @pytest.mark.parametrize("model,far", [
+        (Gamma(2.0, 1.0), Gamma(2.0, 1e300)),
+        (Weibull(2.0, 1.0), Weibull(2.0, 1e300)),
+        (Gamma(2.0, 1.0), Gamma(2.0, 1e-300)),
+        (Normal(0.0, 1.0), Normal(0.0, 1e-300)),
+    ], ids=["gamma-1e300", "weibull-1e300", "gamma-1e-300", "normal-1e-300"])
+    def test_mass_far_from_decade_zero_is_found(self, model, far):
+        # a scale of 10^(+-300) keeps the leading-digit law; the walk starts
+        # where 10^j pdf(10^j) peaks instead of at decade 0
+        def ld(m):
+            sup = m.support()
+            return analytic.ld_of_density(m.pdf, (sup.lo, sup.hi), tol=1e-10)
+
+        assert ld(far).l_inf(ld(model)) < 1e-12
+
+    @pytest.mark.parametrize("model,want", [
+        # pdf(1) and pdf(10) underflow to 0; the mass is found at 5 * 10^j
+        (Normal(5.0, 0.1), {4: 0.5, 5: 0.5}),
+        (Normal(50.0, 1.0), {4: 0.5, 5: 0.5}),
+        (Normal(5e100, 1e99), {4: 0.5, 5: 0.5}),
+        # zero at every d * 10^j too: the walk starts at decade 0, as it always did
+        (Normal(5.5, 0.01), {5: 1.0}),
+        # the pdf divides by zero at 1e-323 and its mass is 9.4 sigma inside [4, 5)
+        (LogNormal(1.6, 0.001), {4: 1.0}),
+    ], ids=["normal-5", "normal-50", "normal-5e100", "normal-5.5", "lognormal-narrow"])
+    def test_narrow_mass_between_powers_of_ten(self, model, want):
+        sup = model.support()
+        ld = analytic.ld_of_density(model.pdf, (sup.lo, sup.hi), tol=1e-10)
+        for d in range(1, 10):
+            assert ld.probs[d] == pytest.approx(want.get(d, 0.0), abs=1e-12)
+
     def test_shifted_kx(self):
         k = 1.0 / math.log(10.0)
         r = analytic.ld_of_density(lambda x: k / (x - 4) if 5 <= x <= 14 else 0.0, (5, 14))

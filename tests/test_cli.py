@@ -413,15 +413,30 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("family,params,codes", [
         ("weibull", ["200", "1"], {EXIT_OK}),
-        # the density now evaluates; its mass, far from decade 0, is not found
-        ("rayleigh", ["1e300"], {EXIT_OK, EXIT_USAGE}),
+        ("rayleigh", ["1e300"], {EXIT_OK}),
+        ("gamma", ["2", "1e300"], {EXIT_OK}),
+        ("weibull", ["2", "1e300"], {EXIT_OK}),
     ])
     def test_pdf_powers_past_the_doubles_are_no_traceback(self, family, params, codes):
-        # both ended in an OverflowError traceback (exit 1)
+        # the first two ended in an OverflowError traceback (exit 1); then the
+        # last three exited 2, "density integrated to zero mass", because the
+        # decade walk started at decade 0, far from their mass
         proc = _run(["-m", "digitlab.cli", "invariance", "--family", family, "--params", *params,
                      "--quiet"])
         assert proc.returncode in codes, proc.stderr
         assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("family,params", [
+        ("normal", ["5", "0.1"]),  # 0 at every power of ten
+        ("logistic", ["0", "1"]),  # the pdfs overflowed in their far left tails
+        ("fishertippett", ["0", "1"]),
+        ("wald", ["1", "1"]),  # the pdf divides by zero at 1e-323
+    ])
+    def test_invariance_of_pdfs_that_break_far_from_their_mass(self, family, params):
+        proc = _run(["-m", "digitlab.cli", "invariance", "--family", family, "--params", *params])
+        assert proc.returncode == EXIT_OK, proc.stderr
+        # each is a scale family: the law does not move
+        assert float(proc.stdout.split("=")[-1]) < 1e-12
 
     def test_huge_scan_grid_refused_before_allocation(self):
         # 1e300 rates: refused before any list is built; the address-space
@@ -466,9 +481,10 @@ class TestStartup:
         (["analytic", "exponential", "--quiet"], False),
         (["analytic", "kx", "--quiet"], False),
         (["analytic", "ten-to-semicircle", "--quiet"], False),
-        # positive controls: quadrature, and the Wright omega quantile imported
-        # for the first time from two worker threads at once
-        (["analytic", "shifted-kx", "--quiet"], True),
+        (["analytic", "shifted-kx", "--quiet"], False),
+        (["invariance", "--family", "normal", "--params", "0", "1", "--quiet"], False),
+        # positive control: the Wright omega quantile, imported for the first
+        # time from two worker threads at once
         (["chain", "--spec", "Gompertz(Uniform(0,10), 1)", "--n", "20000",
           "--threads", "2", "--seed", "1", "--quiet"], True),
     ], ids=lambda v: " ".join(v) if isinstance(v, list) else f"scipy={v}")

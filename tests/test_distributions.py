@@ -357,3 +357,15 @@ class TestWeibullRayleighPdf:
 
     def test_weibull_tail_past_the_doubles_is_zero(self):
         assert dm.Weibull(200.0, 1.0).pdf(1e10) == 0.0
+
+
+class TestLogisticGumbelPdf:
+    @pytest.mark.parametrize("x", [-1e308, -800.0, -30.0, 0.0, 1.0, 30.0, 800.0, 1e308])
+    def test_match_scipy_over_the_doubles(self, x):
+        # exp(-z) overflowed left of z = -709 in both forms
+        from scipy import stats
+
+        assert dm.Logistic(1.0, 2.0).pdf(x) == pytest.approx(
+            stats.logistic.pdf(x, 1.0, 2.0), rel=1e-12, abs=1e-300)
+        assert dm.FisherTippett(1.0, 2.0).pdf(x) == pytest.approx(
+            stats.gumbel_r.pdf(x, 1.0, 2.0), rel=1e-12, abs=1e-300)

@@ -5,11 +5,13 @@ enumeration; the published scheme tables are regression targets.
 """
 
 import math
+import time
 import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from digitlab import schemes
 from digitlab.conformity import chi_sqr_vs_benford
@@ -70,13 +72,11 @@ class TestIntervalLd:
     @pytest.mark.parametrize("call", [
         lambda: schemes.interval_ld_counts(1, 10**18 + 1),
         lambda: schemes.simple_scheme(1, 1, 10**22),
-        lambda: schemes.simple_scheme(1, 1, 10**8 + 1),
         lambda: schemes.iterated_scheme(1, 1, (5, 10**8 + 1), 2),
         lambda: schemes.fixed_width_scheme(3, 1, 10**8 + 1),
         lambda: schemes.fixed_width_scheme(10**18, 1, 2),
         lambda: schemes.benford_twist_scheme(1e-300, 1, 10),
-    ], ids=["bound", "simple bound", "simple rows", "iterated rows", "windows", "window bound",
-            "twist steps"])
+    ], ids=["bound", "simple bound", "iterated rows", "windows", "window bound", "twist steps"])
     def test_too_large_refused(self, call):
         with pytest.raises(TooLargeError):
             call()
@@ -241,13 +241,14 @@ class TestFixedWidthCounterexample:
 # ranges spanning three 65,536-row blocks of the streamed schemes, with lb > 1
 SPAN = 3 * 65_536 + 7
 LB, INNER, MID, TOP_LO = 7, 50, 70_001, 140_000
+ORACLE_MAX = 10**6
 
 
 @pytest.fixture(scope="module")
 def leader_cumsum():
-    """cum[n, d-1] = how many of 1..n lead with d, read off the decimal strings."""
-    first = np.array([0] + [int(str(n)[0]) for n in range(1, SPAN + 2000)])
-    return np.cumsum(first[:, None] == np.arange(1, 10), axis=0)
+    """cum[n, d-1] = how many of 1..n lead with d, read off the decimal strings, n <= 10^6 + 1."""
+    first = np.array([0] + [int(str(n)[0]) for n in range(1, ORACLE_MAX + 2)], dtype=np.int8)
+    return np.cumsum(first[:, None] == np.arange(1, 10, dtype=np.int8), axis=0, dtype=np.int32)
 
 
 def _shares(cum):
@@ -271,6 +272,27 @@ class TestBlockStreaming:
         got = _probs(schemes.simple_scheme(LB, MID, SPAN))
         np.testing.assert_allclose(got, v[n >= MID].mean(axis=0), rtol=0, atol=1e-12)
 
+    @given(st.lists(st.integers(1, ORACLE_MAX), min_size=3, max_size=3).map(sorted))
+    @example([1, 1, ORACLE_MAX])
+    @example([ORACLE_MAX, ORACLE_MAX, ORACLE_MAX])
+    @example([150, 151, 999_999])
+    @settings(deadline=None)  # an oracle walks up to 10^6 rows
+    def test_simple_closed_form(self, leader_cumsum, bounds):
+        # the closed form against the mean of the enumerated shares, 65,536 rows at a time
+        lb, ub_min, ub_max = bounds
+        total = np.zeros(9)
+        for first in range(ub_min, ub_max + 1, 65_536):
+            n = np.arange(first, min(first + 65_536, ub_max + 1))
+            total += ((leader_cumsum[n] - leader_cumsum[lb - 1]) / (n - lb + 1)[:, None]).sum(axis=0)
+        got = _probs(schemes.simple_scheme(lb, ub_min, ub_max))
+        np.testing.assert_allclose(got, total / (ub_max - ub_min + 1), rtol=0, atol=1e-12)
+
+    def test_simple_is_logarithmic_in_the_range(self):
+        start = time.perf_counter()
+        r = schemes.simple_scheme(1, 1, 10**18)
+        assert time.perf_counter() - start < 1.0
+        assert math.fsum(r.ld.probs.values()) == pytest.approx(1.0, abs=1e-14)
+
     def test_depth2(self, leader_cumsum):
         n, v = _running_mean(*_shares(leader_cumsum), INNER)
         got = _probs(schemes.iterated_scheme(LB, INNER, (TOP_LO, SPAN), 2))
@@ -290,7 +312,7 @@ class TestBlockStreaming:
     def test_memory_stays_flat(self):
         tracemalloc.start()
         try:
-            schemes.simple_scheme(1, 1, 2_000_000)
+            schemes.iterated_scheme(1, 1, (1, 2_000_000), 2)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
