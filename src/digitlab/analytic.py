@@ -262,6 +262,34 @@ class TriangularLog:
         return TriangularLog(self.a * factor, self.m * factor, self.b * factor)
 
 
+def _half_disc_share(u: float, r: float) -> float:
+    """Share of the half disc over [-r, r] that lies left of u.
+
+    The mass beyond the nearer end is a circular segment: with t = 1 - |u|/r
+    its half angle is acos(1 - t) = 2 asin(sqrt(t/2)), exact for small t,
+    and with x twice that angle its share is (x - sin x) / (2 pi).  For x <
+    2, x - sin x is summed from its Taylor series, so it keeps its relative
+    precision down to the edge, where the textbook u sqrt(r^2 - u^2) +
+    r^2 asin(u/r) cancels.  Each half is clipped at 1/2, so the rounding
+    near the center cannot make the cdf step down.
+    """
+    if u <= -r:
+        return 0.0
+    if u >= r:
+        return 1.0
+    x = 4.0 * math.asin(math.sqrt(0.5 * (r - abs(u)) / r))
+    if x < 2.0:
+        seg, term, k = 0.0, x**3 / 6.0, 3
+        while seg + term != seg:
+            seg += term
+            term *= -x * x / ((k + 1) * (k + 2))
+            k += 2
+    else:
+        seg = x - math.sin(x)
+    share = seg / (2.0 * math.pi)
+    return min(share, 0.5) if u < 0 else max(1.0 - share, 0.5)
+
+
 @dataclass(frozen=True)
 class SemiCircularLog:
     """Semi-circular-like log-density: (2/(pi R^2)) sqrt(R^2 - (y-c)^2)."""
@@ -279,15 +307,7 @@ class SemiCircularLog:
         return (self.center - self.radius, self.center + self.radius)
 
     def cdf(self, y: float) -> float:
-        r = self.radius
-        u = y - self.center
-        if u <= -r:
-            return 0.0
-        if u >= r:
-            return 1.0
-        return 0.5 + (u * math.sqrt(r * r - u * u) + r * r * math.asin(u / r)) / (
-            math.pi * r * r
-        )
+        return _half_disc_share(y - self.center, self.radius)
 
     def pdf(self, y: float) -> float:
         r = self.radius
@@ -337,8 +357,7 @@ class HangingSemiCircularLog:
             return 0.0
         if u >= r:
             return 1.0
-        circ = 0.5 * (u * math.sqrt(r * r - u * u) + r * r * math.asin(u / r)) + 0.25 * math.pi * r * r
-        return (h * (u + r) + circ) / self._norm
+        return (h * (u + r) + 0.5 * math.pi * r * r * _half_disc_share(u, r)) / self._norm
 
     def pdf(self, y: float) -> float:
         r, h = self.radius, self.elevation

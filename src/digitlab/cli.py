@@ -31,14 +31,16 @@ from . import __version__
 from . import analytic, chains, conformity, growth, schemes
 from .digits import benford_first
 from .distributions import family_by_name
-from .errors import BadParamsError, BadRangeError, DigitLabError
+from .errors import (BadParamsError, BadRangeError, DigitLabError, UnknownFamilyError,
+                     UnsupportedFamilyError, UnsupportedFormError)
 
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_EMPTY = 3
 EXIT_NUMERIC = 4
 # library errors that mean a bad argument, not a numerical failure
-_BAD_ARGUMENT = (BadParamsError, BadRangeError)
+_BAD_ARGUMENT = (BadParamsError, BadRangeError, UnknownFamilyError, UnsupportedFamilyError,
+                 UnsupportedFormError)
 
 
 def _manifest(args: argparse.Namespace) -> dict:
@@ -51,6 +53,12 @@ def _manifest(args: argparse.Namespace) -> dict:
         "tool_version": __version__,
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
     }
+
+
+def _computation_failed(exc: DigitLabError) -> int:
+    """Report an error raised while computing: exit 2 for a bad argument, 4 for a numerical failure."""
+    print(f"error: {exc}", file=sys.stderr)
+    return EXIT_USAGE if isinstance(exc, _BAD_ARGUMENT) else EXIT_NUMERIC
 
 
 def _emit(args, payload: dict, table: str) -> None:
@@ -236,8 +244,7 @@ def cmd_chain(args) -> int:
             keep_samples=args.samples is not None, workers=args.threads,
         )
     except DigitLabError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE if isinstance(exc, _BAD_ARGUMENT) else EXIT_NUMERIC
+        return _computation_failed(exc)
     if args.samples is not None:
         np.savetxt(args.samples, res.samples)
     extra = {
@@ -307,8 +314,7 @@ def cmd_analytic(args) -> int:
             print(f"error: unknown case {args.case!r}", file=sys.stderr)
             return EXIT_USAGE
     except DigitLabError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE if isinstance(exc, _BAD_ARGUMENT) else EXIT_NUMERIC
+        return _computation_failed(exc)
     if hist is not None and args.csv:
         _write_csv(args.csv, ["bin_lo", "bin_hi", "density"],
                    [(i / len(hist), (i + 1) / len(hist), h) for i, h in enumerate(hist)])
@@ -384,8 +390,7 @@ def cmd_invariance(args) -> int:
             diff = chains.power_of_ten_invariance_check(
                 model, args.m, mode="montecarlo", subset=subset, n=args.n, seed=args.seed)
     except DigitLabError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return _computation_failed(exc)
     table = (f"family {args.family} params {args.params} scaled by 10^{args.m} "
              f"({args.mode}): max per-digit LD difference = {diff:.3e}")
     _emit(args, {"schema_version": 1, "family": args.family, "params": list(args.params),

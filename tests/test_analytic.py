@@ -5,6 +5,7 @@ assert their agreement, which is the module's main self-check.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -255,6 +256,66 @@ class TestTenToSymmetric:
         wide = analytic.ld_ten_to_symmetric(analytic.UniformLog(0.0, 60.0).scaled(LOG10E))
         assert max_dev_from_benford(wide) < 0.006
         assert max_dev_from_benford(wide) < max_dev_from_benford(narrow)
+
+
+class TestSemiCircleCdf:
+    # centers and radii for which y - center and radius - |y - center| are
+    # exact in doubles next to both ends, so the cdf's input is the exact
+    # distance to the end
+    SHAPES = [(12.702, 1.286), (11.0, 2.1), (-9.5, 3.25)]
+
+    @staticmethod
+    def _edge_mass(dist: Fraction, radius: float) -> float:
+        """Mass within dist of an end, from the series of the integral of sqrt(2v - v^2).
+
+        (2 sqrt 2 / pi) s^1.5 sum_n binom(1/2, n) (-s/2)^n / (n + 3/2), s =
+        dist / r; the sum is taken in rationals until its terms fall under
+        1e-25 of it.
+        """
+        s = dist / Fraction(radius)
+        total, coef, n = Fraction(0), Fraction(1), 0  # coef = binom(1/2, n) (-1/2)^n
+        while True:
+            term = coef * s**n / (n + Fraction(3, 2))
+            total += term
+            if abs(term) < total * Fraction(1, 10**25):
+                break
+            coef *= (Fraction(1, 2) - n) / (n + 1) * Fraction(-1, 2)
+            n += 1
+        return 2.0 * math.sqrt(2.0) / math.pi * float(s) ** 1.5 * float(total)
+
+    @pytest.mark.parametrize("center,radius", SHAPES)
+    def test_edges_match_exact_mass(self, center, radius):
+        spec = analytic.SemiCircularLog(center, radius)
+        lo = Fraction(center) - Fraction(radius)
+        hi = Fraction(center) + Fraction(radius)
+        for offset in (1e-15, 1e-12, 1e-9, 1e-6, 1e-3, 0.1, 0.6):
+            y = float(lo + Fraction(offset))
+            assert spec.cdf(y) == pytest.approx(self._edge_mass(Fraction(y) - lo, radius),
+                                                rel=1e-14, abs=0.0)
+            y = float(hi - Fraction(offset))
+            assert spec.cdf(y) == pytest.approx(1.0 - self._edge_mass(hi - Fraction(y), radius),
+                                                rel=0.0, abs=1.2e-16)
+
+    def test_mass_next_to_the_left_end_is_not_negative(self):
+        # 11.416 lies 2^-52 above the float end 12.702 - 1.286; the textbook
+        # form returned -3.19e-11 here
+        spec = analytic.SemiCircularLog(12.702, 1.286)
+        dist = Fraction(11.416) - (Fraction(12.702) - Fraction(1.286))
+        assert dist == Fraction(1, 2**51)
+        assert spec.cdf(11.416) == pytest.approx(self._edge_mass(dist, 1.286), rel=1e-14, abs=0.0)
+
+    @pytest.mark.parametrize("spec", [analytic.SemiCircularLog(12.702, 1.286),
+                                      analytic.SemiCircularLog(0.0, 1.286),  # u down to 5e-324
+                                      analytic.HangingSemiCircularLog(5.0, 1.5, 0.2)],
+                             ids=repr)
+    def test_monotone_within_unit_interval(self, spec):
+        a, b = spec.bounds
+        ys = list(np.linspace(a - 0.1, b + 0.1, 4001))
+        for end in (a, spec.center, b):  # 200 adjacent doubles on each side
+            ys += [float(v) for v in end + np.arange(-200, 201) * np.spacing(end)]
+        cdf = np.array([spec.cdf(y) for y in sorted(ys)])
+        assert np.all((cdf >= 0.0) & (cdf <= 1.0))
+        assert np.all(np.diff(cdf) >= 0.0)
 
 
 class TestMantissaDensity:

@@ -1,8 +1,10 @@
 """End-to-end tests for the command-line interface."""
 
+import ast
 import json
 import os
 import resource
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -13,7 +15,7 @@ from hypothesis import example, given, strategies as st
 
 import digitlab
 from digitlab import cli
-from digitlab.cli import EXIT_EMPTY, EXIT_OK, EXIT_USAGE, main
+from digitlab.cli import EXIT_EMPTY, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
 
 # the directory holding the digitlab package, for the subprocesses below
 _PACKAGE_ROOT = str(Path(digitlab.__file__).resolve().parents[1])
@@ -411,6 +413,16 @@ class TestExitCodes:
         assert proc.returncode == EXIT_USAGE, proc.stderr
         assert proc.stderr.startswith("error:")
 
+    @pytest.mark.parametrize("argv", [
+        ["invariance", "--family", "normal", "--params", "0", "5e-324"],
+    ], ids=" ".join)
+    def test_numerical_failure_exits_4(self, argv):
+        # the density overflows next to 0, so its integral is not finite;
+        # invariance exited 2 on this, as if the argument were bad
+        proc = _run(["-m", "digitlab.cli", *argv, "--quiet"])
+        assert proc.returncode == EXIT_NUMERIC, proc.stderr
+        assert proc.stderr.startswith("error:") and "not finite" in proc.stderr
+
     @pytest.mark.parametrize("family,params,codes", [
         ("weibull", ["200", "1"], {EXIT_OK}),
         ("rayleigh", ["1e300"], {EXIT_OK}),
@@ -467,31 +479,70 @@ print(json.dumps({"rc": rc, "scipy": sorted(m for m in sys.modules if m.split(".
 """
 
 
+def _probe(argv: list[str], env: dict = _ENV) -> dict:
+    proc = subprocess.run([sys.executable, "-c", _SCIPY_PROBE, *argv], capture_output=True, text=True,
+                          timeout=_TIMEOUT_S, env=env)
+    assert proc.returncode == 0, proc.stderr
+    probe = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert probe["rc"] == EXIT_OK
+    return probe
+
+
+def _scipy_imports(package: Path) -> list[str]:
+    """'file:line' of every import of scipy in the package's modules, read from the source."""
+    found = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module or ""]
+            else:
+                continue
+            if any(n.split(".")[0] == "scipy" for n in names):
+                found.append(f"{path.name}:{node.lineno}")
+    return found
+
+
 class TestStartup:
-    @pytest.mark.parametrize("argv,loads_scipy", [
-        (["--version"], False),
-        (["analyze", "{data}", "--quiet"], False),
-        (["scheme", "simple", "--quiet"], False),
-        (["scheme", "iterated", "--quiet"], False),
-        (["scheme", "twist", "--quiet"], False),
-        (["growth", "scan", "--lo", "21.1", "--hi", "21.2", "--quiet"], False),
-        (["chain", "--preset", "flehinger", "--n", "20000", "--seed", "1", "--quiet"], False),
-        (["chain", "--spec", "Normal(Uniform(-1,1), Uniform(-0.5,2))", "--n", "20000",
-          "--threads", "2", "--seed", "1", "--quiet"], False),
-        (["analytic", "exponential", "--quiet"], False),
-        (["analytic", "kx", "--quiet"], False),
-        (["analytic", "ten-to-semicircle", "--quiet"], False),
-        (["analytic", "shifted-kx", "--quiet"], False),
-        (["invariance", "--family", "normal", "--params", "0", "1", "--quiet"], False),
-        # positive control: the Wright omega quantile, imported for the first
-        # time from two worker threads at once
-        (["chain", "--spec", "Gompertz(Uniform(0,10), 1)", "--n", "20000",
-          "--threads", "2", "--seed", "1", "--quiet"], True),
-    ], ids=lambda v: " ".join(v) if isinstance(v, list) else f"scipy={v}")
-    def test_scipy_loaded_only_where_needed(self, argv, loads_scipy, benford_file):
+    # the runtime needs numpy only: no command loads scipy
+    @pytest.mark.parametrize("argv", [
+        ["--version"],
+        ["analyze", "{data}", "--quiet"],
+        ["scheme", "simple", "--quiet"],
+        ["scheme", "iterated", "--quiet"],
+        ["scheme", "twist", "--quiet"],
+        ["growth", "scan", "--lo", "21.1", "--hi", "21.2", "--quiet"],
+        ["chain", "--preset", "flehinger", "--n", "20000", "--seed", "1", "--quiet"],
+        ["chain", "--spec", "Normal(Uniform(-1,1), Uniform(-0.5,2))", "--n", "20000",
+         "--threads", "2", "--seed", "1", "--quiet"],
+        ["analytic", "exponential", "--quiet"],
+        ["analytic", "kx", "--quiet"],
+        ["analytic", "ten-to-semicircle", "--quiet"],
+        ["analytic", "shifted-kx", "--quiet"],
+        ["invariance", "--family", "normal", "--params", "0", "1", "--quiet"],
+        # the Wright omega quantile, from two worker threads at once
+        ["chain", "--spec", "Gompertz(Uniform(0,10), 1)", "--n", "20000",
+         "--threads", "2", "--seed", "1", "--quiet"],
+    ], ids=lambda argv: " ".join(argv) + "-scipy=False")
+    def test_scipy_loaded_only_where_needed(self, argv, benford_file):
         argv = [a.replace("{data}", str(benford_file)) for a in argv]
-        proc = _run(["-c", _SCIPY_PROBE, *argv])
-        assert proc.returncode == 0, proc.stderr
-        probe = json.loads(proc.stdout.strip().splitlines()[-1])
-        assert probe["rc"] == EXIT_OK
-        assert bool(probe["scipy"]) is loads_scipy, probe["scipy"]
+        assert _probe(argv)["scipy"] == []
+
+    def test_no_module_imports_scipy(self):
+        # the same rule read from the source, for paths no command above reaches
+        assert _scipy_imports(Path(digitlab.__file__).parent) == []
+
+    def test_checks_see_a_module_level_scipy_import(self, tmp_path):
+        # positive control for both checks: a copy of the package with one
+        # module-level scipy import added
+        package = tmp_path / "digitlab"
+        shutil.copytree(Path(digitlab.__file__).parent, package,
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        module = package / "distributions.py"
+        source = module.read_text()
+        module.write_text(source + "\nimport scipy.special\n")
+        line = source.count("\n") + 2  # after the blank line written before it
+        probe = _probe(["--version"], {**os.environ, "PYTHONPATH": str(tmp_path)})
+        assert "scipy.special" in probe["scipy"]
+        assert _scipy_imports(package) == [f"distributions.py:{line}"]
