@@ -27,6 +27,7 @@ from .errors import (
     BadParamsError,
     BadRangeError,
     QuadratureFailureError,
+    TooLargeError,
     UnsupportedFamilyError,
 )
 
@@ -55,6 +56,7 @@ _LOG10 = math.log(10.0)
 # log10 of the smallest subnormal and of the largest double
 _LOG10_LO, _LOG10_HI = -324.0, 308.25
 _MAX_DECADES = 1000  # cap of each exponential decade walk; the doubles span about 632
+_MAX_FOLDS = 10**6  # cdf differences one mantissa_density may sum, 1.5 to 3 us each
 
 
 def _check_log_support(name: str, a: float, b: float) -> None:
@@ -395,9 +397,15 @@ def mantissa_density(spec: LogDensitySpec, bins: int = 100) -> np.ndarray:
     """Folded (mod-1) log-density as a bin-averaged histogram on [0, 1).
 
     Bin values are densities (mean 1), so the histogram integrates to 1.
+    Each bin sums one cdf difference per unit of the support (and two more);
+    more than _MAX_FOLDS in all raises TooLargeError.
     """
     if bins < 10:
         raise BadParamsError(f"need bins >= 10, got {bins}")
+    a, b = spec.bounds
+    folds = bins * (math.ceil(b) - math.floor(a) + 2)
+    if folds > _MAX_FOLDS:
+        raise TooLargeError(f"{bins} bins over [{a}, {b}] sum {folds} cdf differences, over {_MAX_FOLDS}")
     edges = np.linspace(0.0, 1.0, bins + 1)
     vals = np.array(
         [_folded_mass(spec, edges[i], edges[i + 1]) * bins for i in range(bins)]

@@ -46,6 +46,7 @@ from .errors import (
     ArityMismatchError,
     BadParamsError,
     ChainSyntaxError,
+    EmptyInputError,
     PolicyExhaustedError,
     UnknownPresetError,
 )
@@ -104,6 +105,10 @@ class FormulaNode:
 
 ChainSpec = FamilyNode | MixtureNode | FormulaNode
 
+# nesting levels a chain may have: the paper's chains reach the law in 5 or 6
+# links, and every tree walk here recurses once per level
+_MAX_DEPTH = 100
+
 
 def chain_depth(node) -> int:
     """Family nodes on the longest root-to-leaf path (a '4-sequence chain')."""
@@ -149,7 +154,7 @@ def _tokenize(text: str):
 
 
 def parse_chain(text: str) -> FamilyNode:
-    """Parse chain-spec text into a FamilyNode tree (arity-checked)."""
+    """Parse chain-spec text into a FamilyNode tree (arity-checked, at most _MAX_DEPTH levels)."""
     tokens = _tokenize(text)
     idx = 0
 
@@ -169,18 +174,20 @@ def parse_chain(text: str) -> FamilyNode:
             raise ChainSyntaxError(f"expected {what!r}, found {v!r}", p)
         return v
 
-    def parse_expr() -> FamilyNode:
+    def parse_expr(level: int) -> FamilyNode:
         k, v, p = advance()
         if k != "name":
             raise ChainSyntaxError(f"expected a family name, found {v!r}", p)
+        if level > _MAX_DEPTH:
+            raise ChainSyntaxError(f"nested deeper than {_MAX_DEPTH} levels", p)
         family = family_by_name(v)
         expect("punct", "(")
-        args = [parse_arg()]
+        args = [parse_arg(level)]
         while True:
             k2, v2, p2 = peek()
             if k2 == "punct" and v2 == ",":
                 advance()
-                args.append(parse_arg())
+                args.append(parse_arg(level))
             else:
                 break
         expect("punct", ")")
@@ -189,16 +196,16 @@ def parse_chain(text: str) -> FamilyNode:
         except ArityMismatchError as exc:
             raise ArityMismatchError(f"{exc} (at position {p})") from None
 
-    def parse_arg():
+    def parse_arg(level: int):
         k, v, p = peek()
         if k == "number":
             advance()
             return float(v)
         if k == "name":
-            return parse_expr()
+            return parse_expr(level + 1)
         raise ChainSyntaxError(f"expected a number or expression, found {v!r}", p)
 
-    node = parse_expr()
+    node = parse_expr(1)
     k, v, p = peek()
     if k is not None:
         raise ChainSyntaxError(f"trailing input {v!r}", p)
@@ -210,6 +217,7 @@ def parse_chain(text: str) -> FamilyNode:
 
 _CHUNK = 2**17  # rows a worker draws, resamples and tallies at a time
 _MAX_WORKERS = 64
+_MAX_ATTEMPTS = 10**4  # resampling rounds per chunk, each over every still-invalid row
 
 
 @dataclass(frozen=True)
@@ -220,10 +228,10 @@ class ResamplePolicy:
     on_exhaustion: str = "skip"  # "skip" or "error"
 
     def __post_init__(self):
-        if self.max_attempts < 1:
-            raise PolicyExhaustedError("max_attempts must be >= 1")
+        if not 1 <= self.max_attempts <= _MAX_ATTEMPTS:
+            raise BadParamsError(f"max_attempts must be in 1..{_MAX_ATTEMPTS}, got {self.max_attempts}")
         if self.on_exhaustion not in ("skip", "error"):
-            raise PolicyExhaustedError("on_exhaustion must be 'skip' or 'error'")
+            raise BadParamsError("on_exhaustion must be 'skip' or 'error'")
 
 
 @dataclass(frozen=True)
@@ -612,6 +620,8 @@ def power_of_ten_invariance_check(
 
         def empirical(mod, child):
             counts = _ld_counts(mod.sample_n(n, np.random.Generator(np.random.PCG64(child))))
+            if not counts.any():
+                raise EmptyInputError(f"all {n} draws of {mod} are 0")
             return counts / counts.sum()
 
         pa, pb = empirical(model, c1), empirical(scaled, c2)
@@ -662,13 +672,14 @@ def preset(name: str, **kwargs):
     mini_hill           - equal-weight six-component mixture.
     rayleigh_cycles     - Rayleigh(Uniform(0, Exponential(...))) cycles.
     table8_chain        - Normal(Uniform(0, ChiSqr(Die(6))), Uniform(0, 2)).
+    A depth or cycle count that nests more than _MAX_DEPTH levels is refused.
     """
     key = name.lower().replace("-", "_")
     if key == "flehinger":
         depth = int(kwargs.get("depth", 4))
         m = float(kwargs.get("m", 1e5))
-        if depth < 1:
-            raise UnknownPresetError("flehinger depth must be >= 1")
+        if not 1 <= depth <= _MAX_DEPTH:
+            raise BadParamsError(f"flehinger depth must be in 1..{_MAX_DEPTH}, got {depth}")
         node: object = m
         for _ in range(depth):
             node = FamilyNode(Uniform, (0.0, node))
@@ -679,8 +690,8 @@ def preset(name: str, **kwargs):
         return MixtureNode(components=_mini_hill_components())
     if key == "rayleigh_cycles":
         cycles = int(kwargs.get("cycles", 9))
-        if cycles < 1:
-            raise UnknownPresetError("rayleigh_cycles needs cycles >= 1")
+        if not 1 <= cycles <= _MAX_DEPTH // 3:  # 3 levels each
+            raise BadParamsError(f"rayleigh_cycles cycles must be in 1..{_MAX_DEPTH // 3}, got {cycles}")
         node = 1.0
         for _ in range(cycles):
             node = FamilyNode(

@@ -9,9 +9,11 @@ One binary, one subcommand per module family:
     digitlab growth    anomalies --l 1 --t-max 50
     digitlab invariance --family exponential --params 0.3 --m 1
 
-Exit codes: 0 success, 2 usage/parse error, 3 empty or unparseable data,
-4 internal numerical failure.  --json writes the same numbers the table
-shows; every JSON document embeds a reproducibility manifest.
+Exit codes follow one rule for every command: 0 on success, else the
+exit_code of the error raised (errors.py): 2 for a bad argument or an
+unreadable or unwritable file, 3 for empty or unparseable data, 4 for a
+numerical failure.  --json writes the same numbers the table shows; every
+JSON document embeds a reproducibility manifest.
 """
 
 from __future__ import annotations
@@ -31,16 +33,10 @@ from . import __version__
 from . import analytic, chains, conformity, growth, schemes
 from .digits import benford_first
 from .distributions import family_by_name
-from .errors import (BadParamsError, BadRangeError, DigitLabError, UnknownFamilyError,
-                     UnsupportedFamilyError, UnsupportedFormError)
+from .errors import BadParamsError, DigitLabError, EmptyInputError
 
 EXIT_OK = 0
 EXIT_USAGE = 2
-EXIT_EMPTY = 3
-EXIT_NUMERIC = 4
-# library errors that mean a bad argument, not a numerical failure
-_BAD_ARGUMENT = (BadParamsError, BadRangeError, UnknownFamilyError, UnsupportedFamilyError,
-                 UnsupportedFormError)
 
 
 def _manifest(args: argparse.Namespace) -> dict:
@@ -53,12 +49,6 @@ def _manifest(args: argparse.Namespace) -> dict:
         "tool_version": __version__,
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
     }
-
-
-def _computation_failed(exc: DigitLabError) -> int:
-    """Report an error raised while computing: exit 2 for a bad argument, 4 for a numerical failure."""
-    print(f"error: {exc}", file=sys.stderr)
-    return EXIT_USAGE if isinstance(exc, _BAD_ARGUMENT) else EXIT_NUMERIC
 
 
 def _emit(args, payload: dict, table: str) -> None:
@@ -174,22 +164,14 @@ def ingest(path: str, fmt: str, selector: str | None):
 # subcommands
 
 
-def cmd_analyze(args) -> int:
-    try:
-        values, malformed = ingest(args.path, args.format, args.column or args.field)
-    except OSError as exc:
-        print(f"error: cannot read {args.path}: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except DigitLabError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+def cmd_analyze(args) -> None:
+    values, malformed = ingest(args.path, args.format, args.column or args.field)
     if args.min_magnitude is not None:
         values = values[np.abs(values) >= args.min_magnitude]
     if not args.keep_sign:
         values = np.abs(values)
     if values.size == 0 or not np.any(values != 0):
-        print("error: no parseable nonzero values", file=sys.stderr)
-        return EXIT_EMPTY
+        raise EmptyInputError("no parseable nonzero values")
     rep = conformity.report(values)
     lines = [
         f"n = {rep.n}   zeros skipped = {rep.skipped_zeros}   malformed = {malformed}",
@@ -216,35 +198,25 @@ def cmd_analyze(args) -> int:
     for a in rep.annotations:
         lines.append(f"note: {a}")
     _emit(args, rep.to_json_dict(), "\n".join(lines))
-    return EXIT_OK
 
 
-def cmd_chain(args) -> int:
-    try:
-        if args.preset:
-            kw = {}
-            if args.depth is not None:
-                kw["depth"] = args.depth
-            if args.m is not None:
-                kw["m"] = args.m
-            if args.cycles is not None:
-                kw["cycles"] = args.cycles
-            spec = chains.preset(args.preset, **kw)
-        else:
-            spec = chains.parse_chain(args.spec)
-        policy = chains.ResamplePolicy(
-            max_attempts=args.max_attempts, on_exhaustion=args.on_exhaustion
-        )
-    except DigitLabError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        res = chains.simulate_chain(
-            spec, args.n, seed=args.seed, policy=policy,
-            keep_samples=args.samples is not None, workers=args.threads,
-        )
-    except DigitLabError as exc:
-        return _computation_failed(exc)
+def cmd_chain(args) -> None:
+    if args.preset:
+        kw = {}
+        if args.depth is not None:
+            kw["depth"] = args.depth
+        if args.m is not None:
+            kw["m"] = args.m
+        if args.cycles is not None:
+            kw["cycles"] = args.cycles
+        spec = chains.preset(args.preset, **kw)
+    else:
+        spec = chains.parse_chain(args.spec)
+    policy = chains.ResamplePolicy(max_attempts=args.max_attempts, on_exhaustion=args.on_exhaustion)
+    res = chains.simulate_chain(
+        spec, args.n, seed=args.seed, policy=policy,
+        keep_samples=args.samples is not None, workers=args.threads,
+    )
     if args.samples is not None:
         np.savetxt(args.samples, res.samples)
     extra = {
@@ -257,145 +229,116 @@ def cmd_chain(args) -> int:
         "valid": res.valid,
     }
     _emit(args, res.to_json_dict(), _ld_table(res.ld.probs, extra))
-    return EXIT_OK
 
 
-def cmd_scheme(args) -> int:
-    try:
-        if args.kind == "simple":
-            res = schemes.simple_scheme(args.lb, args.ub_min, args.ub_max)
-        elif args.kind == "iterated":
-            res = schemes.iterated_scheme(
-                args.lb, args.inner_min, args.top, args.depth, mid_min=args.mid_min
-            )
-        else:  # twist
-            res = schemes.benford_twist_scheme(args.rate, args.start, args.end, lb=args.lb)
-    except DigitLabError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+def cmd_scheme(args) -> None:
+    if args.kind == "simple":
+        res = schemes.simple_scheme(args.lb, args.ub_min, args.ub_max)
+    elif args.kind == "iterated":
+        res = schemes.iterated_scheme(args.lb, args.inner_min, args.top, args.depth, mid_min=args.mid_min)
+    else:  # twist
+        res = schemes.benford_twist_scheme(args.rate, args.start, args.end, lb=args.lb)
     _emit(args, res.to_json_dict(), _ld_table(res.ld.probs, {"scheme": res.meta.get("scheme")}))
-    return EXIT_OK
 
 
-def cmd_analytic(args) -> int:
-    hist = None
-    try:
-        if args.case == "kx":
-            dist = analytic.ld_kx(args.s, args.g)
-        elif args.case == "power-law":
-            dist = analytic.ld_power_law(args.m, args.lo, args.hi)
-        elif args.case == "exponential":
-            dist = analytic.ld_exponential(args.p)
-        elif args.case == "ten-to-uniform":
-            spec = analytic.UniformLog(args.r, args.s)
-            dist = analytic.ld_ten_to_symmetric(spec)
-            hist = analytic.mantissa_density(spec, args.bins)
-        elif args.case == "ten-to-triangular":
-            spec = analytic.TriangularLog(args.a, args.mode, args.b)
-            dist = analytic.ld_ten_to_symmetric(spec)
-            hist = analytic.mantissa_density(spec, args.bins)
-        elif args.case == "ten-to-semicircle":
-            spec = analytic.SemiCircularLog(args.center, args.radius)
-            dist = analytic.ld_ten_to_symmetric(spec)
-            hist = analytic.mantissa_density(spec, args.bins)
-        elif args.case == "shifted-kx":
-            dist = analytic.ld_of_density(
-                lambda x: (1.0 / np.log(10.0)) / (x - 4.0) if 5.0 <= x <= 14.0 else 0.0,
-                (5.0, 14.0),
-            )
-        elif args.case == "mixed-sign-kx":
-            dist = analytic.ld_of_density(
-                lambda x: (1.0 / np.log(10.0)) / (x + 4.0) if -3.0 <= x <= 6.0 else 0.0,
-                (-3.0, 6.0),
-            )
-        elif args.case == "ratio-uniforms":
-            dist = analytic.ratio_of_uniforms_ld()
-        else:
-            print(f"error: unknown case {args.case!r}", file=sys.stderr)
-            return EXIT_USAGE
-    except DigitLabError as exc:
-        return _computation_failed(exc)
-    if hist is not None and args.csv:
-        _write_csv(args.csv, ["bin_lo", "bin_hi", "density"],
-                   [(i / len(hist), (i + 1) / len(hist), h) for i, h in enumerate(hist)])
+def cmd_analytic(args) -> None:
+    if args.case == "kx":
+        dist = analytic.ld_kx(args.s, args.g)
+    elif args.case == "power-law":
+        dist = analytic.ld_power_law(args.m, args.lo, args.hi)
+    elif args.case == "exponential":
+        dist = analytic.ld_exponential(args.p)
+    elif args.case == "ten-to-uniform":
+        spec = analytic.UniformLog(args.r, args.s)
+    elif args.case == "ten-to-triangular":
+        spec = analytic.TriangularLog(args.a, args.mode, args.b)
+    elif args.case == "ten-to-semicircle":
+        spec = analytic.SemiCircularLog(args.center, args.radius)
+    elif args.case == "shifted-kx":
+        dist = analytic.ld_of_density(
+            lambda x: (1.0 / np.log(10.0)) / (x - 4.0) if 5.0 <= x <= 14.0 else 0.0,
+            (5.0, 14.0),
+        )
+    elif args.case == "mixed-sign-kx":
+        dist = analytic.ld_of_density(
+            lambda x: (1.0 / np.log(10.0)) / (x + 4.0) if -3.0 <= x <= 6.0 else 0.0,
+            (-3.0, 6.0),
+        )
+    else:  # ratio-uniforms
+        dist = analytic.ratio_of_uniforms_ld()
+    if args.case.startswith("ten-to-"):
+        dist = analytic.ld_ten_to_symmetric(spec)
+        hist = analytic.mantissa_density(spec, args.bins)
+        if args.csv:
+            _write_csv(args.csv, ["bin_lo", "bin_hi", "density"],
+                       [(i / len(hist), (i + 1) / len(hist), h) for i, h in enumerate(hist)])
     payload = {
         "schema_version": 1,
         "case": args.case,
         "ld_probs": {str(d): dist.probs[d] for d in range(1, 10)},
     }
     _emit(args, payload, _ld_table(dist.probs, {"case": args.case}))
-    return EXIT_OK
 
 
-def cmd_growth(args) -> int:
-    try:
-        if args.sub == "series":
-            series = growth.GrowthSeries(base=args.base, percent=args.rate, length=args.n)
-            dist, chi = growth.series_ld(series)
-            rec = growth.detect_anomalous(args.rate, args.t_max)
-            extra = {"rate %": args.rate, "chi-square": f"{chi:.2f}",
-                     "anomaly": f"L={rec.L} T={rec.T}" if rec else "none"}
-            payload = {"schema_version": 1, "rate_percent": args.rate, "chi_sqr": chi,
-                       "anomaly": {"L": rec.L, "T": rec.T} if rec else None,
-                       "ld_probs": {str(d): dist.probs[d] for d in range(1, 10)}}
-            _emit(args, payload, _ld_table(dist.probs, extra))
-        elif args.sub == "anomalies":
-            recs = growth.enumerate_anomalous([args.l], (1, args.t_max))
-            rows = [(r.L, r.T, float(r.fraction), round(r.percent, 4)) for r in recs]
-            table = "L  T  fraction  percent\n" + "\n".join(
-                f"{L}  {T}  {f:.4f}  {p}" for L, T, f, p in rows)
-            if args.csv:
-                _write_csv(args.csv, ["L", "T", "fraction", "percent"], rows)
-            _emit(args, {"schema_version": 1, "anomalies": rows}, table)
-        elif args.sub == "scan":
-            cells = growth.rate_scan(args.lo, args.hi, args.step, args.n, args.base, args.t_max)
-            csv_text = growth.scan_to_csv(cells)
-            if args.csv:
-                with open(args.csv, "w") as fh:
-                    fh.write(csv_text)
-            spikes = sum(1 for c in cells if c.chi_sqr > 50)
-            flagged = sum(1 for c in cells if c.anomaly is not None)
-            table = f"scanned {len(cells)} rates; chi>50 spikes: {spikes}; flagged rational: {flagged}"
-            _emit(args, {"schema_version": 1, "rates": len(cells),
-                         "spikes": spikes, "flagged": flagged}, table)
-        else:  # factors
-            facs = growth.cumulative_factors(args.rate, args.count)
-            rows = [(j + 1, f"{v:.2f}") for j, v in enumerate(facs)]
-            if args.csv:
-                _write_csv(args.csv, ["index", "factor"], rows)
-            table = "\n".join(f"{j:>3}  {v}" for j, v in rows)
-            _emit(args, {"schema_version": 1, "factors": [float(v) for v in facs]}, table)
-    except DigitLabError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    return EXIT_OK
+def cmd_growth(args) -> None:
+    if args.sub == "series":
+        series = growth.GrowthSeries(base=args.base, percent=args.rate, length=args.n)
+        dist, chi = growth.series_ld(series)
+        rec = growth.detect_anomalous(args.rate, args.t_max)
+        extra = {"rate %": args.rate, "chi-square": f"{chi:.2f}",
+                 "anomaly": f"L={rec.L} T={rec.T}" if rec else "none"}
+        payload = {"schema_version": 1, "rate_percent": args.rate, "chi_sqr": chi,
+                   "anomaly": {"L": rec.L, "T": rec.T} if rec else None,
+                   "ld_probs": {str(d): dist.probs[d] for d in range(1, 10)}}
+        _emit(args, payload, _ld_table(dist.probs, extra))
+    elif args.sub == "anomalies":
+        recs = growth.enumerate_anomalous([args.l], (1, args.t_max))
+        rows = [(r.L, r.T, float(r.fraction), round(r.percent, 4)) for r in recs]
+        table = "L  T  fraction  percent\n" + "\n".join(
+            f"{L}  {T}  {f:.4f}  {p}" for L, T, f, p in rows)
+        if args.csv:
+            _write_csv(args.csv, ["L", "T", "fraction", "percent"], rows)
+        _emit(args, {"schema_version": 1, "anomalies": rows}, table)
+    elif args.sub == "scan":
+        cells = growth.rate_scan(args.lo, args.hi, args.step, args.n, args.base, args.t_max)
+        csv_text = growth.scan_to_csv(cells)
+        if args.csv:
+            with open(args.csv, "w") as fh:
+                fh.write(csv_text)
+        spikes = sum(1 for c in cells if c.chi_sqr > 50)
+        flagged = sum(1 for c in cells if c.anomaly is not None)
+        table = f"scanned {len(cells)} rates; chi>50 spikes: {spikes}; flagged rational: {flagged}"
+        _emit(args, {"schema_version": 1, "rates": len(cells),
+                     "spikes": spikes, "flagged": flagged}, table)
+    else:  # factors
+        facs = growth.cumulative_factors(args.rate, args.count)
+        rows = [(j + 1, f"{v:.2f}") for j, v in enumerate(facs)]
+        if args.csv:
+            _write_csv(args.csv, ["index", "factor"], rows)
+        table = "\n".join(f"{j:>3}  {v}" for j, v in rows)
+        _emit(args, {"schema_version": 1, "factors": [float(v) for v in facs]}, table)
 
 
-def cmd_invariance(args) -> int:
-    try:
-        cls = family_by_name(args.family)
-        kinds = [f.type for f in fields(cls)]
-        if len(args.params) != len(kinds):
-            raise BadParamsError(f"{cls.__name__} takes {len(kinds)} parameter(s), "
-                                 f"got {len(args.params)}")
-        # integral values go to the integer fields (ChiSqr dof, Die faces) as ints
-        model = cls(*(int(p) if kind == "int" and p.is_integer() else p
-                      for kind, p in zip(kinds, args.params)))
-        subset = None
-        if args.scale_only:
-            subset = [model.pot_scale_params[0] if model.pot_scale_params else model.param_names[0]]
-        if args.mode == "analytic":
-            diff = chains.power_of_ten_invariance_check(model, args.m, mode="analytic", subset=subset)
-        else:
-            diff = chains.power_of_ten_invariance_check(
-                model, args.m, mode="montecarlo", subset=subset, n=args.n, seed=args.seed)
-    except DigitLabError as exc:
-        return _computation_failed(exc)
+def cmd_invariance(args) -> None:
+    cls = family_by_name(args.family)
+    kinds = [f.type for f in fields(cls)]
+    if len(args.params) != len(kinds):
+        raise BadParamsError(f"{cls.__name__} takes {len(kinds)} parameter(s), got {len(args.params)}")
+    # integral values go to the integer fields (ChiSqr dof, Die faces) as ints
+    model = cls(*(int(p) if kind == "int" and p.is_integer() else p
+                  for kind, p in zip(kinds, args.params)))
+    subset = None
+    if args.scale_only:
+        subset = [model.pot_scale_params[0] if model.pot_scale_params else model.param_names[0]]
+    if args.mode == "analytic":
+        diff = chains.power_of_ten_invariance_check(model, args.m, mode="analytic", subset=subset)
+    else:
+        diff = chains.power_of_ten_invariance_check(
+            model, args.m, mode="montecarlo", subset=subset, n=args.n, seed=args.seed)
     table = (f"family {args.family} params {args.params} scaled by 10^{args.m} "
              f"({args.mode}): max per-digit LD difference = {diff:.3e}")
     _emit(args, {"schema_version": 1, "family": args.family, "params": list(args.params),
                  "m": args.m, "mode": args.mode, "max_ld_difference": diff}, table)
-    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -407,6 +350,13 @@ def _top_range(text: str) -> tuple[int, int]:
         return int(lo), int(hi)
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected lo:hi, got {text!r}") from None
+
+
+def _seed(text: str) -> int:
+    """A --seed value: numpy takes non-negative integers only."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return int(text)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -445,7 +395,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--samples", metavar="PATH", default=None,
                     help="write accepted samples to a file")
     sp.add_argument("--threads", type=int, default=1)
-    sp.add_argument("--seed", type=int, default=None)
+    sp.add_argument("--seed", type=_seed, default=None)
     common(sp)
     sp.set_defaults(fn=cmd_chain)
 
@@ -509,7 +459,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--scale-only", action="store_true",
                     help="scale only the first form parameter")
     sp.add_argument("--n", type=int, default=10**6)
-    sp.add_argument("--seed", type=int, default=None)
+    sp.add_argument("--seed", type=_seed, default=None)
     common(sp)
     sp.set_defaults(fn=cmd_invariance)
 
@@ -525,7 +475,15 @@ def main(argv=None) -> int:
         # argparse exits 2 on usage errors already; normalize other codes
         return int(exc.code) if exc.code else EXIT_OK
     args._argv = ["digitlab", *argv]
-    return args.fn(args)
+    try:
+        args.fn(args)
+    except DigitLabError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return exc.exit_code
+    except OSError as exc:  # an unreadable input or unwritable output file
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    return EXIT_OK
 
 
 if __name__ == "__main__":

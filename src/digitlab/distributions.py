@@ -24,7 +24,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .errors import BadParamsError
+from .errors import BadParamsError, TooLargeError, UnknownFamilyError, UnsupportedFormError
 
 __all__ = [
     "DistributionModel",
@@ -63,6 +63,7 @@ __all__ = [
 _SQRT2PI = math.sqrt(2.0 * math.pi)
 _DOUBLE_MAX = 1.7976931348623157e308
 _LN_MAX = math.log(_DOUBLE_MAX)  # exp of more is not a double
+_MAX_DRAWS = 10**7  # draws one sample_n may return: about 70 bytes each, temporaries included
 
 
 @dataclass(frozen=True)
@@ -81,9 +82,6 @@ class Support:
         if self.hi == math.inf:
             return "(0,+inf)" if self.lo == 0 else f"({self.lo},+inf)"
         return f"bounded({self.lo},{self.hi})"
-
-    def contains(self, x: float) -> bool:
-        return self.lo <= x <= self.hi
 
 
 def _positive(x):
@@ -128,10 +126,11 @@ class DistributionModel:
     def pdf(self, x: float) -> float:
         raise NotImplementedError
 
-    def sample(self, rng: np.random.Generator) -> float:
-        return float(self.sample_n(1, rng)[0])
-
     def sample_n(self, n: int, rng: np.random.Generator) -> np.ndarray:
+        if n < 1:
+            raise BadParamsError(f"n must be >= 1, got {n}")
+        if n > _MAX_DRAWS:
+            raise TooLargeError(f"n must be at most {_MAX_DRAWS}, got {n}")
         # the parameters go in as length-n arrays, as a chain passes its
         # constants, so numpy takes the same (array ** array, not scalar
         # power) code paths and both draw the same bits
@@ -156,11 +155,7 @@ class DistributionModel:
             raise BadParamsError(f"10**m must be a double, got m = {m}")
         if subset is None:
             if not self.pot_scale_params:
-                from .errors import UnsupportedFormError
-
-                raise UnsupportedFormError(
-                    f"{type(self).__name__} has no power-of-ten parameter form"
-                )
+                raise UnsupportedFormError(f"{type(self).__name__} has no power-of-ten parameter form")
             subset = self.pot_scale_params
         kwargs = {}
         for f in fields(self):
@@ -806,8 +801,12 @@ class GuptaKundu(DistributionModel):
         if x <= 0:
             return 0.0
         a, lam = self.alpha, self.lam
-        e = math.exp(-lam * x)
-        return a * lam * e * (1.0 - e) ** (a - 1.0)
+        u = lam * x
+        # in log space: (1 - e^-u)**(alpha - 1) need not be a double, nor
+        # 1 - e^-u (nor u itself) nonzero
+        log_1me = math.log(-math.expm1(-u)) if u > 0 else math.log(lam) + math.log(x)
+        log_pdf = math.log(a) + math.log(lam) - u + (a - 1.0) * log_1me
+        return math.exp(log_pdf) if log_pdf < _LN_MAX else math.inf
 
     @staticmethod
     def draw(rng, n, alpha, lam):
@@ -1041,7 +1040,17 @@ class PowerLaw(DistributionModel):
     def pdf(self, x):
         if x < self.lo or x > self.hi:
             return 0.0
-        return self.k * x ** (-self.m)
+        # in log space, relative to the end ref where x**(1 - m) is largest, as
+        # analytic.ld_power_law integrates: (ref/x)**m / (ref norm), norm the
+        # integral of (x/ref)**-m dx/ref over (lo, hi); k, x**-m need not be doubles
+        m, lo, hi = self.m, self.lo, self.hi
+        rise = (hi - lo) / lo
+        span = math.log1p(rise) if rise < math.inf else math.log(hi) - math.log(lo)  # ln(hi/lo) > 0
+        q = abs(1.0 - m)
+        norm = -math.expm1(-q * span) / q if q else span
+        log_ref = math.log(lo if m > 1.0 else hi)
+        log_pdf = -m * (math.log(x) - log_ref) - log_ref - math.log(norm)
+        return math.exp(log_pdf) if log_pdf < _LN_MAX else math.inf
 
     @staticmethod
     def draw(rng, n, m, lo, hi):
@@ -1134,6 +1143,4 @@ def family_by_name(name: str) -> type:
     try:
         return FAMILIES[key]
     except KeyError:
-        from .errors import UnknownFamilyError
-
         raise UnknownFamilyError(f"unknown distribution family {name!r}") from None

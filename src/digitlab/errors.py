@@ -1,8 +1,11 @@
-"""Exception hierarchy shared by all digitlab modules."""
+"""Exception hierarchy shared by all digitlab modules.  Each class carries the
+exit code the command line reports for it: 2 for a bad argument (the default),
+3 for empty input, 4 for a numerical failure."""
 
 
 class DigitLabError(Exception):
     """Base class for all digitlab errors."""
+    exit_code = 2
 
 
 class ZeroInputError(DigitLabError, ValueError):
@@ -25,10 +28,6 @@ class BadParamsError(DigitLabError, ValueError):
     """Distribution parameters violate the family's invariants."""
 
 
-class SamplerDivergenceError(DigitLabError, RuntimeError):
-    """An iterative sampler failed to converge within its attempt cap."""
-
-
 class BadIntervalError(DigitLabError, ValueError):
     """Averaging-scheme interval bounds are inconsistent."""
 
@@ -38,7 +37,7 @@ class DepthUnsupportedError(DigitLabError, ValueError):
 
 
 class TooLargeError(DigitLabError, ValueError):
-    """A materialized dataset would exceed the configured size cap."""
+    """A size, count or depth exceeds its cap."""
 
 
 class BadRangeError(DigitLabError, ValueError):
@@ -47,6 +46,7 @@ class BadRangeError(DigitLabError, ValueError):
 
 class QuadratureFailureError(DigitLabError, RuntimeError):
     """Numerical integration failed to reach the requested accuracy."""
+    exit_code = 4
 
 
 class UnsupportedFamilyError(DigitLabError, ValueError):
@@ -79,10 +79,12 @@ class UnknownPresetError(DigitLabError, ValueError):
 
 class PolicyExhaustedError(DigitLabError, RuntimeError):
     """Resampling policy ran out of attempts with on_exhaustion=Error."""
+    exit_code = 4
 
 
 class EmptyInputError(DigitLabError, ValueError):
     """Statistic requested on an empty value set."""
+    exit_code = 3
 
 
 class BadExpectedError(DigitLabError, ValueError):

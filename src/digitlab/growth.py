@@ -41,7 +41,8 @@ _BOUNDS = np.array(compartment_boundaries(10))
 # elements per mantissa block of a rate scan; bounds the scan's scratch arrays
 _BLOCK = 2**14
 # rates in one scan (each result cell holds about 270 bytes and 0.1 ms of
-# work), and (L, T) pairs one enumerate_anomalous call may consider
+# work), (L, T) pairs one enumerate_anomalous call may consider, and the
+# elements of one series or cumulative_factors array
 _MAX_RATES = 10**6
 # bins of the mantissa digit table: each holds at most one snap threshold
 _BINS = 4096
@@ -52,6 +53,13 @@ _EXACT = 2**53
 def _check_percent(percent: float) -> None:
     if not -100 < percent < math.inf:  # NaN fails too
         raise BadParamsError(f"percent must be finite and > -100, got {percent}")
+
+
+def _check_count(name: str, count: int) -> None:
+    if count < 1:
+        raise BadParamsError(f"{name} must be >= 1, got {count}")
+    if count > _MAX_RATES:
+        raise TooLargeError(f"{name} must be at most {_MAX_RATES}, got {count}")
 
 
 @dataclass(frozen=True)
@@ -66,8 +74,7 @@ class GrowthSeries:
         if not 0 < self.base < math.inf:
             raise BadParamsError(f"base must be finite and > 0, got {self.base}")
         _check_percent(self.percent)
-        if self.length < 1:
-            raise BadParamsError(f"length must be >= 1, got {self.length}")
+        _check_count("length", self.length)
 
     @property
     def factor(self) -> float:
@@ -93,7 +100,10 @@ class AnomalyRecord:
 
     @property
     def percent(self) -> float:
-        return 100.0 * (10.0 ** (self.L / self.T) - 1.0)
+        try:
+            return 100.0 * (10.0 ** (self.L / self.T) - 1.0)
+        except OverflowError:
+            raise TooLargeError(f"the growth percent of L/T = {self.L}/{self.T} is past the doubles") from None
 
     @property
     def first_power_of_ten_factor(self) -> int:
@@ -322,10 +332,9 @@ def enumerate_anomalous(l_set, t_range: tuple[int, int]) -> list[AnomalyRecord]:
 
 
 def cumulative_factors(percent: float, count: int) -> np.ndarray:
-    """(1+P/100)**j for j = 1..count, computed in log space."""
+    """(1+P/100)**j for j = 1..count (at most _MAX_RATES), computed in log space."""
     _check_percent(percent)
-    if count < 1:
-        raise BadParamsError(f"count must be >= 1, got {count}")
+    _check_count("count", count)
     j = np.arange(1, count + 1, dtype=np.float64)
     log_f = math.log10(1.0 + percent / 100.0)
     with np.errstate(over="ignore"):

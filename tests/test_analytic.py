@@ -27,6 +27,7 @@ from digitlab.errors import (
     BadParamsError,
     BadRangeError,
     QuadratureFailureError,
+    TooLargeError,
     UnsupportedFamilyError,
 )
 
@@ -336,6 +337,14 @@ class TestMantissaDensity:
                      analytic.SemiCircularLog(4.0, 2.2)):
             h = analytic.mantissa_density(spec, 80)
             assert h.mean() == pytest.approx(1.0, abs=1e-12)
+
+    def test_work_capped_before_allocation(self):
+        # one cdf difference per bin and unit of the support, plus two
+        with pytest.raises(TooLargeError):
+            analytic.mantissa_density(analytic.UniformLog(0.0, 1.0), 10**11)
+        with pytest.raises(TooLargeError):
+            analytic.mantissa_density(analytic.UniformLog(-300.0, 300.0), 2000)
+        assert analytic.mantissa_density(analytic.UniformLog(-300.0, 300.0), 1000).size == 1000
 
 
 SHIFTED_KX = (lambda x: 1.0 / (math.log(10.0) * (x - 4.0)), 5.0, 14.0)

@@ -75,6 +75,15 @@ class TestParser:
         spec = chains.parse_chain(text)
         assert chains.parse_chain(chains.render_chain(spec)) == spec
 
+    def test_nesting_capped_while_descending(self):
+        def nested(levels):
+            return "Uniform(0," * levels + "1" + ")" * levels
+
+        assert chains.chain_depth(chains.parse_chain(nested(chains._MAX_DEPTH))) == chains._MAX_DEPTH
+        with pytest.raises(ChainSyntaxError) as err:
+            chains.parse_chain(nested(10_000))  # refused before the recursion gets deep
+        assert err.value.position == len("Uniform(0,") * chains._MAX_DEPTH
+
 
 class TestSimulate:
     def test_depth4_uniform_digit_one(self):
@@ -118,6 +127,14 @@ class TestSimulate:
         policy = chains.ResamplePolicy(max_attempts=3, on_exhaustion="error")
         with pytest.raises(PolicyExhaustedError):
             chains.simulate_chain(spec, 100, seed=19, policy=policy)
+
+    def test_policy_bounds(self):
+        # a bad policy is a bad argument (exit 2), not an exhausted one (exit 4)
+        for kwargs in ({"max_attempts": 0}, {"max_attempts": chains._MAX_ATTEMPTS + 1},
+                       {"on_exhaustion": "retry"}):
+            with pytest.raises(BadParamsError):
+                chains.ResamplePolicy(**kwargs)
+        chains.ResamplePolicy(max_attempts=chains._MAX_ATTEMPTS)
 
     def test_policy_skip_mode_flags_validity(self):
         spec = chains.parse_chain("Normal(0, Uniform(-2, -1))")
@@ -444,6 +461,14 @@ class TestPresets:
     def test_unknown_preset(self):
         with pytest.raises(UnknownPresetError):
             chains.preset("nope")
+
+    @pytest.mark.parametrize("name,key,most", [("flehinger", "depth", chains._MAX_DEPTH),
+                                               ("rayleigh_cycles", "cycles", chains._MAX_DEPTH // 3)])
+    def test_nesting_capped(self, name, key, most):
+        assert chains.chain_depth(chains.preset(name, **{key: most})) <= chains._MAX_DEPTH
+        for count in (0, most + 1, 10**12):
+            with pytest.raises(BadParamsError):
+                chains.preset(name, **{key: count})
 
 
 class TestDepthAccounting:

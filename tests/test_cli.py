@@ -1,21 +1,26 @@
 """End-to-end tests for the command-line interface."""
 
 import ast
+import contextlib
+import io
 import json
 import os
 import resource
 import shutil
+import signal
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import digitlab
 from digitlab import cli
-from digitlab.cli import EXIT_EMPTY, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
+from digitlab.cli import EXIT_OK, EXIT_USAGE, main
+
+EXIT_EMPTY, EXIT_NUMERIC = 3, 4  # empty input, numerical failure
 
 # the directory holding the digitlab package, for the subprocesses below
 _PACKAGE_ROOT = str(Path(digitlab.__file__).resolve().parents[1])
@@ -27,6 +32,17 @@ _TIMEOUT_S = 60  # each command needs well under a second; a hang fails the test
 def _run(python_args: list[str]) -> subprocess.CompletedProcess:
     return subprocess.run([sys.executable, *python_args], capture_output=True, text=True,
                           timeout=_TIMEOUT_S, env=_ENV)
+
+
+def _run_in_2gib(argv: list[str]) -> subprocess.CompletedProcess:
+    """digitlab with argv under a 2 GiB address-space limit, so that an
+    allocation a cap should have refused fails with MemoryError, not the machine."""
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (2**31, 2**31))
+
+    return subprocess.run([sys.executable, "-m", "digitlab.cli", *argv, "--quiet"],
+                          capture_output=True, text=True, timeout=_TIMEOUT_S, env=_ENV,
+                          preexec_fn=limit_memory)
 
 
 def _reject_constant(name):
@@ -400,7 +416,22 @@ class TestExitCodes:
         ["growth", "factors", "--rate", "nan", "--count", "3"],
         ["growth", "anomalies", "--t-max", "0"],
         ["growth", "anomalies", "--t-max", "100000000"],
-    ], ids=" ".join)
+        ["analytic", "kx", "--json", "/nonexistent/x.json"],
+        ["growth", "factors", "--csv", "/nonexistent/x.csv"],
+        ["chain", "--spec", "Uniform(0,1)", "--n", "10", "--samples", "/nonexistent/x"],
+        ["analytic", "ten-to-uniform", "--s", "1", "--bins", "10000000"],
+        ["invariance", "--family", "normal", "--params", "0", "1", "--mode", "montecarlo",
+         "--n", "-5"],
+        ["invariance", "--family", "normal", "--params", "0", "1", "--mode", "montecarlo",
+         "--n", "0"],
+        ["chain", "--preset", "flehinger", "--n", "1000", "--depth", "500"],
+        ["chain", "--preset", "rayleigh_cycles", "--n", "1000", "--cycles", "300"],
+        ["chain", "--spec", "Uniform(0," * 400 + "1" + ")" * 400, "--n", "1000"],
+        ["chain", "--preset", "flehinger", "--n", "1000", "--depth", "1000000000000"],
+        ["chain", "--spec", "Uniform(0,1e999)", "--n", "1",
+         "--max-attempts", "100000000000000000000000"],
+        ["growth", "anomalies", "--l", "400"],
+    ], ids=lambda argv: " ".join(argv)[:120])
     def test_bad_argument_exits_2(self, argv):
         # the first two used to hang, the next four to end in a traceback (exit 1),
         # the next two to exit 4 as a numerical failure; of the next eight, the
@@ -408,10 +439,42 @@ class TestExitCodes:
         # asked for a million threads (refused before any thread starts); of the
         # growth cases, a rate of -150 % ended in a traceback, NaN printed NaN
         # factors, T <= 0 printed an empty table and 10^8 T values built a record
-        # each (refused before any is built)
+        # each (refused before any is built); of the rest, the unwritable
+        # outputs ended in a traceback, 10^7 bins ran for minutes, --n -5 ended
+        # in a traceback and --n 0 printed NaN, the deep chains in a
+        # RecursionError, the huge depth and attempt counts hung, and L = 400
+        # (10**400 is past the doubles) ended in a traceback
         proc = _run(["-m", "digitlab.cli", *argv, "--quiet"])
         assert proc.returncode == EXIT_USAGE, proc.stderr
-        assert proc.stderr.startswith("error:")
+        assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
+
+    def test_exit_code_is_carried_by_the_error_class(self):
+        from digitlab import errors
+
+        classes = [c for c in vars(errors).values()
+                   if isinstance(c, type) and issubclass(c, errors.DigitLabError)]
+        assert {c.__name__: c.exit_code for c in classes if c.exit_code != EXIT_USAGE} == {
+            "EmptyInputError": EXIT_EMPTY, "QuadratureFailureError": EXIT_NUMERIC,
+            "PolicyExhaustedError": EXIT_NUMERIC}
+
+    def test_all_zero_draws_exit_3(self, capsys):
+        # Uniform(0, 5e-324) draws 0 about half the time; this one draw is 0,
+        # where the check divided 0 by 0 and printed NaN
+        rc = main(["invariance", "--family", "uniform", "--params", "0", "5e-324",
+                   "--mode", "montecarlo", "--n", "1", "--seed", "5", "--quiet"])
+        assert rc == EXIT_EMPTY
+        assert capsys.readouterr().err.startswith("error: all 1 draws")
+
+    @pytest.mark.parametrize("argv", [
+        ["chain", "--preset", "flehinger", "--n", "10"],
+        ["invariance", "--family", "normal", "--params", "0", "1", "--mode", "montecarlo"],
+    ], ids=" ".join)
+    def test_negative_seed_is_a_usage_error(self, argv):
+        # numpy's SeedSequence raised a ValueError traceback on it
+        proc = _run(["-m", "digitlab.cli", *argv, "--seed", "-1", "--quiet"])
+        assert proc.returncode == EXIT_USAGE, proc.stderr
+        assert "argument --seed: expected a non-negative integer" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
     @pytest.mark.parametrize("argv", [
         ["invariance", "--family", "normal", "--params", "0", "5e-324"],
@@ -428,6 +491,10 @@ class TestExitCodes:
         ("rayleigh", ["1e300"], {EXIT_OK}),
         ("gamma", ["2", "1e300"], {EXIT_OK}),
         ("weibull", ["2", "1e300"], {EXIT_OK}),
+        # a ZeroDivisionError and an OverflowError traceback; the first density
+        # is finite in log space, the second is past the doubles next to 5e-324
+        ("guptakundu", ["5e-324", "100"], {EXIT_OK}),
+        ("powerlaw", ["2", "5e-324", "100"], {EXIT_NUMERIC}),
     ])
     def test_pdf_powers_past_the_doubles_are_no_traceback(self, family, params, codes):
         # the first two ended in an OverflowError traceback (exit 1); then the
@@ -453,15 +520,23 @@ class TestExitCodes:
     def test_huge_scan_grid_refused_before_allocation(self):
         # 1e300 rates: refused before any list is built; the address-space
         # limit makes a regression fail with MemoryError, not take the machine
-        def limit_memory():
-            resource.setrlimit(resource.RLIMIT_AS, (2**31, 2**31))
-
-        proc = subprocess.run(
-            [sys.executable, "-m", "digitlab.cli", "growth", "scan", "--lo", "1", "--hi", "2",
-             "--step", "1e-300", "--quiet"],
-            capture_output=True, text=True, timeout=_TIMEOUT_S, env=_ENV, preexec_fn=limit_memory)
+        proc = _run_in_2gib(["growth", "scan", "--lo", "1", "--hi", "2", "--step", "1e-300"])
         assert proc.returncode == EXIT_USAGE, proc.stderr
         assert proc.stderr.startswith("error:") and "rates" in proc.stderr
+
+    @pytest.mark.parametrize("argv", [
+        ["growth", "factors", "--count", "1000000000000"],
+        ["growth", "series", "--n", "100000000"],
+        ["growth", "scan", "--hi", "2", "--n", "1000000000000"],
+        ["analytic", "ten-to-uniform", "--s", "1", "--bins", "100000000000"],
+        ["invariance", "--family", "normal", "--params", "0", "1", "--mode", "montecarlo",
+         "--n", "1000000000000"],
+    ], ids=" ".join)
+    def test_oversized_count_refused_before_allocation(self, argv):
+        # each ended in a MemoryError traceback
+        proc = _run_in_2gib(argv)
+        assert proc.returncode == EXIT_USAGE, proc.stderr
+        assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
 
     def test_power_law_at_extreme_exponent_is_a_point_mass(self):
         # k/x**1e300 on (0.5, 1000) puts all its mass at 0.5: digit 5
@@ -546,3 +621,111 @@ class TestStartup:
         probe = _probe(["--version"], {**os.environ, "PYTHONPATH": str(tmp_path)})
         assert "scipy.special" in probe["scipy"]
         assert _scipy_imports(package) == [f"distributions.py:{line}"]
+
+
+# ---------------------------------------------------------------------------
+# fuzz of main(): every argument list ends in exit 0, 2, 3 or 4, in bounded time
+
+_EDGE = ("inf", "-inf", "nan", "0", "-0", "5e-324", "1e308", "-1e308", "-1", str(10**12),
+         str(10**21), "")
+_NUM = st.sampled_from(_EDGE)
+_OUTPUT = st.sampled_from(("{out}", "/nonexistent/x"))
+_SPECS = ("Uniform(0,1)", "Uniform(0,1e999)", "Normal(Uniform(-1,1), Uniform(-0.5,2))",
+          "Gompertz(Uniform(0,10), 1)", "Rayleigh(Uniform(0, 5e-324))", "Weibull(1)", "Uniform(0,",
+          "Nope(1)", "Uniform(0,1))", "", "Uniform(0," * 400 + "1" + ")" * 400)
+_PRESETS = ("flehinger", "benford_twist", "mini_hill", "rayleigh_cycles", "table8_chain")
+_FAMILIES = ("normal", "uniform", "exponential", "gamma", "weibull", "rayleigh", "wald", "lognormal",
+             "gompertz", "guptakundu", "pareto", "powerlaw", "chisqr", "die", "triangular", "nope")
+
+
+def _command(positionals, options: dict):
+    """argv strategy: a draw of each positional strategy in order (a list is spliced in),
+    then up to five of the options and the common ones, each written --flag=value so that
+    a value may start with '-'; a None option is a flag without a value."""
+    options = {**options, "--json": _OUTPUT, "--quiet": None}
+
+    @st.composite
+    def draw_argv(draw):
+        argv = []
+        for p in positionals:
+            value = draw(p)
+            argv += value if isinstance(value, list) else [value]
+        for flag in draw(st.lists(st.sampled_from(sorted(options)), unique=True, max_size=5)):
+            value = options[flag]
+            argv.append(flag if value is None else f"{flag}={draw(value)}")
+        return argv
+
+    return draw_argv()
+
+
+_ARGV = st.one_of(
+    _command([st.just("analyze"), st.sampled_from(("{data}", "{out}", "/nonexistent/x"))],
+             {"--format": st.sampled_from(("plain", "csv", "jsonl")),
+              "--column": st.sampled_from(("v", "0", "9", "")), "--field": st.sampled_from(("v", "a.b")),
+              "--min-magnitude": _NUM, "--keep-sign": None}),
+    _command([st.just("chain"),
+              st.sampled_from([f"--spec={s}" for s in _SPECS] + [f"--preset={p}" for p in _PRESETS]),
+              st.sampled_from(("--n=-1", "--n=0", "--n=1", "--n=1000", "--n=nan", "--n="))],
+             {"--depth": _NUM, "--m": _NUM, "--cycles": _NUM, "--max-attempts": _NUM,
+              "--on-exhaustion": st.sampled_from(("skip", "error")), "--samples": _OUTPUT,
+              "--threads": st.sampled_from(("1", "2")), "--seed": _NUM}),
+    _command([st.just("scheme"), st.sampled_from(("simple", "iterated", "twist"))],
+             {**{f: _NUM for f in ("--lb", "--ub-min", "--ub-max", "--depth", "--inner-min",
+                                   "--mid-min", "--rate", "--start", "--end")},
+              "--top": st.builds(lambda lo, hi: f"{lo}:{hi}", _NUM, _NUM)}),
+    _command([st.just("analytic"),
+              st.sampled_from(("kx", "power-law", "exponential", "ten-to-uniform", "ten-to-triangular",
+                               "ten-to-semicircle", "shifted-kx", "mixed-sign-kx", "ratio-uniforms"))],
+             {**{f: _NUM for f in ("--s", "--g", "--m", "--lo", "--hi", "--p", "--r", "--a", "--b",
+                                   "--mode", "--center", "--radius", "--bins")},
+              "--csv": _OUTPUT}),
+    _command([st.just("growth"), st.sampled_from(("series", "anomalies", "scan", "factors"))],
+             {**{f: _NUM for f in ("--rate", "--base", "--n", "--l", "--t-max", "--lo", "--hi",
+                                   "--step", "--count")},
+              "--csv": _OUTPUT}),
+    _command([st.just("invariance"), st.sampled_from([f"--family={f}" for f in _FAMILIES]),
+              # one value as --params=v, so that it may start with '-'
+              st.lists(_NUM, min_size=1, max_size=3).map(
+                  lambda v: [f"--params={v[0]}"] if len(v) == 1 else ["--params", *v]),
+              st.sampled_from(("--n=1000", "--n=0", "--n=-1", f"--n={10**12}", f"--n={10**21}"))],
+             {"--m": _NUM, "--mode": st.sampled_from(("analytic", "montecarlo")), "--scale-only": None,
+              "--seed": _NUM}),
+)
+
+
+class _Hang(BaseException):
+    """Raised by the alarm: an exception no handler in the package catches."""
+
+
+def _hang(signum, frame):
+    raise _Hang
+
+
+@pytest.fixture(scope="module")
+def fuzz_files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    data = root / "data.csv"
+    data.write_text("v\n" + "".join(f"{v}\n" for v in (1.5, 23, -0.004, 0, 7e300, 5e-324, "x", 123)))
+    return {"{data}": str(data), "{out}": str(root / "out")}
+
+
+class TestFuzzMain:
+    _ALARM_S = 10  # one call; a hang fails the test after this many seconds
+
+    @settings(max_examples=600, derandomize=True, deadline=None, database=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(argv=_ARGV)
+    def test_every_input_exits_0_2_3_or_4(self, argv, fuzz_files):
+        for token, path in fuzz_files.items():
+            argv = [a.replace(token, path) for a in argv]
+        previous = signal.signal(signal.SIGALRM, _hang)
+        signal.alarm(self._ALARM_S)
+        try:
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()) as err:
+                rc = main(argv)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert rc in (EXIT_OK, EXIT_USAGE, EXIT_EMPTY, EXIT_NUMERIC), (argv, err.getvalue())
+        assert "Traceback" not in err.getvalue()

@@ -5,6 +5,7 @@ empirical means of large samples must sit within 5 standard errors of the
 closed-form mean; samples must stay inside the support.
 """
 
+import decimal
 import math
 
 import numpy as np
@@ -13,7 +14,7 @@ from scipy import integrate
 
 from digitlab import chains
 from digitlab import distributions as dm
-from digitlab.errors import BadParamsError, UnknownFamilyError
+from digitlab.errors import BadParamsError, TooLargeError, UnknownFamilyError
 
 # One representative parameterization per family.  Infinite supports are
 # truncated at 40 scale-lengths for the normalization quadrature.
@@ -273,6 +274,14 @@ def test_sample_n_draws_what_a_chain_draws(model):
     assert np.array_equal(res.samples, x[x != 0])
 
 
+def test_sample_n_count_capped():
+    rng = np.random.default_rng(1)
+    with pytest.raises(BadParamsError):
+        dm.Normal(0.0, 1.0).sample_n(0, rng)
+    with pytest.raises(TooLargeError):
+        dm.Normal(0.0, 1.0).sample_n(dm._MAX_DRAWS + 1, rng)
+
+
 class TestPowerOfTenScaling:
     def test_scale_forms(self):
         assert dm.Exponential(0.3).scaled_by_power_of_ten(1) == dm.Exponential(3.0)
@@ -357,6 +366,42 @@ class TestWeibullRayleighPdf:
 
     def test_weibull_tail_past_the_doubles_is_zero(self):
         assert dm.Weibull(200.0, 1.0).pdf(1e10) == 0.0
+
+
+class TestGuptaKunduPowerLawPdf:
+    # both in log space: (1 - e^-lam x)**(alpha - 1) raised ZeroDivisionError
+    # once lam x fell below 1e-16, and k's lo**(1 - m) overflowed near 0
+    @pytest.mark.parametrize("alpha,lam,xs", [
+        (2.5, 1.5, (1e-3, 0.5, 3.0, 30.0)),
+        (0.5, 1.0, (1e-20, 1e-3, 1.0)),
+        (1e-300, 100.0, (1e-300, 1e-20, 1.0)),
+    ])
+    def test_gupta_kundu_matches_scipy(self, alpha, lam, xs):
+        from scipy import stats
+
+        for x in xs:
+            assert dm.GuptaKundu(alpha, lam).pdf(x) == pytest.approx(
+                stats.exponweib.pdf(x, alpha, 1.0, scale=1.0 / lam), rel=1e-12)
+
+    @pytest.mark.parametrize("m,lo,hi,xs", [
+        (2.0, 1.0, 1000.0, (1.0, 37.0, 1000.0)),
+        (0.5, 1e-300, 1e300, (1e-300, 1.0, 1e300)),
+        (1.0, 5e-324, 1e308, (5e-324, 1.0, 1e308)),
+        (2.0, 5e-324, 100.0, (1.0, 100.0)),
+        (1.0 + 1e-13, 1.0, 1000.0, (1.0, 999.0)),  # k lost 6 digits here
+    ])
+    def test_power_law_matches_the_normalized_density(self, m, lo, hi, xs):
+        # the exact k / x**m of the doubles, in 40-digit decimals
+        with decimal.localcontext(decimal.Context(prec=40, Emin=-10**6, Emax=10**6)):
+            m_, lo_, hi_ = decimal.Decimal(m), decimal.Decimal(lo), decimal.Decimal(hi)
+            k = 1 / (hi_ / lo_).ln() if m == 1.0 else (1 - m_) / (hi_ ** (1 - m_) - lo_ ** (1 - m_))
+            for x in xs:
+                want = float(k * decimal.Decimal(x) ** -m_)
+                assert dm.PowerLaw(m, lo, hi).pdf(x) == pytest.approx(want, rel=1e-12)
+
+    def test_density_past_the_doubles_is_inf(self):
+        assert dm.PowerLaw(2.0, 5e-324, 100.0).pdf(5e-324) == math.inf
+        assert dm.GuptaKundu(1e-300, 1.0).pdf(5e-324) > 0
 
 
 class TestLogisticGumbelPdf:

@@ -38,6 +38,15 @@ class TestGenerateSeries:
         with pytest.raises(BadParamsError):
             growth.GrowthSeries(base=1.0, percent=-100.0, length=3)
 
+    @pytest.mark.parametrize("make", [lambda n: growth.GrowthSeries(3.0, 10.0, n),
+                                      lambda n: growth.cumulative_factors(10.0, n)])
+    def test_element_count_capped(self, make):
+        make(growth._MAX_RATES)
+        with pytest.raises(BadParamsError):
+            make(0)
+        with pytest.raises(TooLargeError):
+            make(growth._MAX_RATES + 1)
+
 
 class TestSeriesLd:
     def test_typical_rate_logarithmic(self):
@@ -242,6 +251,13 @@ class TestEnumerate:
             growth.AnomalyRecord(2, 4)  # not reduced
         with pytest.raises(BadParamsError):
             growth.AnomalyRecord(0, 5)
+
+    def test_percent_past_the_doubles_refused(self):
+        assert growth.AnomalyRecord(401, 2).percent == pytest.approx(100.0 * 10.0**200.5)
+        with pytest.raises(TooLargeError):
+            growth.AnomalyRecord(400, 1).percent
+        with pytest.raises(TooLargeError):
+            growth.enumerate_anomalous([400], (1, 10))
 
 
 class TestCumulativeFactors:
