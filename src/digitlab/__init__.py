@@ -7,16 +7,16 @@ exponential-growth singularity detection, and dataset conformity testing.
 
 __version__ = "0.1.0"
 
-from .digits import (  # noqa: F401
-    DigitDistribution,
-    Significand,
-    benford_distribution,
-    benford_first,
-    benford_pattern,
-    compartment_boundaries,
-    digit_pattern,
-    first_digit,
-    lda,
-    leading_digits,
-    mantissa10,
-)
+# These load digitlab.digits, and numpy with it, on first use: `import digitlab`
+# runs before cli.py, which sets numpy's BLAS threads before numpy loads.
+__all__ = ["DigitDistribution", "Significand", "benford_distribution", "benford_first",
+           "benford_pattern", "compartment_boundaries", "digit_pattern", "first_digit", "lda",
+           "leading_digits", "mantissa10"]
+
+
+def __getattr__(name: str):
+    if name not in __all__:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import digits
+
+    return getattr(digits, name)

@@ -13,26 +13,34 @@ Exit codes follow one rule for every command: 0 on success, else the
 exit_code of the error raised (errors.py): 2 for a bad argument or an
 unreadable or unwritable file, 3 for empty or unparseable data, 4 for a
 numerical failure.  --json writes the same numbers the table shows; every
-JSON document embeds a reproducibility manifest.
+JSON document embeds a reproducibility manifest.  Each command imports the
+one module it runs, so a start loads no other.
 """
 
 from __future__ import annotations
 
 import argparse
+import array
 import csv
 import hashlib
+import itertools
 import json
 import math
+import os
 import sys
 import time
 from dataclasses import fields
 
-import numpy as np
+# No command does threaded BLAS work (its matrix products have a few dozen
+# terms), yet OpenBLAS starts a worker per CPU when numpy loads, and each spins
+# for about 0.1 s of CPU before it sleeps: on a busy machine that slows the main
+# thread by a varying amount.  A value the user set is kept.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
+import numpy as np  # noqa: E402
 
 from . import __version__
-from . import analytic, chains, conformity, growth, schemes
 from .digits import benford_first
-from .distributions import family_by_name
 from .errors import BadParamsError, DigitLabError, EmptyInputError
 
 EXIT_OK = 0
@@ -81,83 +89,93 @@ def _ld_table(probs: dict, extra: dict | None = None) -> str:
 # ingestion
 
 
-_DROP = str.maketrans("", "", "0123456789+-.eE")  # deletes every float character
+_BLOCK = 1 << 12  # lines or CSV rows converted at a time: memory stays flat in file size
+_OUTSIDE = np.ones(256, dtype=bool)  # the bytes a stripped float text may not hold
+_OUTSIDE[np.frombuffer(b"0123456789+-.eE", np.uint8)] = False
+
+
+def _convert(items: list[str]) -> tuple[np.ndarray, int]:
+    """Stripped lines or fields as floats, NaN where Python's float raises or where a
+    character outside 0-9 + - . e E is left (one table pass); and the number of blanks."""
+    items = list(map(str.strip, items))
+    out: list[float] = []
+    numbers = map(float, items)
+    while True:
+        try:
+            out.extend(numbers)
+            break
+        except ValueError:  # the map resumes after the line that raised
+            out.append(math.nan)
+    values = np.array(out, dtype=np.float64)
+    text = "".join(items).encode("ascii", "replace")  # one byte a character, non-ASCII as '?'
+    odd = np.flatnonzero(_OUTSIDE[np.frombuffer(text, np.uint8)])
+    if odd.size:
+        ends = np.cumsum(np.fromiter(map(len, items), np.intp, len(items)))
+        values[np.searchsorted(ends, odd, side="right")] = math.nan
+    return values, items.count("")
 
 
 def _parse_number(text: str):
-    """Strict float parsing: scientific notation fine, separators rejected."""
-    text = text.strip()
-    if text.translate(_DROP):
-        return None
-    try:
-        value = float(text)
-    except ValueError:
-        return None
-    return value if math.isfinite(value) else None
+    """Strict float parsing by the rule of _convert: scientific notation fine,
+    separators rejected; None unless finite."""
+    (value,), _ = _convert([text])
+    return float(value) if math.isfinite(value) else None
 
 
 def ingest(path: str, fmt: str, selector: str | None):
-    """Read values per the ingest spec; returns (values, n_malformed)."""
-    values: list[float] = []
-    malformed = 0
-    with open(path, "r", newline="") as fh:
-        if fmt == "plain":
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                v = _parse_number(line)
-                if v is None:
-                    malformed += 1
-                else:
-                    values.append(v)
-        elif fmt == "csv":
-            reader = csv.reader(fh)
-            rows = list(reader)
-            if not rows:
-                return np.array([]), 0
-            header, body = rows[0], rows[1:]
-            if selector is None:
-                raise DigitLabError("CSV ingestion needs --column")
-            if selector.isdigit():
-                idx = int(selector)
+    """Read values per the ingest spec; returns (values, n_malformed).
+
+    Plain lines and CSV fields go through _convert a block at a time: a blank
+    plain line is skipped, a blank CSV field or short row is malformed.
+    """
+    kept, malformed = array.array("d"), 0  # one growing buffer: no pile of block arrays
+    limit = csv.field_size_limit(sys.maxsize)  # a long field is read, then found malformed
+    try:
+        with open(path, encoding="utf-8", errors="replace", newline="") as fh:
+            if fmt == "plain":
+                items = fh
+            elif fmt == "csv":
+                reader = csv.reader(fh)
+                header = next(reader, None)
+                if header is None:
+                    return np.array([]), 0
+                if selector is None:
+                    raise DigitLabError("CSV ingestion needs --column")
+                if not (selector.isdigit() or selector in header):
+                    raise DigitLabError(f"column {selector!r} not in header {header}")
+                idx = int(selector) if selector.isdigit() else header.index(selector)
+                items = (row[idx] if idx < len(row) else "" for row in reader)
+            elif fmt == "jsonl":
+                if selector is None:
+                    raise DigitLabError("JSONL ingestion needs --field")
+                parts, found = selector.split("."), []
+                for line in fh:
+                    line = line.strip()
+                    if not line:
+                        continue
+                    try:
+                        obj = json.loads(line)
+                        for p in parts:
+                            obj = obj[p]
+                        v = float(obj)
+                    except (ValueError, TypeError, KeyError, json.JSONDecodeError):
+                        malformed += 1
+                        continue
+                    if math.isfinite(v):
+                        found.append(v)
+                    else:
+                        malformed += 1
+                return np.array(found, dtype=np.float64), malformed
             else:
-                try:
-                    idx = header.index(selector)
-                except ValueError:
-                    raise DigitLabError(f"column {selector!r} not in header {header}") from None
-            for row in body:
-                if idx >= len(row):
-                    malformed += 1
-                    continue
-                v = _parse_number(row[idx])
-                if v is None:
-                    malformed += 1
-                else:
-                    values.append(v)
-        elif fmt == "jsonl":
-            if selector is None:
-                raise DigitLabError("JSONL ingestion needs --field")
-            parts = selector.split(".")
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    obj = json.loads(line)
-                    for p in parts:
-                        obj = obj[p]
-                    v = float(obj)
-                except (ValueError, TypeError, KeyError, json.JSONDecodeError):
-                    malformed += 1
-                    continue
-                if math.isfinite(v):
-                    values.append(v)
-                else:
-                    malformed += 1
-        else:
-            raise DigitLabError(f"unknown format {fmt!r}")
-    return np.array(values, dtype=np.float64), malformed
+                raise DigitLabError(f"unknown format {fmt!r}")
+            for block in iter(lambda: list(itertools.islice(items, _BLOCK)), []):
+                values, blank = _convert(block)
+                finite = np.isfinite(values)
+                kept.frombytes(values[finite].tobytes())
+                malformed += values.size - int(finite.sum()) - (blank if fmt == "plain" else 0)
+    finally:
+        csv.field_size_limit(limit)
+    return np.frombuffer(kept, dtype=np.float64), malformed
 
 
 # ---------------------------------------------------------------------------
@@ -165,6 +183,8 @@ def ingest(path: str, fmt: str, selector: str | None):
 
 
 def cmd_analyze(args) -> None:
+    from . import conformity
+
     values, malformed = ingest(args.path, args.format, args.column or args.field)
     if args.min_magnitude is not None:
         values = values[np.abs(values) >= args.min_magnitude]
@@ -201,6 +221,8 @@ def cmd_analyze(args) -> None:
 
 
 def cmd_chain(args) -> None:
+    from . import chains
+
     if args.preset:
         kw = {}
         if args.depth is not None:
@@ -232,6 +254,8 @@ def cmd_chain(args) -> None:
 
 
 def cmd_scheme(args) -> None:
+    from . import schemes
+
     if args.kind == "simple":
         res = schemes.simple_scheme(args.lb, args.ub_min, args.ub_max)
     elif args.kind == "iterated":
@@ -242,6 +266,8 @@ def cmd_scheme(args) -> None:
 
 
 def cmd_analytic(args) -> None:
+    from . import analytic
+
     if args.case == "kx":
         dist = analytic.ld_kx(args.s, args.g)
     elif args.case == "power-law":
@@ -281,6 +307,8 @@ def cmd_analytic(args) -> None:
 
 
 def cmd_growth(args) -> None:
+    from . import growth
+
     if args.sub == "series":
         series = growth.GrowthSeries(base=args.base, percent=args.rate, length=args.n)
         dist, chi = growth.series_ld(series)
@@ -320,6 +348,9 @@ def cmd_growth(args) -> None:
 
 
 def cmd_invariance(args) -> None:
+    from . import chains
+    from .distributions import family_by_name
+
     cls = family_by_name(args.family)
     kinds = [f.type for f in fields(cls)]
     if len(args.params) != len(kinds):

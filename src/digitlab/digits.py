@@ -177,8 +177,7 @@ def leading_digits(values, k: int = 1) -> LeadingDigits:
     m -= e
     lo = int(e.min())
     e = (e - lo).astype(np.int64)
-    present = np.flatnonzero(np.bincount(e))
-    decades = np.unique(np.concatenate([present - 1, present, present + 1]))
+    decades = np.flatnonzero(np.convolve(np.bincount(e) > 0, [1, 1, 1])) - 1  # present and neighbours
     width = 9 * 10 ** (k - 1)
     table = np.array([t for d in decades for t in _row(10, k, lo + int(d))])
     row_start = np.zeros(decades[-1] + 2, dtype=np.int64)

@@ -2,9 +2,11 @@
 
 import ast
 import contextlib
+import csv
 import io
 import json
 import os
+import re
 import resource
 import shutil
 import signal
@@ -182,6 +184,116 @@ class TestParseNumber:
                                   cli.ingest(str(table), "csv", "v")):
             assert values.tolist() == want
             assert malformed == len(fields) - len(want)
+
+
+def _reference_ingest(data: bytes, fmt: str) -> tuple[list[float], int]:
+    """The per-line loop that block ingestion replaced, over the same decoded text:
+    lines end at \\n, \\r\\n or a lone \\r; a blank plain line is skipped; in a CSV
+    (column 'v', the second) a blank field or a short row is malformed."""
+    text = data.decode("utf-8", "replace")
+    if fmt == "plain":
+        fields = [line for line in re.split("\r\n|\r|\n", text) if line.strip()]
+    else:
+        rows = list(csv.reader(io.StringIO(text, newline="")))
+        fields = [row[1] if len(row) > 1 else "" for row in rows[1:]]
+    values = [v for v in map(_set_parse_number, fields) if v is not None]
+    return values, len(fields) - len(values)
+
+
+_TEXTS = ["0", "-0", "-0.0", "7", "12.5", "-3e-2", "1E5", "+4.", ".5", "4.9e-324", "1_000",
+          "\uff11\uff12", "1\uff12", "0x1p3", "inf", "nan", "1e999", "1e-400", "+-1", "1e", ".",
+          "1.2.3", "--", "e5", "", "x"]
+_PADS = ["", "", " ", "  ", "\t", "\x0b", "\x1c", "\u00a0", "\u2028", "\x00"]
+_UNDECODABLE = [b"", b"", b"", b"\xff", b"\xe2\x82", b"\xc3", b"\x80\x80"]
+_LINE_ENDS = [b"\n", b"\r\n", b"\r"]
+
+
+@st.composite
+def _field(draw) -> bytes:
+    """A number, or something close to one, between whitespace, maybe with undecodable bytes."""
+    text = draw(st.sampled_from(_PADS)) + draw(st.sampled_from(_TEXTS)) + draw(st.sampled_from(_PADS))
+    bad = draw(st.sampled_from(_UNDECODABLE))
+    return bad + text.encode() if draw(st.booleans()) else text.encode() + bad
+
+
+@st.composite
+def _plain_file(draw) -> bytes:
+    lines = draw(st.lists(_field(), min_size=1, max_size=30))
+    ends = [draw(st.sampled_from(_LINE_ENDS)) for _ in lines[1:]]
+    ends.append(draw(st.sampled_from([b"", *_LINE_ENDS])))  # the last line may have no end
+    return b"".join(map(bytes.__add__, lines, ends))
+
+
+@st.composite
+def _csv_file(draw) -> bytes:
+    rows = [b"id,v"]
+    for _ in range(draw(st.integers(0, 20))):
+        kind = draw(st.sampled_from(["field", "field", "quoted", "short"]))
+        if kind == "short":
+            rows.append(b"9")
+        elif kind == "quoted":  # an embedded line end inside the quotes
+            inside = draw(_field()) + draw(st.sampled_from(_LINE_ENDS)) + draw(_field())
+            rows.append(b'9,"' + inside + b'"')
+        else:
+            rows.append(b"9," + draw(_field()))
+    ends = draw(st.lists(st.sampled_from(_LINE_ENDS), min_size=len(rows), max_size=len(rows)))
+    return b"".join(row + end for row, end in zip(rows, ends))
+
+
+class TestIngestMatchesLineLoop:
+    # small blocks put block boundaries between every few lines
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.one_of(st.tuples(st.just("plain"), _plain_file()), st.tuples(st.just("csv"), _csv_file())),
+           st.sampled_from([1, 2, 3, 7, 1 << 12]))
+    @example(("plain", b" 1e3\r\n\r\n\xff\n" + "\u00a0-0\u00a0\n\x1c\r".encode()), 2)
+    @example(("csv", b'id,v\r\n9,"1\n2"\n9\n9," 5\n"\r9,\n'), 1)
+    def test_same_values_and_malformed_count(self, tmp_path, monkeypatch, case, block):
+        fmt, data = case
+        path = tmp_path / "data"
+        path.write_bytes(data)
+        monkeypatch.setattr(cli, "_BLOCK", block)
+        values, malformed = cli.ingest(str(path), fmt, "v" if fmt == "csv" else None)
+        want, want_malformed = _reference_ingest(data, fmt)
+        # bit for bit, so -0.0 and 0.0 differ
+        bits = np.array(want, dtype=np.float64).view(np.uint64)
+        assert values.view(np.uint64).tolist() == bits.tolist()
+        assert malformed == want_malformed
+
+
+class TestIngestRobustness:
+    _EXECUTABLE = b"\x7fELF\x02\x01\x01\x00" + bytes(range(256)) * 4  # undecodable bytes and NULs
+
+    @pytest.mark.parametrize("fmt, text", [
+        ("plain", b"12.5\n\xff\xfe 3\n300\n"),
+        ("csv", b"v\n12.5\n\xff\xfe 3\n300\n"),
+        ("jsonl", b'{"v": 12.5}\n{"v": "\xff3"}\n{"v": 300}\n'),
+    ])
+    def test_undecodable_line_is_malformed(self, tmp_path, fmt, text, capsys):
+        path = tmp_path / "data"
+        path.write_bytes(text)
+        argv = ["analyze", str(path), "--format", fmt]
+        argv += {"plain": [], "csv": ["--column", "v"], "jsonl": ["--field", "v"]}[fmt]
+        assert main(argv) == EXIT_OK
+        assert capsys.readouterr().out.startswith("n = 2   zeros skipped = 0   malformed = 1\n")
+
+    @pytest.mark.parametrize("fmt", ["plain", "csv", "jsonl"])
+    def test_binary_file_exits_3(self, tmp_path, fmt, capsys):
+        path = tmp_path / "data"
+        path.write_bytes(self._EXECUTABLE)
+        argv = ["analyze", str(path), "--format", fmt, "--quiet"]
+        argv += {"plain": [], "csv": ["--column", "0"], "jsonl": ["--field", "v"]}[fmt]
+        assert main(argv) == EXIT_EMPTY
+        assert "Traceback" not in capsys.readouterr().err
+
+    def test_long_csv_field_is_read_and_malformed(self, tmp_path):
+        # 1e199999 is past the doubles; the field is four times csv's default size limit
+        path = tmp_path / "big.csv"
+        path.write_text("v\n1" + "0" * 199_999 + "\n")
+        limit = csv.field_size_limit()
+        assert cli.ingest(str(path), "csv", "v")[1] == 1
+        assert csv.field_size_limit() == limit
+        assert main(["analyze", str(path), "--format", "csv", "--column", "v", "--quiet"]) == EXIT_EMPTY
 
 
 class TestChain:
@@ -545,17 +657,20 @@ class TestExitCodes:
         assert "    5      1.00000" in proc.stdout
 
 
-# runs main() and reports its exit code and the scipy modules it left loaded
-_SCIPY_PROBE = """
+# runs main() and reports its exit code, the scipy and digitlab modules it
+# left loaded, and whether numpy.ma is loaded
+_PROBE = """
 import json, sys
 from digitlab.cli import main
 rc = main(sys.argv[1:])
-print(json.dumps({"rc": rc, "scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy")}))
+loaded = lambda top: sorted(m for m in sys.modules if m.split(".")[0] == top)
+print(json.dumps({"rc": rc, "scipy": loaded("scipy"), "digitlab": loaded("digitlab"),
+                  "numpy.ma": "numpy.ma" in sys.modules}))
 """
 
 
 def _probe(argv: list[str], env: dict = _ENV) -> dict:
-    proc = subprocess.run([sys.executable, "-c", _SCIPY_PROBE, *argv], capture_output=True, text=True,
+    proc = subprocess.run([sys.executable, "-c", _PROBE, *argv], capture_output=True, text=True,
                           timeout=_TIMEOUT_S, env=env)
     assert proc.returncode == 0, proc.stderr
     probe = json.loads(proc.stdout.strip().splitlines()[-1])
@@ -610,17 +725,76 @@ class TestStartup:
 
     def test_checks_see_a_module_level_scipy_import(self, tmp_path):
         # positive control for both checks: a copy of the package with one
-        # module-level scipy import added
+        # module-level scipy import added to a module every start loads
         package = tmp_path / "digitlab"
         shutil.copytree(Path(digitlab.__file__).parent, package,
                         ignore=shutil.ignore_patterns("__pycache__"))
-        module = package / "distributions.py"
+        module = package / "digits.py"
         source = module.read_text()
         module.write_text(source + "\nimport scipy.special\n")
         line = source.count("\n") + 2  # after the blank line written before it
         probe = _probe(["--version"], {**os.environ, "PYTHONPATH": str(tmp_path)})
         assert "scipy.special" in probe["scipy"]
-        assert _scipy_imports(package) == [f"distributions.py:{line}"]
+        assert _scipy_imports(package) == [f"digits.py:{line}"]
+
+    # every start loads these; each command adds the one module it runs
+    _BASE = {"digitlab", "digitlab.cli", "digitlab.digits", "digitlab.errors"}
+
+    def test_import_and_version_load_no_subcommand_module(self):
+        probe = _probe(["--version"])
+        assert set(probe["digitlab"]) == self._BASE
+        assert not probe["numpy.ma"]
+
+    @pytest.mark.parametrize("fmt", ["plain", "csv"])
+    def test_analyze_loads_only_conformity(self, fmt, tmp_path):
+        path = tmp_path / "v.txt"
+        path.write_text("v\n1.5\n23\n-0.004\n7e300\n")
+        argv = ["analyze", str(path), "--quiet"]
+        if fmt == "csv":
+            argv += ["--format", "csv", "--column", "v"]
+        probe = _probe(argv)
+        assert set(probe["digitlab"]) == self._BASE | {"digitlab.conformity"}
+        assert not probe["numpy.ma"]
+
+    def test_check_sees_a_module_level_subcommand_import(self, tmp_path):
+        # positive control: a copy of the package whose cli.py imports chains at module level
+        package = tmp_path / "digitlab"
+        shutil.copytree(Path(digitlab.__file__).parent, package,
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        module = package / "cli.py"
+        module.write_text(module.read_text() + "\nfrom . import chains\n")
+        probe = _probe(["--version"], {**os.environ, "PYTHONPATH": str(tmp_path)})
+        assert set(probe["digitlab"]) != self._BASE
+        assert "digitlab.chains" in probe["digitlab"]
+
+    _THREADS = ("import os, sys, {module}; print(len(os.listdir('/proc/self/task')),"
+                " os.environ.get('OPENBLAS_NUM_THREADS'), 'numpy' in sys.modules)")
+
+    def _threads(self, module: str, setting: str | None) -> list[str]:
+        env = {k: v for k, v in _ENV.items() if k != "OPENBLAS_NUM_THREADS"}
+        if setting is not None:
+            env["OPENBLAS_NUM_THREADS"] = setting
+        proc = subprocess.run([sys.executable, "-c", self._THREADS.format(module=module)],
+                              capture_output=True, text=True, timeout=_TIMEOUT_S, env=env)
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout.split()
+
+    def test_import_digitlab_loads_no_numpy(self):
+        assert self._threads("digitlab", None)[2] == "False"
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="counts threads in /proc")
+    def test_cli_starts_numpy_without_a_blas_pool(self):
+        # an idle OpenBLAS pool spins its workers for about 0.1 s of CPU per start
+        assert self._threads("digitlab.cli", None) == ["1", "1", "True"]
+
+    def test_cli_keeps_the_users_blas_threads(self):
+        assert self._threads("digitlab.cli", "2")[1:] == ["2", "True"]
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/task") or len(os.sched_getaffinity(0)) < 2,
+                        reason="counts threads in /proc; needs two CPUs")
+    def test_thread_count_sees_a_blas_pool(self):
+        # positive control: numpy loaded alone, with no setting, starts a pool of workers
+        assert int(self._threads("numpy", None)[0]) > 1
 
 
 # ---------------------------------------------------------------------------
