@@ -21,13 +21,11 @@ from __future__ import annotations
 
 import math
 import re
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
-from . import analytic
 from .conformity import chi_sqr_vs_benford
 from .digits import DigitDistribution, leading_digits
 from .distributions import (
@@ -48,6 +46,7 @@ from .errors import (
     ChainSyntaxError,
     EmptyInputError,
     PolicyExhaustedError,
+    TooLargeError,
     UnknownPresetError,
 )
 
@@ -215,9 +214,15 @@ def parse_chain(text: str) -> FamilyNode:
 # ---------------------------------------------------------------------------
 # simulation
 
-_CHUNK = 2**17  # rows a worker draws, resamples and tallies at a time
+# rows a worker draws, resamples and tallies at a time: of 2^15..2^17, the size with
+# the least peak memory at which the 2-thread benchmark chain is no slower (at 2^15
+# its resampling rounds, a fixed number per chunk, cost it 8%)
+_CHUNK = 2**16
 _MAX_WORKERS = 64
 _MAX_ATTEMPTS = 10**4  # resampling rounds per chunk, each over every still-invalid row
+# row evaluations a run may make, n x max_attempts: the default policy at n = 10^7,
+# about half a minute of resampling when every draw is invalid
+_MAX_ROW_EVALS = 10**9
 
 
 @dataclass(frozen=True)
@@ -269,7 +274,7 @@ class ChainRunResult:
 
 def _eval_node(node, n: int, rng: np.random.Generator) -> np.ndarray:
     if isinstance(node, (int, float)):
-        return np.full(n, float(node))
+        return np.broadcast_to(np.float64(node), (n,))  # read-only, no copy per row
     if isinstance(node, FormulaNode):
         return np.asarray(node.fn(rng, n), dtype=np.float64)
     if isinstance(node, MixtureNode):
@@ -313,7 +318,7 @@ def _draw_batch(spec, n, rng, policy, samples=None) -> tuple[np.ndarray, int, in
     counts = np.zeros(9, dtype=np.int64)
     zeros = resampled = dropped = 0
     for start in range(0, n, _CHUNK):
-        vals = _eval_node(spec, min(_CHUNK, n - start), rng)
+        vals = np.require(_eval_node(spec, min(_CHUNK, n - start), rng), requirements="W")
         bad = ~np.isfinite(vals)
         attempts = 0
         while bad.any() and attempts < policy.max_attempts:
@@ -348,15 +353,17 @@ def simulate_chain(
     """Simulate n draws from a chain and tally their first digits.
 
     Zeros are skipped (and counted); draws whose chained parameters are
-    invalid are retried per the policy.  ``workers`` (1 to 64) partitions
-    the draws across threads with generator states spawned from the master
-    seed.  Each worker draws, resamples and tallies its share in chunks of
-    _CHUNK = 131,072 rows, its generator carrying on across its chunks, and
-    the tallies are summed.  Memory is flat in n (8 to 25 MB traced per
-    worker on the benchmark chains) unless ``keep_samples`` asks for the
-    accepted nonzero draws, in worker and stream order.  Results are deterministic for a fixed (spec, n,
-    seed, workers), and bit-identical to drawing each worker's share in one
-    piece whenever n / workers <= _CHUNK.
+    invalid are retried per the policy; n x max_attempts above
+    _MAX_ROW_EVALS raises TooLargeError before any draw.  ``workers`` (1 to
+    64) partitions the draws across threads with generator states spawned
+    from the master seed.  Each worker draws, resamples and tallies its
+    share in chunks of _CHUNK = 65,536 rows, its generator carrying on
+    across its chunks, and the tallies are summed.  Memory is flat in n
+    (3 to 7 MB traced per worker on the benchmark chains) unless
+    ``keep_samples`` asks for the accepted nonzero draws, in worker and
+    stream order.  Results are deterministic for a fixed (spec, n, seed,
+    workers), and bit-identical to drawing each worker's share in one piece
+    whenever n / workers <= _CHUNK.
     """
     if isinstance(spec, str):
         spec = parse_chain(spec)
@@ -364,6 +371,9 @@ def simulate_chain(
         raise BadParamsError(f"n must be >= 1, got {n}")
     if not 1 <= workers <= _MAX_WORKERS:
         raise BadParamsError(f"workers must be in 1..{_MAX_WORKERS}, got {workers}")
+    if n * policy.max_attempts > _MAX_ROW_EVALS:
+        raise TooLargeError(f"n x max_attempts = {n} x {policy.max_attempts} row evaluations "
+                            f"is over the budget of {_MAX_ROW_EVALS}")
 
     seq = np.random.SeedSequence(seed)
     kept = [[] if keep_samples else None for _ in range(workers)]
@@ -378,6 +388,8 @@ def simulate_chain(
             size, child, samples = args
             rng = np.random.Generator(np.random.PCG64(child))
             return _draw_batch(spec, size, rng, policy, samples)
+
+        from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(run, zip(sizes, children, kept)))
@@ -609,6 +621,8 @@ def power_of_ten_invariance_check(
     """
     scaled = model.scaled_by_power_of_ten(m, subset=subset)
     if mode == "analytic":
+        from . import analytic
+
         sup = model.support()
         ld_a = analytic.ld_of_density(model.pdf, (sup.lo, sup.hi), tol=1e-10)
         sup2 = scaled.support()

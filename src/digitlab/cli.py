@@ -217,7 +217,7 @@ def cmd_analyze(args) -> None:
     ]
     for a in rep.annotations:
         lines.append(f"note: {a}")
-    _emit(args, rep.to_json_dict(), "\n".join(lines))
+    _emit(args, {**rep.to_json_dict(), "malformed": malformed}, "\n".join(lines))
 
 
 def cmd_chain(args) -> None:

@@ -7,9 +7,10 @@ float(f"{n}e{e-k+1}") rounds the k-digit prefix n at decade e correctly,
 rounding is monotone, so x's prefix is the largest n with T[e, n] <= |x|,
 and x has fewer than k significant digits when |x| == T[e, n] and n ends
 in zeros.  A decade's threshold row is built when a value first needs it
-and memoised, never at import.  Below about 1e-320 several short decimals
-round to one double (equal adjacent thresholds); such *ambiguous* values
-take their digits from ``repr``, and ``leading_digits`` counts them.
+and memoised, never at import, and so is the table per binary exponent
+that ``leading_digits`` looks n up in.  Below about 1e-320 several short
+decimals round to one double (equal adjacent thresholds); such *ambiguous*
+values take their digits from ``repr``, and ``leading_digits`` counts them.
 Other bases use the double's exact value: their thresholds are the
 smallest doubles >= n * base**(e-k+1).
 
@@ -144,14 +145,32 @@ class LeadingDigits(NamedTuple):
     ambiguous: int
 
 
-@functools.cache
-def _bin_prefix(k: int) -> np.ndarray:
-    """Row index of the prefix at the start of each of 4 * 10**k mantissa bins (+ one for m = 1).
+# key bits b per prefix length k: 2**-b < 1/(10**k - 1), so a cell of the key holds
+# at most one k-digit threshold
+_KEY_BITS = {1: 4, 2: 7, 3: 10}
+# cells of a lookup table that spans every exponent from the values' least to
+# their greatest: 1,024 exponents (308 decades) for k = 1, 16 for k = 3.  A wider
+# range tabulates only the exponents present, for the price of a bincount, so
+# that a first call builds few blocks it does not need (a block takes 23 us to
+# build for k = 1, 0.2 ms for k = 3)
+_DENSE_CELLS = 2**14
 
-    A bin is narrower than any prefix's mantissa interval.
+
+@functools.cache
+def _cells(k: int, exp: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per key cell of the normal doubles with biased exponent exp: the prefix
+    of the last threshold below the cell and the one threshold in it (inf if none).
+
+    The cells are the 2**b runs of doubles that share their top b mantissa bits.
     """
-    edges = np.log10(np.arange(10 ** (k - 1), 10**k)) - (k - 1)
-    return np.searchsorted(edges, np.arange(4 * 10**k + 1) / (4 * 10**k), side="right") - 1
+    b = _KEY_BITS[k]
+    with np.errstate(over="ignore"):  # the top exponent's last cell ends at 2**1024
+        edges = np.ldexp(np.arange(2**b, 2 ** (b + 1) + 1, dtype=np.float64), exp - 1023 - b)
+    d = math.floor(math.log10(edges[0]))  # the cells lie within decades d and d + 1
+    thr = np.array(_row(10, k, d - 1) + _row(10, k, d) + _row(10, k, d + 1))
+    j = np.searchsorted(thr, edges[:-1]) - 1
+    start = (j % (9 * 10 ** (k - 1)) + 10 ** (k - 1)).astype(np.int16)
+    return start, np.where(thr[j + 1] < edges[1:], thr[j + 1], math.inf)
 
 
 def leading_digits(values, k: int = 1) -> LeadingDigits:
@@ -159,11 +178,11 @@ def leading_digits(values, k: int = 1) -> LeadingDigits:
 
     ``prefix`` is each |x|'s first k digits as one integer, ``ndig`` its
     significant digits capped at k (50.0 has one), both as its shortest
-    repr gives them; ``ambiguous`` counts the values read off repr.  The
-    rows of the decades present and their neighbours form one sorted
-    table; a value's index in it, estimated from its mantissa, is within
-    one entry for a normal double and is corrected by a step each way.
-    Subnormals are searched for.
+    repr gives them; ``ambiguous`` counts the values read off repr.  A
+    normal double is keyed by its exponent and top b mantissa bits
+    (_KEY_BITS); its key's cell holds at most one threshold, so its prefix
+    is the cell's start prefix, plus one from that threshold up.  Subnormals
+    are searched for in the rows of their decades.
     """
     if not 1 <= k <= 3:
         raise BadDigitError(f"prefix length must be 1..3, got {k}")
@@ -172,28 +191,38 @@ def leading_digits(values, k: int = 1) -> LeadingDigits:
         return LeadingDigits(np.zeros(0, np.int16), np.zeros(0, np.int8), 0)
     if not (np.isfinite(a).all() and a.all()):
         raise ZeroInputError("leading digits need finite nonzero values")
-    m = np.log10(a)
-    e = np.floor(m)
-    m -= e
-    lo = int(e.min())
-    e = (e - lo).astype(np.int64)
-    decades = np.flatnonzero(np.convolve(np.bincount(e) > 0, [1, 1, 1])) - 1  # present and neighbours
-    width = 9 * 10 ** (k - 1)
-    table = np.array([t for d in decades for t in _row(10, k, lo + int(d))])
-    row_start = np.zeros(decades[-1] + 2, dtype=np.int64)
-    row_start[decades + 1] = np.arange(decades.size) * width
-    j = row_start[e + 1] + _bin_prefix(k)[(m * (4 * 10**k)).astype(np.intp)]
-    j += a >= table[j + 1]
-    j -= a < table[j]
-    tiny = np.flatnonzero(a < sys.float_info.min)
-    j[tiny] = np.searchsorted(table, a[tiny], side="right") - 1
-    prefix = (j % width).astype(np.int16) + 10 ** (k - 1)
+    b = _KEY_BITS[k]
+    key = a.view(np.int64) >> (52 - b)  # the biased exponent, then b mantissa bits
+    lo, hi = int(key.min()) >> b, int(key.max()) >> b
+    if (hi - lo + 1) << b <= _DENSE_CELLS:  # one block of cells per exponent in the range
+        exps = range(lo, hi + 1)
+        key -= lo << b
+    else:  # blocks for the exponents present only
+        exp = key >> b
+        exps = np.flatnonzero(np.bincount(exp)).tolist()
+        block = np.zeros(hi + 1, np.int64)
+        block[exps] = (np.arange(len(exps)) - exps) << b
+        key += block[exp]
+    # exponent 0 (the subnormals) takes a dummy block: they are searched for below
+    cells = [_cells(k, e) if e else (np.zeros(2**b, np.int16), np.full(2**b, math.inf))
+             for e in exps]
+    split = np.concatenate([c[1] for c in cells])[key]
+    prefix = np.concatenate([c[0] for c in cells])[key]
+    prefix += a >= split
+    prefix[prefix == 10**k] = 10 ** (k - 1)  # the threshold in the cell starts a decade
+    hit = a == split
+    tiny = np.flatnonzero(key < 2**b) if lo == 0 else key[:0]
+    ambiguous = tiny
+    if tiny.size:
+        table = np.array([t for d in range(-325, -307) for t in _row(10, k, d)])
+        at = a[tiny]
+        j = np.searchsorted(table, at, side="right") - 1
+        prefix[tiny] = j % (9 * 10 ** (k - 1)) + 10 ** (k - 1)
+        hit[tiny] = table[j] == at
+        ambiguous = tiny[hit[tiny] & (table[j - 1] == at)]
     ndig = np.full(a.size, k, dtype=np.int8)
-    if k > 1:
-        hit = table[j] == a
-        for t in range(1, k):
-            ndig -= hit & (prefix % 10**t == 0)
-    ambiguous = tiny[(table[j[tiny]] == a[tiny]) & (table[j[tiny] - 1] == a[tiny])]
+    for t in range(1, k):
+        ndig -= hit & (prefix % 10**t == 0)
     for t in ambiguous:
         prefix[t], ndig[t] = _repr_digits(a[t], k)
     return LeadingDigits(prefix, ndig, int(ambiguous.size))

@@ -22,7 +22,7 @@ import numpy as np
 import pytest
 
 from digitlab import analytic, chains, conformity, growth, schemes
-from digitlab.chainability_grid import GRID
+from chainability_grid import GRID
 from digitlab.digits import (
     benford_first,
     benford_nth_unconditional,

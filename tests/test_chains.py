@@ -1,5 +1,6 @@
 """Tests for the chain engine: grammar, simulation, experiments, presets."""
 
+import concurrent.futures
 import math
 import tracemalloc
 
@@ -23,6 +24,7 @@ from digitlab.errors import (
     BadParamsError,
     ChainSyntaxError,
     PolicyExhaustedError,
+    TooLargeError,
     UnknownFamilyError,
     UnknownPresetError,
 )
@@ -151,6 +153,28 @@ class TestSimulate:
         res = chains.simulate_chain("ChiSqr(Uniform(0.2, 2))", 5_000, seed=23)
         assert res.n_resampled > 0
         assert res.n_accepted + res.policy_dropped + res.skipped_zeros == 5_000
+
+    def test_root_constant_is_n_draws(self):
+        # a constant is a read-only zero-stride view; as the root it is still
+        # n draws, and an invalid one is resampled and dropped like any other
+        assert chains.simulate_chain(2.5, 1000, seed=1).ld_counts == (0, 1000, 0, 0, 0, 0, 0, 0, 0)
+        res = chains.simulate_chain(math.inf, 100, seed=1, policy=chains.ResamplePolicy(max_attempts=2))
+        assert (res.policy_dropped, res.n_resampled) == (100, 200)
+
+    def test_work_budget_checked_before_any_draw(self, monkeypatch):
+        # the default policy at n = 10^7 is inside the budget, one draw more is not
+        def no_draws(*args):
+            return np.zeros(9, dtype=np.int64), 0, 0, 0
+
+        monkeypatch.setattr(chains, "_draw_batch", no_draws)
+        default = chains.ResamplePolicy()
+        assert 10**7 * default.max_attempts == chains._MAX_ROW_EVALS
+        chains.simulate_chain(chains.preset("flehinger"), 10**7, seed=1)
+        with pytest.raises(TooLargeError, match=str(chains._MAX_ROW_EVALS)):
+            chains.simulate_chain(chains.preset("flehinger"), 10**7 + 1, seed=1)
+        with pytest.raises(TooLargeError):
+            chains.simulate_chain("Uniform(0, 1e999)", 10**6, seed=1,
+                                  policy=chains.ResamplePolicy(max_attempts=10**4))
 
     def test_infinite_parameters_are_invalid(self):
         # Uniform(0, 1e999) used to abort with numpy's bare OverflowError
@@ -323,7 +347,7 @@ class TestChunkedStream:
         def no_pool(*args, **kwargs):
             raise AssertionError("a thread pool was started")
 
-        monkeypatch.setattr(chains, "ThreadPoolExecutor", no_pool)
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_pool)
         with pytest.raises(BadParamsError, match="workers"):
             chains.simulate_chain("Uniform(0, 1)", 100, seed=1, workers=workers)
 
@@ -383,7 +407,7 @@ class TestChainability:
             chains.chainability_experiment("weibull", ("nope",), {}, seed=1)
 
     def test_full_grid(self):
-        from digitlab.chainability_grid import GRID
+        from chainability_grid import GRID
 
         for row in GRID:
             verdict, _ = chains.chainability_majority(

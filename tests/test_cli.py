@@ -12,6 +12,7 @@ import shutil
 import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +20,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import digitlab
-from digitlab import cli
+from digitlab import chains, cli
 from digitlab.cli import EXIT_OK, EXIT_USAGE, main
 
 EXIT_EMPTY, EXIT_NUMERIC = 3, 4  # empty input, numerical failure
@@ -276,6 +277,22 @@ class TestIngestRobustness:
         argv += {"plain": [], "csv": ["--column", "v"], "jsonl": ["--field", "v"]}[fmt]
         assert main(argv) == EXIT_OK
         assert capsys.readouterr().out.startswith("n = 2   zeros skipped = 0   malformed = 1\n")
+
+    @pytest.mark.parametrize("fmt, text", [
+        ("plain", b"12.5\n1;5\n\n300\nn/a\n"),
+        ("csv", b"v\n12.5\n1;5\n\n300\nn/a\n"),
+        ("jsonl", b'{"v": 12.5}\n{"v": "1;5"}\n{"v": 300}\n{"w": 1}\n'),
+    ], ids=["plain", "csv", "jsonl"])
+    def test_json_carries_the_tables_malformed_count(self, tmp_path, fmt, text, capsys):
+        path, out = tmp_path / "data", tmp_path / "r.json"
+        path.write_bytes(text)
+        argv = ["analyze", str(path), "--format", fmt, "--json", str(out)]
+        argv += {"plain": [], "csv": ["--column", "v"], "jsonl": ["--field", "v"]}[fmt]
+        assert main(argv) == EXIT_OK
+        doc = json.loads(out.read_text())
+        want = {"plain": 2, "csv": 3, "jsonl": 2}[fmt]  # a blank CSV field is malformed too
+        assert doc["malformed"] == want
+        assert f"malformed = {want}\n" in capsys.readouterr().out
 
     @pytest.mark.parametrize("fmt", ["plain", "csv", "jsonl"])
     def test_binary_file_exits_3(self, tmp_path, fmt, capsys):
@@ -657,6 +674,27 @@ class TestExitCodes:
         assert "    5      1.00000" in proc.stdout
 
 
+class TestWorkBudget:
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(chain=st.sampled_from([["--spec", "Uniform(0,1e999)"], ["--preset", "flehinger"],
+                                  ["--spec", "Normal(Uniform(-1,1), Uniform(-0.5,2))"]]),
+           work=st.integers(1, chains._MAX_ATTEMPTS).flatmap(
+               lambda a: st.tuples(st.just(a), st.integers(chains._MAX_ROW_EVALS // a + 1, 10**13))),
+           threads=st.sampled_from(("1", "2")))
+    @example(chain=["--spec", "Uniform(0,1e999)"], work=(10**4, 10**6), threads="1")
+    def test_chain_over_budget_exits_2_within_a_second(self, chain, work, threads):
+        # n x max_attempts above the budget ran for minutes, or hours, before
+        attempts, n = work
+        argv = ["chain", *chain, "--n", str(n), "--max-attempts", str(attempts),
+                "--threads", threads, "--quiet"]
+        start = time.perf_counter()
+        with contextlib.redirect_stderr(io.StringIO()) as err:
+            rc = main(argv)
+        assert time.perf_counter() - start < 1.0
+        assert rc == EXIT_USAGE
+        assert f"budget of {chains._MAX_ROW_EVALS}" in err.getvalue()
+
+
 # runs main() and reports its exit code, the scipy and digitlab modules it
 # left loaded, and whether numpy.ma is loaded
 _PROBE = """
@@ -755,6 +793,12 @@ class TestStartup:
         probe = _probe(argv)
         assert set(probe["digitlab"]) == self._BASE | {"digitlab.conformity"}
         assert not probe["numpy.ma"]
+
+    def test_chain_loads_no_analytic(self):
+        # the analytic invariance check imports it when it runs
+        probe = _probe(["chain", "--preset", "flehinger", "--n", "1000", "--seed", "1", "--quiet"])
+        assert set(probe["digitlab"]) == self._BASE | {
+            "digitlab.chains", "digitlab.conformity", "digitlab.distributions"}
 
     def test_check_sees_a_module_level_subcommand_import(self, tmp_path):
         # positive control: a copy of the package whose cli.py imports chains at module level

@@ -1,11 +1,16 @@
 """Tests for digit extraction, mantissa arithmetic, and the Benford laws."""
 
 import math
+import os
+import struct
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from digitlab import digits
 from digitlab.errors import (
@@ -146,6 +151,82 @@ class TestLeadingDigits:
         for bad in (0.0, math.inf, math.nan):
             with pytest.raises(ZeroInputError):
                 digits.leading_digits([1.0, bad])
+
+
+def _double(bits: int) -> float:
+    return struct.unpack("<d", struct.pack("<Q", bits))[0]
+
+
+def _ambiguous_reference(x: float, k: int) -> bool:
+    """Whether two or more k-digit decimals n*10^s parse to x.
+
+    Only a subnormal can be: elsewhere half an ulp is under 2^-53 of x, far
+    less than the 1/(10^k - 1) gap between k-digit decimals.  Below 2^-1022
+    every double is m * 2^-1074 and the reals within 2^-1075 of it parse to
+    it, a tie going to even m.
+    """
+    if x >= 2.0**-1022:
+        return False
+    q, h = Fraction(x), Fraction(1, 2**1075)
+    tie = (q * 2**1074).numerator % 2 == 0
+    e, count = math.floor(math.log10(x)), 0
+    for s in range(e - k - 1, e + 2):
+        unit = Fraction(10) ** s
+        for n in range(max(math.ceil((q - h) / unit), 10 ** (k - 1)),
+                       min(math.floor((q + h) / unit), 10**k - 1) + 1):
+            gap = abs(n * unit - q)
+            count += gap < h or (gap == h and tie)
+    return count >= 2
+
+
+@st.composite
+def _kernel_case(draw) -> tuple[int, list[float]]:
+    """k and values: any double, a k-digit threshold n*10^e or a neighbour, and
+    the first or last double of a key cell (digits._KEY_BITS), of either sign."""
+    k = draw(st.integers(1, 3))
+    b = digits._KEY_BITS[k]
+    whole = st.integers(1, 0x7FEFFFFFFFFFFFFF).map(_double)  # subnormals included
+    threshold = st.builds(lambda n, e, step: [math.nextafter(float(f"{n}e{e}"), 0.0),
+                                              float(f"{n}e{e}"),
+                                              math.nextafter(float(f"{n}e{e}"), math.inf)][step],
+                          st.integers(1, 10**k - 1), st.integers(-326 - k, 309 - k),
+                          st.integers(0, 2))
+    edge = st.builds(lambda exp, cell, last: _double((exp << 52) + ((cell + last) << (52 - b)) - last),
+                     st.integers(0, 2046), st.integers(0, 2**b - 1), st.integers(0, 1))
+    xs = draw(st.lists(st.one_of(whole, threshold, edge).filter(lambda x: 0.0 < x < math.inf),
+                       min_size=1, max_size=40))
+    return k, [x if draw(st.booleans()) else -x for x in xs]
+
+
+class TestBitKeyedKernel:
+    # a test that meets a new exponent or decade builds its table and rows once
+    @settings(deadline=None)
+    @given(_kernel_case())
+    def test_matches_repr_reference(self, case):
+        k, xs = case
+        lead = digits.leading_digits(xs, k)
+        assert list(zip(lead.prefix.tolist(), lead.ndig.tolist())) == [
+            _repr_reference(x, k) for x in xs]
+        assert lead.ambiguous == sum(_ambiguous_reference(abs(x), k) for x in xs)
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_every_cell_start_matches_repr(self, k):
+        # cell starts of every exponent with a decade boundary or a threshold inside
+        b = digits._KEY_BITS[k]
+        xs = [_double((exp << 52) + (cell << (52 - b)))
+              for exp in range(1, 2047, 5) for cell in range(2**b)]
+        lead = digits.leading_digits(xs, k)
+        assert list(zip(lead.prefix.tolist(), lead.ndig.tolist())) == [
+            _repr_reference(x, k) for x in xs]
+
+    def test_import_builds_no_table(self):
+        src = str(Path(digits.__file__).resolve().parents[1])
+        code = ("import digitlab.digits as d; "
+                "print(d._cells.cache_info().currsize, d._row.cache_info().currsize)")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              timeout=60, env={**os.environ, "PYTHONPATH": src})
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["0", "0"]
 
 
 def _exact_prefix(x: float, k: int, base: int) -> int:
