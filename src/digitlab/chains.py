@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 import re
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -388,8 +389,6 @@ def simulate_chain(
             size, child, samples = args
             rng = np.random.Generator(np.random.PCG64(child))
             return _draw_batch(spec, size, rng, policy, samples)
-
-        from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(run, zip(sizes, children, kept)))

@@ -148,12 +148,6 @@ class LeadingDigits(NamedTuple):
 # key bits b per prefix length k: 2**-b < 1/(10**k - 1), so a cell of the key holds
 # at most one k-digit threshold
 _KEY_BITS = {1: 4, 2: 7, 3: 10}
-# cells of a lookup table that spans every exponent from the values' least to
-# their greatest: 1,024 exponents (308 decades) for k = 1, 16 for k = 3.  A wider
-# range tabulates only the exponents present, for the price of a bincount, so
-# that a first call builds few blocks it does not need (a block takes 23 us to
-# build for k = 1, 0.2 ms for k = 3)
-_DENSE_CELLS = 2**14
 
 
 @functools.cache
@@ -193,16 +187,12 @@ def leading_digits(values, k: int = 1) -> LeadingDigits:
         raise ZeroInputError("leading digits need finite nonzero values")
     b = _KEY_BITS[k]
     key = a.view(np.int64) >> (52 - b)  # the biased exponent, then b mantissa bits
-    lo, hi = int(key.min()) >> b, int(key.max()) >> b
-    if (hi - lo + 1) << b <= _DENSE_CELLS:  # one block of cells per exponent in the range
-        exps = range(lo, hi + 1)
-        key -= lo << b
-    else:  # blocks for the exponents present only
-        exp = key >> b
-        exps = np.flatnonzero(np.bincount(exp)).tolist()
-        block = np.zeros(hi + 1, np.int64)
-        block[exps] = (np.arange(len(exps)) - exps) << b
-        key += block[exp]
+    exp = key >> b
+    count = np.bincount(exp)
+    exps = np.flatnonzero(count).tolist()
+    block = np.zeros(count.size, np.int64)  # one block of cells per exponent present
+    block[exps] = (np.arange(len(exps)) - exps) << b
+    key += block[exp]
     # exponent 0 (the subnormals) takes a dummy block: they are searched for below
     cells = [_cells(k, e) if e else (np.zeros(2**b, np.int16), np.full(2**b, math.inf))
              for e in exps]
@@ -211,7 +201,7 @@ def leading_digits(values, k: int = 1) -> LeadingDigits:
     prefix += a >= split
     prefix[prefix == 10**k] = 10 ** (k - 1)  # the threshold in the cell starts a decade
     hit = a == split
-    tiny = np.flatnonzero(key < 2**b) if lo == 0 else key[:0]
+    tiny = np.flatnonzero(exp == 0) if count[0] else key[:0]
     ambiguous = tiny
     if tiny.size:
         table = np.array([t for d in range(-325, -307) for t in _row(10, k, d)])

@@ -1,6 +1,5 @@
 """Tests for the chain engine: grammar, simulation, experiments, presets."""
 
-import concurrent.futures
 import math
 import tracemalloc
 
@@ -347,7 +346,7 @@ class TestChunkedStream:
         def no_pool(*args, **kwargs):
             raise AssertionError("a thread pool was started")
 
-        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_pool)
+        monkeypatch.setattr(chains, "ThreadPoolExecutor", no_pool)
         with pytest.raises(BadParamsError, match="workers"):
             chains.simulate_chain("Uniform(0, 1)", 100, seed=1, workers=workers)
 
