@@ -66,13 +66,6 @@ def _check_log_support(name: str, a: float, b: float) -> None:
                              f"{_LOG10_LO} <= a < b <= {_LOG10_HI}, got [{a}, {b}]")
 
 
-def _digit_dist(vec) -> DigitDistribution:
-    total = math.fsum(vec)
-    return DigitDistribution(
-        base=10, order=1, probs={d: float(vec[d - 1] / total) for d in _DIGITS}
-    )
-
-
 # ---------------------------------------------------------------------------
 # closed-form families
 
@@ -98,7 +91,7 @@ def ld_kx(s: float, g: float) -> DigitDistribution:
             if b > a:
                 total += b - a
         vec.append(total / g)
-    return _digit_dist(vec)
+    return DigitDistribution.from_counts(vec)
 
 
 def ld_power_law(m: float, lo: float, hi: float) -> DigitDistribution:
@@ -134,7 +127,7 @@ def ld_power_law(m: float, lo: float, hi: float) -> DigitDistribution:
             if b > a:
                 total += mass(a, b)
         vec.append(total)
-    return _digit_dist(vec)
+    return DigitDistribution.from_counts(vec)
 
 
 def ld_exponential(p: float) -> DigitDistribution:
@@ -162,12 +155,12 @@ def ld_exponential(p: float) -> DigitDistribution:
                     f"exponential decade sum for p={p} did not fall below 1e-16 "
                     f"in {_MAX_DECADES} decades")
         vec.append(total)
-    return _digit_dist(vec)
+    return DigitDistribution.from_counts(vec)
 
 
 def ratio_of_uniforms_ld() -> DigitDistribution:
     """LD of U(0,1)/U(0,1): P[d] = (1/18) (1 + 10/(d (d+1)))."""
-    return _digit_dist([(1.0 + 10.0 / (d * (d + 1))) / 18.0 for d in _DIGITS])
+    return DigitDistribution.from_counts([(1.0 + 10.0 / (d * (d + 1))) / 18.0 for d in _DIGITS])
 
 
 def over_steepness(ld: DigitDistribution) -> float:
@@ -390,7 +383,7 @@ def _folded_mass(spec, lo: float, hi: float) -> float:
 def ld_ten_to_symmetric(spec: LogDensitySpec) -> DigitDistribution:
     """LD of X = 10**Y where Y has the given log-density (exact folding)."""
     vec = [_folded_mass(spec, math.log10(d), math.log10(d + 1)) for d in _DIGITS]
-    return _digit_dist(vec)
+    return DigitDistribution.from_counts(vec)
 
 
 def mantissa_density(spec: LogDensitySpec, bins: int = 100) -> np.ndarray:
@@ -566,7 +559,7 @@ def ld_of_density(pdf, support: tuple[float, float], tol: float = 1e-9) -> Digit
     total = masses.sum()
     if total <= 0:
         raise QuadratureFailureError("density integrated to zero mass")
-    return _digit_dist(list(masses))
+    return DigitDistribution.from_counts(masses)
 
 
 @dataclass(frozen=True)
@@ -583,7 +576,7 @@ class DecadeDecomposition:
         vec = np.zeros(9)
         for w, loc in zip(self.weights, self.locals_):
             vec += w * np.array([loc.probs[d] for d in _DIGITS])
-        return _digit_dist(list(vec))
+        return DigitDistribution.from_counts(vec)
 
 
 def ld_decades(model: DistributionModel, decades: tuple[int, int]) -> DecadeDecomposition:
@@ -615,7 +608,7 @@ def ld_decades(model: DistributionModel, decades: tuple[int, int]) -> DecadeDeco
         weights_raw.append(w)
         spans.append((lo10, hi10))
         if w > 0:
-            locals_.append(_digit_dist(vec))
+            locals_.append(DigitDistribution.from_counts(vec))
         else:
             locals_.append(DigitDistribution(base=10, order=1, probs={d: 1 / 9 for d in _DIGITS}))
 
@@ -630,7 +623,7 @@ def ld_decades(model: DistributionModel, decades: tuple[int, int]) -> DecadeDeco
         decades=spans,
         weights=weights,
         locals_=locals_,
-        overall=_digit_dist(list(overall_vec)),
+        overall=DigitDistribution.from_counts(overall_vec),
         truncated_mass=max(0.0, 1.0 - total_in),
     )
 

@@ -22,13 +22,13 @@ from __future__ import annotations
 import math
 import re
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable
 
 import numpy as np
 
-from .conformity import chi_sqr_vs_benford
-from .digits import DigitDistribution, leading_digits
+from .conformity import chi_sqr_vs_benford, first_digit_counts
+from .digits import DigitDistribution
 from .distributions import (
     ChiSqr,
     Die,
@@ -81,7 +81,7 @@ class FamilyNode:
     args: tuple
 
     def __post_init__(self):
-        arity = len(self.family.param_names)
+        arity = len(fields(self.family))
         if len(self.args) != arity:
             raise ArityMismatchError(
                 f"{self.family.__name__} takes {arity} argument(s), got {len(self.args)}"
@@ -102,8 +102,6 @@ class FormulaNode:
     name: str
     fn: Callable = field(compare=False)
 
-
-ChainSpec = FamilyNode | MixtureNode | FormulaNode
 
 # nesting levels a chain may have: the paper's chains reach the law in 5 or 6
 # links, and every tree walk here recurses once per level
@@ -303,11 +301,6 @@ def _eval_node(node, n: int, rng: np.random.Generator) -> np.ndarray:
     raise TypeError(f"not a chain node: {node!r}")
 
 
-def _ld_counts(values: np.ndarray) -> np.ndarray:
-    """First-digit counts (digit d at index d - 1) of the nonzero finite values."""
-    return np.bincount(leading_digits(values[values != 0.0]).prefix, minlength=10)[1:10]
-
-
 def _draw_batch(spec, n, rng, policy, samples=None) -> tuple[np.ndarray, int, int, int]:
     """Draw, resample and tally n values, _CHUNK rows at a time.
 
@@ -335,7 +328,7 @@ def _draw_batch(spec, n, rng, policy, samples=None) -> tuple[np.ndarray, int, in
             )
         dropped += lost
         vals = vals[~bad]
-        chunk_counts = _ld_counts(vals)
+        chunk_counts = first_digit_counts(vals)
         counts += chunk_counts
         zeros += vals.size - int(chunk_counts.sum())
         if samples is not None:
@@ -487,27 +480,19 @@ class ChainabilityResult:
     baseline_text: str
 
 
-def _chainer_node(chainer) -> FamilyNode:
-    """Build the chainer: ('reciprocal_log', F, span) or ('lognormal', loc, shape)."""
+def _chainer(chainer) -> tuple[FamilyNode, float]:
+    """(node, median) of ('reciprocal_log', F, span) or ('lognormal', loc, shape)."""
     kind = chainer[0]
     if kind == "reciprocal_log":
         _, f_exp, span = chainer
         if span != int(span) or span < 1:
             raise UnknownPresetError("reciprocal_log span must be a positive integer")
-        return FamilyNode(PowerLaw, (1.0, 10.0**f_exp, 10.0 ** (f_exp + span)))
+        return (FamilyNode(PowerLaw, (1.0, 10.0**f_exp, 10.0 ** (f_exp + span))),
+                10.0 ** (f_exp + span / 2.0))
     if kind == "lognormal":
         _, loc, shape = chainer
-        return FamilyNode(LogNormal, (float(loc), float(shape)))
+        return FamilyNode(LogNormal, (float(loc), float(shape))), math.exp(loc)
     raise UnknownPresetError(f"unknown chainer {chainer!r}")
-
-
-def _chainer_median(chainer) -> float:
-    kind = chainer[0]
-    if kind == "reciprocal_log":
-        _, f_exp, span = chainer
-        return 10.0 ** (f_exp + span / 2.0)
-    _, loc, _shape = chainer
-    return math.exp(loc)
 
 
 def chainability_experiment(
@@ -533,7 +518,8 @@ def chainability_experiment(
     if isinstance(family, str):
         family = family_by_name(family)
     chained = set(chained_params)
-    unknown = chained - set(family.param_names)
+    names = [f.name for f in fields(family)]
+    unknown = chained - set(names)
     if unknown:
         raise UnknownPresetError(f"{family.__name__} has no parameter(s) {sorted(unknown)}")
 
@@ -542,13 +528,10 @@ def chainability_experiment(
 
     def build(use_chainer: bool) -> FamilyNode:
         args = []
-        for name in family.param_names:
+        for name in names:
             if name in chained:
-                if use_chainer:
-                    args.append(_chainer_node(chainer_for(name)))
-                else:
-                    bv = (baseline_values or {}).get(name, _chainer_median(chainer_for(name)))
-                    args.append(float(bv))
+                node, median = _chainer(chainer_for(name))
+                args.append(node if use_chainer else float((baseline_values or {}).get(name, median)))
             else:
                 args.append(float(fixed_params[name]))
         return FamilyNode(family, tuple(args))
@@ -632,7 +615,7 @@ def power_of_ten_invariance_check(
         c1, c2 = seq.spawn(2)
 
         def empirical(mod, child):
-            counts = _ld_counts(mod.sample_n(n, np.random.Generator(np.random.PCG64(child))))
+            counts = first_digit_counts(mod.sample_n(n, np.random.Generator(np.random.PCG64(child))))
             if not counts.any():
                 raise EmptyInputError(f"all {n} draws of {mod} are 0")
             return counts / counts.sum()

@@ -115,13 +115,6 @@ def _convert(items: list[str]) -> tuple[np.ndarray, int]:
     return values, items.count("")
 
 
-def _parse_number(text: str):
-    """Strict float parsing by the rule of _convert: scientific notation fine,
-    separators rejected; None unless finite."""
-    (value,), _ = _convert([text])
-    return float(value) if math.isfinite(value) else None
-
-
 def ingest(path: str, fmt: str, selector: str | None):
     """Read values per the ingest spec; returns (values, n_malformed).
 
@@ -352,20 +345,17 @@ def cmd_invariance(args) -> None:
     from .distributions import family_by_name
 
     cls = family_by_name(args.family)
-    kinds = [f.type for f in fields(cls)]
-    if len(args.params) != len(kinds):
-        raise BadParamsError(f"{cls.__name__} takes {len(kinds)} parameter(s), got {len(args.params)}")
+    params = fields(cls)
+    if len(args.params) != len(params):
+        raise BadParamsError(f"{cls.__name__} takes {len(params)} parameter(s), got {len(args.params)}")
     # integral values go to the integer fields (ChiSqr dof, Die faces) as ints
-    model = cls(*(int(p) if kind == "int" and p.is_integer() else p
-                  for kind, p in zip(kinds, args.params)))
+    model = cls(*(int(p) if f.type == "int" and p.is_integer() else p
+                  for f, p in zip(params, args.params)))
     subset = None
     if args.scale_only:
-        subset = [model.pot_scale_params[0] if model.pot_scale_params else model.param_names[0]]
-    if args.mode == "analytic":
-        diff = chains.power_of_ten_invariance_check(model, args.m, mode="analytic", subset=subset)
-    else:
-        diff = chains.power_of_ten_invariance_check(
-            model, args.m, mode="montecarlo", subset=subset, n=args.n, seed=args.seed)
+        subset = [model.pot_scale_params[0] if model.pot_scale_params else params[0].name]
+    diff = chains.power_of_ten_invariance_check(model, args.m, mode=args.mode, subset=subset,
+                                                n=args.n, seed=args.seed)
     table = (f"family {args.family} params {args.params} scaled by 10^{args.m} "
              f"({args.mode}): max per-digit LD difference = {diff:.3e}")
     _emit(args, {"schema_version": 1, "family": args.family, "params": list(args.params),

@@ -30,6 +30,7 @@ __all__ = [
     "chi_sqr",
     "chi_sqr_vs_benford",
     "chi_sqr_critical",
+    "first_digit_counts",
     "ks_critical",
     "mantissa_uniformity_test",
     "compartmental_allotment_test",
@@ -138,6 +139,12 @@ def chi_sqr_critical(significance: float = SIGNIFICANCE, dof: int = 8) -> float:
             hi = mid
 
 
+def first_digit_counts(values) -> np.ndarray:
+    """Counts of the first digits 1..9 (digit d at index d - 1) of finite values, zeros skipped."""
+    vals = np.asarray(values, dtype=np.float64)
+    return np.bincount(leading_digits(vals[vals != 0.0]).prefix, minlength=10)[1:10]
+
+
 def ks_critical(n: int, significance: float = SIGNIFICANCE) -> float:
     """Asymptotic one-sample KS critical distance sqrt(-ln(a/2)/2)/sqrt(n)."""
     return math.sqrt(-0.5 * math.log(significance / 2.0)) / math.sqrt(n)
@@ -181,19 +188,6 @@ class AllotmentResult:
     n: int
 
 
-def _first_counts(vals: np.ndarray) -> np.ndarray:
-    """Counts of first digits 1..9 of the nonzero finite values."""
-    return np.bincount(leading_digits(vals).prefix, minlength=10)[1:10]
-
-
-def _allotment(counts: np.ndarray) -> AllotmentResult:
-    n = int(counts.sum())
-    benford = benford_distribution()
-    masses = {d: counts[d - 1] / n for d in _DIGITS}
-    max_dev = max(abs(masses[d] - benford.probs[d]) for d in _DIGITS)
-    return AllotmentResult(masses=masses, max_deviation=max_dev, n=n)
-
-
 def compartmental_allotment_test(values) -> AllotmentResult:
     """Mantissa mass per LD compartment against the Benford widths.
 
@@ -204,7 +198,12 @@ def compartmental_allotment_test(values) -> AllotmentResult:
     vals, _, _ = _clean(values)
     if vals.size == 0:
         raise EmptyInputError("compartment test needs nonzero values")
-    return _allotment(_first_counts(vals))
+    counts = first_digit_counts(vals)
+    n = int(counts.sum())
+    benford = benford_distribution()
+    masses = {d: counts[d - 1] / n for d in _DIGITS}
+    max_dev = max(abs(masses[d] - benford.probs[d]) for d in _DIGITS)
+    return AllotmentResult(masses=masses, max_deviation=max_dev, n=n)
 
 
 def reshuffle_within_compartments(values, seed=0) -> np.ndarray:
@@ -242,8 +241,7 @@ def scale_invariance_probe(values, factors, expected: DigitDistribution | None =
         expected = benford_distribution()
 
     def chi_of(arr: np.ndarray) -> float:
-        counts = _first_counts(_clean(arr)[0])
-        return chi_sqr({d: int(counts[d - 1]) for d in _DIGITS}, expected)
+        return chi_sqr(first_digit_counts(_clean(arr)[0]).tolist(), expected)
 
     base_chi = chi_of(vals)
     out = {}
@@ -345,7 +343,6 @@ def report(values) -> ConformityReport:
     l_inf = max(abs(shares[d] - benford.probs[d]) for d in _DIGITS)
     l1 = sum(abs(shares[d] - benford.probs[d]) for d in _DIGITS)
     ks = mantissa_uniformity_test(vals)
-    allot = _allotment(first)
 
     annotations = []
     if n < 1000:
@@ -374,6 +371,6 @@ def report(values) -> ConformityReport:
         l1=l1,
         mantissa_ks=ks.statistic,
         mantissa_ks_critical=ks.critical,
-        compartment_masses=allot.masses,
+        compartment_masses=shares,
         annotations=annotations,
     )

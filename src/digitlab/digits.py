@@ -220,8 +220,7 @@ def leading_digits(values, k: int = 1) -> LeadingDigits:
 
 def first_digit(x: float, base: int = 10) -> int:
     """First significant digit of |x| in the given base (never 0)."""
-    _check_base(base)
-    return _prefix(_check_input(x), 1, base)
+    return digit_pattern(x, 1, base)[0]
 
 
 def digit_pattern(x: float, k: int, base: int = 10) -> tuple[int, ...]:
@@ -289,7 +288,7 @@ def benford_pattern(pattern, base: int = 10) -> float:
         if not 0 <= d <= base - 1:
             raise BadDigitError(f"digit {d} out of range for base {base}")
         n = n * base + d
-    return math.log1p(1.0 / n) / math.log(base)
+    return math.log1p(1 / n) / math.log(base)  # 1 / n of a long pattern underflows to 0.0
 
 
 def _prefixes(length: int, base: int):
@@ -332,7 +331,7 @@ def benford_conditional(n: int, d: int, prefix, base: int = 10) -> float:
     if len(prefix) != n - 1:
         raise BadDigitError(f"prefix length {len(prefix)} != n - 1 = {n - 1}")
     p_prefix = benford_pattern(prefix, base)
-    if p_prefix <= 0.0:  # cannot occur for valid patterns; guard anyway
+    if p_prefix <= 0.0:  # a prefix of about 324 or more digits: its law underflows
         raise ZeroPrefixProbabilityError(f"prefix {prefix} has zero probability")
     return benford_pattern(prefix + (d,), base) / p_prefix
 
@@ -360,12 +359,12 @@ class DigitDistribution:
 
     @classmethod
     def from_counts(cls, counts) -> "DigitDistribution":
-        """Order-1 law of per-digit counts for digits 1..len(counts).
+        """Order-1 law of per-digit counts or masses for digits 1..len(counts).
 
-        Each probability is count / total; a zero total gives empty probs.
+        Each probability is count / math.fsum(counts); a zero total gives empty probs.
         """
-        total = sum(counts)
-        probs = {d: counts[d - 1] / total for d in range(1, len(counts) + 1)} if total else {}
+        total = math.fsum(counts)
+        probs = {d: float(counts[d - 1] / total) for d in range(1, len(counts) + 1)} if total else {}
         return cls(base=len(counts) + 1, order=1, probs=probs)
 
     def first_order_vector(self):

@@ -1,14 +1,15 @@
 """Parametric distribution families: pdf, sampler, support, and mean.
 
-Each family is a small frozen dataclass that declares its parameter rule
-and its sampler once, as two vectorized static methods: ``valid(*params)``
-and ``draw(rng, n, *params)``.  Both take scalars or length-n arrays, so the
-scalar model (``__post_init__``, ``sample_n``) and the chain engine, which
-samples with per-element parameters, run the same code.  Samplers draw
-from a caller-supplied numpy Generator, so concurrent use just needs
-per-caller generator states.  Every sampler is closed form or a native
-numpy generator method; Gompertz inverts its CDF through the Wright omega
-function.
+Each family is a small frozen dataclass whose fields are its parameters,
+in order (``dataclasses.fields`` of the class or an instance).  It
+declares its parameter rule and its sampler once, as two vectorized
+static methods: ``valid(*params)`` and ``draw(rng, n, *params)``.  Both
+take scalars or length-n arrays, so the scalar model (``__post_init__``,
+``sample_n``) and the chain engine, which samples with per-element
+parameters, run the same code.  Samplers draw from a caller-supplied
+numpy Generator, so concurrent use just needs per-caller generator
+states.  Every sampler is closed form or a native numpy generator
+method; Gompertz inverts its CDF through the Wright omega function.
 
 The six Exponential variants share one sampler and differ only in how the
 chained parameter maps to the effective scale (rho, 1/rho, sqrt(rho),
@@ -97,7 +98,6 @@ class DistributionModel:
     for parameters that are scalars or length-n arrays of valid values.
     """
 
-    param_names: ClassVar[tuple[str, ...]] = ()
     # Parameters scaled_by_power_of_ten multiplies by default (the
     # family's scale and location parameters; shape parameters excluded).
     pot_scale_params: ClassVar[tuple[str, ...]] = ()
@@ -173,7 +173,6 @@ class DistributionModel:
 class Uniform(DistributionModel):
     a: float
     b: float
-    param_names = ("a", "b")
     pot_scale_params = ("a", "b")
 
     @staticmethod
@@ -199,7 +198,6 @@ class Uniform(DistributionModel):
 class Normal(DistributionModel):
     mu: float
     sigma: float
-    param_names = ("mu", "sigma")
     pot_scale_params = ("mu", "sigma")
 
     @staticmethod
@@ -224,7 +222,6 @@ class Normal(DistributionModel):
 @dataclass(frozen=True)
 class OriginNormal(DistributionModel):
     sigma: float
-    param_names = ("sigma",)
     pot_scale_params = ("sigma",)
 
     @staticmethod
@@ -248,8 +245,6 @@ class OriginNormal(DistributionModel):
 
 class _ExponentialBase(DistributionModel):
     """Common machinery for the six Exponential reparameterizations."""
-
-    param_names = ("rho",)
 
     @staticmethod
     def _scale(rho):
@@ -356,7 +351,6 @@ class GeneralizedExp1(DistributionModel):
 
     rho: float
     mu: float
-    param_names = ("rho", "mu")
     pot_scale_params = ("rho", "mu")
 
     @staticmethod
@@ -385,7 +379,6 @@ class GeneralizedExp2(DistributionModel):
 
     rho: float
     mu: float
-    param_names = ("rho", "mu")
     pot_scale_params = ("rho", "mu")
 
     @staticmethod
@@ -412,7 +405,6 @@ class GeneralizedExp2(DistributionModel):
 class Gamma(DistributionModel):
     k: float
     theta: float
-    param_names = ("k", "theta")
     pot_scale_params = ("theta",)
 
     @staticmethod
@@ -449,7 +441,6 @@ class Weibull(DistributionModel):
 
     k: float
     lam: float
-    param_names = ("k", "lam")
     pot_scale_params = ("lam",)
 
     @staticmethod
@@ -482,7 +473,6 @@ class Weibull(DistributionModel):
 @dataclass(frozen=True)
 class Rayleigh(DistributionModel):
     sigma: float
-    param_names = ("sigma",)
     pot_scale_params = ("sigma",)
 
     @staticmethod
@@ -514,7 +504,6 @@ class Wald(DistributionModel):
 
     mu: float
     lam: float
-    param_names = ("mu", "lam")
     pot_scale_params = ("mu", "lam")
 
     @staticmethod
@@ -546,7 +535,6 @@ class LogNormal(DistributionModel):
 
     location: float
     shape: float
-    param_names = ("location", "shape")
 
     @staticmethod
     def valid(location, shape):
@@ -686,7 +674,6 @@ class Gompertz(DistributionModel):
 
     b: float
     eta: float
-    param_names = ("b", "eta")
     pot_scale_params = ("b",)
     closed_form_mean = False
 
@@ -753,7 +740,6 @@ class Nakagami(DistributionModel):
 
     mu: float
     omega: float
-    param_names = ("mu", "omega")
 
     @staticmethod
     def valid(mu, omega):
@@ -790,7 +776,6 @@ class GuptaKundu(DistributionModel):
 
     alpha: float
     lam: float
-    param_names = ("alpha", "lam")
     pot_scale_params = ("lam",)
 
     @staticmethod
@@ -825,7 +810,6 @@ class Pareto(DistributionModel):
 
     a: float
     theta: float
-    param_names = ("a", "theta")
     pot_scale_params = ("a",)
 
     @staticmethod
@@ -856,7 +840,6 @@ class FisherTippett(DistributionModel):
 
     mu: float
     lam: float
-    param_names = ("mu", "lam")
     pot_scale_params = ("mu", "lam")
 
     @staticmethod
@@ -884,7 +867,6 @@ class FisherTippett(DistributionModel):
 class Logistic(DistributionModel):
     mu: float
     s: float
-    param_names = ("mu", "s")
     pot_scale_params = ("mu", "s")
 
     @staticmethod
@@ -910,7 +892,6 @@ class Logistic(DistributionModel):
 class CauchyLorentz(DistributionModel):
     x0: float
     gamma: float
-    param_names = ("x0", "gamma")
     pot_scale_params = ("x0", "gamma")
 
     @staticmethod
@@ -938,7 +919,6 @@ class ChiSqr(DistributionModel):
     """Chi-square with integer degrees of freedom (a chained dof is floored)."""
 
     dof: int
-    param_names = ("dof",)
 
     @staticmethod
     def valid(dof):
@@ -975,7 +955,6 @@ class Triangular(DistributionModel):
     a: float
     m: float
     b: float
-    param_names = ("a", "m", "b")
     pot_scale_params = ("a", "m", "b")
 
     @staticmethod
@@ -999,9 +978,6 @@ class Triangular(DistributionModel):
         right = b - np.sqrt((1.0 - rd) * (b - m) * (b - a))
         return np.where(rd < split, left, right)
 
-    def sample_from_cumulative(self, rd):
-        return self.quantile(np.asarray(rd, dtype=float), *self.params)
-
     @staticmethod
     def draw(rng, n, a, m, b):
         return Triangular.quantile(rng.random(n), a, m, b)
@@ -1023,7 +999,6 @@ class PowerLaw(DistributionModel):
     m: float
     lo: float
     hi: float
-    param_names = ("m", "lo", "hi")
     pot_scale_params = ("lo", "hi")
 
     @staticmethod
@@ -1078,7 +1053,6 @@ class Die(DistributionModel):
     """Discrete uniform on 1..faces (chained faces are floored); pdf() reports the pmf."""
 
     faces: int
-    param_names = ("faces",)
 
     @staticmethod
     def valid(faces):

@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .conformity import chi_sqr_vs_benford
+from .conformity import chi_sqr_vs_benford, first_digit_counts
 from .digits import DigitDistribution, compartment_boundaries
 from .distributions import DistributionModel
 from .errors import BadParamsError, EmptyInputError, PolicyExhaustedError, TooLargeError
@@ -44,6 +44,8 @@ _BLOCK = 2**14
 # work), (L, T) pairs one enumerate_anomalous call may consider, and the
 # elements of one series or cumulative_factors array
 _MAX_RATES = 10**6
+# rates x n_elements one rate scan may tally: about a minute at the 20-35 ns an element measured
+_MAX_SCAN_ELEMENTS = 2 * 10**9
 # bins of the mantissa digit table: each holds at most one snap threshold
 _BINS = 4096
 # integers up to 2**53 are doubles exactly
@@ -201,27 +203,27 @@ def _digit_counts(mant: np.ndarray) -> np.ndarray:
     return counts.reshape(mant.shape[:-1] + (10,))[..., 1:]
 
 
-def _ld_chi(mant: np.ndarray) -> tuple[DigitDistribution, float]:
-    """Digit law and Benford chi-square of a 1-D mantissa vector."""
-    if not np.isfinite(mant).all():
+def _ld_chi(x: np.ndarray, tally=_digit_counts) -> tuple[DigitDistribution, float]:
+    """Digit law and Benford chi-square of a 1-D mantissa vector (or of values, tallied by tally)."""
+    if not np.isfinite(x).all():
         raise BadParamsError("a non-finite value has no leading digit")
-    counts = _digit_counts(mant)
+    counts = tally(x)
     return DigitDistribution.from_counts(counts), chi_sqr_vs_benford(counts)
 
 
 def series_ld(values_or_series) -> tuple[DigitDistribution, float]:
     """First-digit distribution and Benford chi-square of a value vector.
 
-    Accepts either a real vector (zeros skipped) or a GrowthSeries, which
-    is processed in log space so huge series cannot overflow.
+    Accepts either a real vector (zeros skipped, digits as leading_digits
+    reads them) or a GrowthSeries, processed in log space so huge series
+    cannot overflow.
     """
     if isinstance(values_or_series, GrowthSeries):
         return _ld_chi(series_mantissas(values_or_series))
     vals = np.asarray(values_or_series, dtype=np.float64)
-    vals = np.abs(vals[vals != 0])
-    if vals.size == 0:
+    if not vals.any():  # NaN counts as nonzero: it is refused as non-finite
         raise EmptyInputError("no nonzero values")
-    return _ld_chi(np.log10(vals) % 1.0)
+    return _ld_chi(vals, first_digit_counts)
 
 
 def _limit_denominator(n: np.ndarray, d: np.ndarray, t_max: int) -> tuple[np.ndarray, np.ndarray]:
@@ -366,7 +368,8 @@ def rate_scan(
     """Chi-square and anomaly detection across a grid of growth rates.
 
     The grid is lo + i*step for i = 0..round((hi - lo)/step), at most
-    _MAX_RATES rates; a larger grid raises TooLargeError.  Each rate's
+    _MAX_RATES rates and _MAX_SCAN_ELEMENTS rates x n_elements; a larger
+    grid raises TooLargeError.  Each rate's
     chi-square equals series_ld(GrowthSeries(base, rate, n_elements))[1]:
     the rates go through in blocks of max(1, _BLOCK // n_elements) series,
     each block one (rates x n_elements) mantissa matrix, so memory stays
@@ -388,6 +391,9 @@ def rate_scan(
     if not steps + 1 <= _MAX_RATES:  # also inf; checked before any list is built
         raise TooLargeError(f"the grid has {steps + 1:.3g} rates, more than {_MAX_RATES}")
     n_steps = int(round(steps))
+    if (n_steps + 1) * n_elements > _MAX_SCAN_ELEMENTS:
+        raise TooLargeError(f"{n_steps + 1} rates x {n_elements} elements is over the budget "
+                            f"of {_MAX_SCAN_ELEMENTS} series elements")
     pcts = [lo_percent + i * step for i in range(n_steps + 1)]
     # math.log10 as series_mantissas and detect_anomalous take it; numpy's
     # log10 can differ from it in the last bit

@@ -405,6 +405,16 @@ class TestChainability:
         with pytest.raises(UnknownPresetError):
             chains.chainability_experiment("weibull", ("nope",), {}, seed=1)
 
+    @pytest.mark.parametrize("chainer", [
+        ("uniform", 0.0, 3),  # no such chainer kind
+        ("reciprocal_log", 0.0, 0),  # an empty span
+        ("reciprocal_log", 0.0, 1.5),  # a span that is not a whole number of decades
+        {"lam": ("reciprocal_log", 0.0, -2)},
+    ])
+    def test_bad_chainer_rejected(self, chainer):
+        with pytest.raises(UnknownPresetError):
+            chains.chainability_experiment("weibull", ("lam",), {"k": 2.0}, chainer=chainer, seed=1)
+
     def test_full_grid(self):
         from chainability_grid import GRID
 

@@ -20,7 +20,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import digitlab
-from digitlab import chains, cli
+from digitlab import chains, cli, growth
 from digitlab.cli import EXIT_OK, EXIT_USAGE, main
 
 EXIT_EMPTY, EXIT_NUMERIC = 3, 4  # empty input, numerical failure
@@ -172,7 +172,8 @@ class TestParseNumber:
     @example("1.2.3")
     @example("\uff11\uff12")  # fullwidth digits: float() reads them, the parser does not
     def test_matches_set_reference(self, text):
-        assert cli._parse_number(text) == _set_parse_number(text)
+        (value,), _ = cli._convert([text])
+        assert (float(value) if np.isfinite(value) else None) == _set_parse_number(text)
 
     def test_plain_and_csv_count_the_same_rows_malformed(self, tmp_path):
         fields = ["12", " 3.5 ", "-7e2", "6E-1", "1_000", "0x1p3", "inf", "nan", "1e999", "\uff11",
@@ -695,6 +696,44 @@ class TestWorkBudget:
         assert f"budget of {chains._MAX_ROW_EVALS}" in err.getvalue()
 
 
+class TestScanBudget:
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(work=st.integers(growth._MAX_SCAN_ELEMENTS // (growth._MAX_RATES - 1) + 1,
+                            growth._MAX_RATES).flatmap(
+               lambda n: st.tuples(st.integers(growth._MAX_SCAN_ELEMENTS // n + 1, growth._MAX_RATES),
+                                   st.just(n))))
+    @example(work=(growth._MAX_RATES, growth._MAX_RATES))
+    def test_scan_over_budget_exits_2_within_a_second(self, work):
+        # above the budget a scan runs for minutes to hours (up to 10^12 elements)
+        rates, n = work
+        argv = ["growth", "scan", "--lo", "1", "--hi", str(rates), "--step", "1", "--n", str(n),
+                "--quiet"]
+        start = time.perf_counter()
+        with contextlib.redirect_stderr(io.StringIO()) as err:
+            rc = main(argv)
+        assert time.perf_counter() - start < 1.0
+        assert rc == EXIT_USAGE
+        assert f"{rates} rates x {n} elements" in err.getvalue()
+        assert f"budget of {growth._MAX_SCAN_ELEMENTS}" in err.getvalue()
+
+    def test_fine_grid_of_long_series_exits_2_within_a_second(self):
+        # 999,901 rates of 10^6 elements each
+        start = time.perf_counter()
+        with contextlib.redirect_stderr(io.StringIO()) as err:
+            rc = main(["growth", "scan", "--lo", "1", "--hi", "10000", "--step", "0.01",
+                       "--n", "1000000", "--quiet"])
+        assert time.perf_counter() - start < 1.0
+        assert rc == EXIT_USAGE
+        assert "999901 rates x 1000000 elements" in err.getvalue()
+
+    def test_default_and_benchmark_scans_are_within_budget(self):
+        args = cli.build_parser().parse_args(["growth", "scan"])
+        rates = round((args.hi - args.lo) / args.step) + 1
+        assert (rates, args.n) == (59_901, 1000)
+        assert rates * args.n <= growth._MAX_SCAN_ELEMENTS
+        assert 14_901 * 1000 <= growth._MAX_SCAN_ELEMENTS  # the benchmark's growth-scan
+
+
 # runs main() and reports its exit code, the scipy and digitlab modules it
 # left loaded, and whether numpy.ma is loaded
 _PROBE = """
@@ -799,6 +838,11 @@ class TestStartup:
         probe = _probe(["chain", "--preset", "flehinger", "--n", "1000", "--seed", "1", "--quiet"])
         assert set(probe["digitlab"]) == self._BASE | {
             "digitlab.chains", "digitlab.conformity", "digitlab.distributions"}
+
+    def test_growth_scan_loads_growth_and_what_it_tallies_with(self):
+        probe = _probe(["growth", "scan", "--lo", "21.1", "--hi", "21.2", "--quiet"])
+        assert set(probe["digitlab"]) == self._BASE | {
+            "digitlab.growth", "digitlab.conformity", "digitlab.distributions"}
 
     def test_check_sees_a_module_level_subcommand_import(self, tmp_path):
         # positive control: a copy of the package whose cli.py imports chains at module level

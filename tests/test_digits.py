@@ -17,6 +17,7 @@ from digitlab.errors import (
     BadBaseError,
     BadDigitError,
     ZeroInputError,
+    ZeroPrefixProbabilityError,
 )
 
 DIGITS = range(1, 10)
@@ -405,6 +406,17 @@ class TestBenfordLaws:
     def test_conditional_prefix_length_checked(self):
         with pytest.raises(BadDigitError):
             digits.benford_conditional(2, 2, [1, 5])
+
+    def test_pattern_past_the_double_range(self):
+        # 1 / n with n = 10**309 has no double n to divide by: it raised OverflowError
+        assert digits.benford_pattern((1,) + (0,) * 309) == pytest.approx(1e-309 / math.log(10.0))
+        assert digits.benford_pattern((9,) * 400) == 0.0  # 1 / n underflows
+
+    def test_conditional_on_a_prefix_past_the_double_range(self):
+        # a 310-digit prefix still has a (subnormal) law; a 400-digit one has none
+        assert digits.benford_conditional(311, 0, (1,) + (0,) * 309) == pytest.approx(0.1, rel=1e-9)
+        with pytest.raises(ZeroPrefixProbabilityError):
+            digits.benford_conditional(401, 0, (9,) * 400)
 
 
 class TestCompartments:

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from digitlab import growth
-from digitlab.digits import benford_first
+from digitlab.digits import benford_first, leading_digits
 from digitlab.distributions import PowerLaw, Uniform
 from digitlab.errors import BadParamsError, EmptyInputError, TooLargeError
 
@@ -85,6 +85,20 @@ class TestSeriesLd:
         ld, _ = growth.series_ld(vals)
         assert ld.probs[1] == pytest.approx(3 / 7)
         assert ld.probs[4] == pytest.approx(1 / 7)  # sign-neutral, zero skipped
+
+    @pytest.mark.parametrize("x,digit", [(1.9999999999, 1), (2.9999999995, 2), (0.99999999999, 9)])
+    def test_value_vector_digits_are_the_package_rule(self, x, digit):
+        # a mantissa snap within 1e-9 of log10 d gave these digit d + 1 (9 -> 1)
+        ld, _ = growth.series_ld([x, -x])
+        assert ld.probs[digit] == 1.0
+        assert leading_digits([x]).prefix[0] == digit
+
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=40)
+           .filter(any))
+    def test_value_vector_tallies_match_repr(self, vals):
+        firsts = [next(c for c in repr(abs(v)) if c in "123456789") for v in vals if v != 0]
+        ld, _ = growth.series_ld(vals)
+        assert ld.probs == {d: firsts.count(str(d)) / len(firsts) for d in DIGITS}
 
     def test_empty_rejected(self):
         with pytest.raises(EmptyInputError):
