@@ -169,8 +169,8 @@ def over_steepness(ld: DigitDistribution) -> float:
     Digits 1-2 enter as excesses (LD_d - benford_d), digits 3-9 as deficits
     (benford_d - LD_d); positive means the density falls faster than k/x.
     """
-    if ld.base != 10 or ld.order != 1:
-        raise BadParamsError("over_steepness needs a first-order base-10 distribution")
+    if ld.base != 10:
+        raise BadParamsError("over_steepness needs a base-10 distribution")
     total = 0.0
     for d in _DIGITS:
         diff = ld.probs.get(d, 0.0) - benford_first(d)
@@ -569,14 +569,16 @@ class DecadeDecomposition:
     decades: list[tuple[float, float]]
     weights: list[float]
     locals_: list[DigitDistribution]
-    overall: DigitDistribution
     truncated_mass: float
 
     def blend(self) -> DigitDistribution:
+        """The weight blend of the per-decade laws: the LD over all the decades."""
         vec = np.zeros(9)
         for w, loc in zip(self.weights, self.locals_):
-            vec += w * np.array([loc.probs[d] for d in _DIGITS])
+            vec += w * np.array(loc.first_order_vector())
         return DigitDistribution.from_counts(vec)
+
+    overall = property(blend)
 
 
 def ld_decades(model: DistributionModel, decades: tuple[int, int]) -> DecadeDecomposition:
@@ -607,23 +609,15 @@ def ld_decades(model: DistributionModel, decades: tuple[int, int]) -> DecadeDeco
         vec = [mass(d * 10.0**j, (d + 1) * 10.0**j) for d in _DIGITS]
         weights_raw.append(w)
         spans.append((lo10, hi10))
-        if w > 0:
-            locals_.append(DigitDistribution.from_counts(vec))
-        else:
-            locals_.append(DigitDistribution(base=10, order=1, probs={d: 1 / 9 for d in _DIGITS}))
+        locals_.append(DigitDistribution.from_counts(vec if w > 0 else [1.0] * 9))
 
     total_in = math.fsum(weights_raw)
     if total_in <= 0:
         raise QuadratureFailureError("no mass in the requested decades")
-    weights = [w / total_in for w in weights_raw]
-    overall_vec = np.zeros(9)
-    for w, loc in zip(weights, locals_):
-        overall_vec += w * np.array([loc.probs[d] for d in _DIGITS])
     return DecadeDecomposition(
         decades=spans,
-        weights=weights,
+        weights=[w / total_in for w in weights_raw],
         locals_=locals_,
-        overall=DigitDistribution.from_counts(overall_vec),
         truncated_mass=max(0.0, 1.0 - total_in),
     )
 

@@ -27,7 +27,7 @@ from typing import Callable
 
 import numpy as np
 
-from .conformity import chi_sqr_vs_benford, first_digit_counts
+from .conformity import chi_sqr, first_digit_counts
 from .digits import DigitDistribution
 from .distributions import (
     ChiSqr,
@@ -403,7 +403,7 @@ def simulate_chain(
         policy_dropped=dropped,
         ld_counts=tuple(int(c) for c in counts),
         ld=dist,
-        chi_sqr=chi_sqr_vs_benford(counts) if accepted else math.nan,
+        chi_sqr=chi_sqr(counts) if accepted else math.nan,
         valid=skip_rate <= 0.01,
         samples=np.concatenate([a for part in kept for a in part]) if keep_samples else None,
     )
@@ -618,10 +618,9 @@ def power_of_ten_invariance_check(
             counts = first_digit_counts(mod.sample_n(n, np.random.Generator(np.random.PCG64(child))))
             if not counts.any():
                 raise EmptyInputError(f"all {n} draws of {mod} are 0")
-            return counts / counts.sum()
+            return DigitDistribution.from_counts(counts)
 
-        pa, pb = empirical(model, c1), empirical(scaled, c2)
-        return float(np.max(np.abs(pa - pb)))
+        return empirical(model, c1).l_inf(empirical(scaled, c2))
     raise UnknownPresetError(f"unknown mode {mode!r}")
 
 

@@ -181,8 +181,6 @@ def cmd_analyze(args) -> None:
     values, malformed = ingest(args.path, args.format, args.column or args.field)
     if args.min_magnitude is not None:
         values = values[np.abs(values) >= args.min_magnitude]
-    if not args.keep_sign:
-        values = np.abs(values)
     if values.size == 0 or not np.any(values != 0):
         raise EmptyInputError("no parseable nonzero values")
     rep = conformity.report(values)
@@ -195,7 +193,7 @@ def cmd_analyze(args) -> None:
     n3 = max(1, sum(rep.observed_third.values()))
     for d in range(10):
         c1 = rep.observed_first.get(d, 0)
-        share = c1 / rep.n if d > 0 else 0.0
+        share = rep.compartment_masses.get(d, 0.0)
         b = f"{benford_first(d):.4f}" if d > 0 else "     -"
         lines.append(
             f"{d:>5}  {c1:>9}  {share:.4f}   {rep.observed_second.get(d, 0) / n2:>9.4f}"
@@ -397,8 +395,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--column", default=None, help="CSV column name or index")
     sp.add_argument("--field", default=None, help="JSONL field path (dotted)")
     sp.add_argument("--min-magnitude", type=float, default=None)
-    sp.add_argument("--keep-sign", action="store_true",
-                    help="skip the default absolute-value filter")
     common(sp)
     sp.set_defaults(fn=cmd_analyze)
 

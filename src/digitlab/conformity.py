@@ -46,41 +46,33 @@ _DIGITS = range(1, 10)
 _BENFORD = np.array(benford_distribution().first_order_vector())
 
 
-def chi_sqr_vs_benford(counts):
-    """Pearson chi-square of per-digit counts (digits 1..9) against Benford.
+def chi_sqr(observed, expected: DigitDistribution | None = None):
+    """Pearson chi-square of per-digit counts against a digit law (Benford by default).
 
-    Reduces over the last axis: a 1-D vector of 9 counts gives a float, an
-    (rows, 9) array one chi-square per row.  Every row needs a positive total.
+    ``observed`` maps digits to counts, or is a sequence of the counts of
+    digits 1..base-1, or an array of such rows: the sum runs over the last
+    axis, so one vector gives a float and (rows, base-1) counts one
+    chi-square per row.  Every row needs a positive total.  A digit of
+    probability 0 is left out of the sum; a count on it raises BadExpectedError.
     """
-    counts = np.asarray(counts, dtype=np.float64)
+    probs = _BENFORD if expected is None else np.array(expected.first_order_vector())
+    if isinstance(observed, dict):
+        observed = [observed.get(d, 0) for d in range(1, probs.size + 1)]
+    counts = np.asarray(observed, dtype=np.float64)
     n = counts.sum(axis=-1, keepdims=True)
-    if np.any(n <= 0):
+    if (n <= 0.0).any():
         raise EmptyInputError("no digits to test")
-    expected = n * _BENFORD
-    chi = ((counts - expected) ** 2 / expected).sum(axis=-1)
+    if probs.min() <= 0.0:
+        impossible = probs <= 0.0
+        if counts[..., impossible].any():
+            raise BadExpectedError("a digit of expected probability 0 has a count")
+        counts, probs = counts[..., ~impossible], probs[~impossible]
+    expected_counts = n * probs
+    chi = ((counts - expected_counts) ** 2 / expected_counts).sum(axis=-1)
     return float(chi) if chi.ndim == 0 else chi
 
 
-def chi_sqr(observed, expected: DigitDistribution) -> float:
-    """Pearson chi-square of per-digit counts against an expected digit law.
-
-    ``observed`` maps digits to counts (dict or sequence over 1..base-1).
-    """
-    if not isinstance(observed, dict):
-        observed = {d: c for d, c in zip(range(1, expected.base), observed)}
-    n = sum(observed.values())
-    if n <= 0:
-        raise EmptyInputError("chi_sqr needs a positive total count")
-    total = 0.0
-    for d in range(1, expected.base):
-        p = expected.probs.get(d, 0.0)
-        o = observed.get(d, 0)
-        if p <= 0.0:
-            if o > 0:
-                raise BadExpectedError(f"expected probability 0 for digit {d} with count {o}")
-            continue
-        total += (o - n * p) ** 2 / (n * p)
-    return total
+chi_sqr_vs_benford = chi_sqr
 
 
 _MAX_DOF = 10**5  # each evaluation of Q sums dof/2 terms
@@ -199,11 +191,9 @@ def compartmental_allotment_test(values) -> AllotmentResult:
     if vals.size == 0:
         raise EmptyInputError("compartment test needs nonzero values")
     counts = first_digit_counts(vals)
-    n = int(counts.sum())
-    benford = benford_distribution()
-    masses = {d: counts[d - 1] / n for d in _DIGITS}
-    max_dev = max(abs(masses[d] - benford.probs[d]) for d in _DIGITS)
-    return AllotmentResult(masses=masses, max_deviation=max_dev, n=n)
+    shares = DigitDistribution.from_counts(counts)
+    return AllotmentResult(masses=shares.probs, max_deviation=shares.l_inf(benford_distribution()),
+                           n=int(counts.sum()))
 
 
 def reshuffle_within_compartments(values, seed=0) -> np.ndarray:
@@ -241,7 +231,7 @@ def scale_invariance_probe(values, factors, expected: DigitDistribution | None =
         expected = benford_distribution()
 
     def chi_of(arr: np.ndarray) -> float:
-        return chi_sqr(first_digit_counts(_clean(arr)[0]).tolist(), expected)
+        return chi_sqr(first_digit_counts(_clean(arr)[0]), expected)
 
     base_chi = chi_of(vals)
     out = {}
@@ -337,11 +327,8 @@ def report(values) -> ConformityReport:
     second_counts = {d: int(second[d]) for d in range(10)}
     third_counts = {d: int(third[d]) for d in range(10)}
 
+    shares = DigitDistribution.from_counts(first)
     benford = benford_distribution()
-    chi = chi_sqr(first_counts, benford)
-    shares = {d: first_counts[d] / n for d in _DIGITS}
-    l_inf = max(abs(shares[d] - benford.probs[d]) for d in _DIGITS)
-    l1 = sum(abs(shares[d] - benford.probs[d]) for d in _DIGITS)
     ks = mantissa_uniformity_test(vals)
 
     annotations = []
@@ -365,12 +352,12 @@ def report(values) -> ConformityReport:
         excluded_second=n - int(second.sum()),
         excluded_third=n - int(third.sum()),
         ambiguous=lead.ambiguous,
-        chi_sqr_first=chi,
+        chi_sqr_first=chi_sqr(first),
         chi_sqr_critical_001=crit,
-        l_inf=l_inf,
-        l1=l1,
+        l_inf=shares.l_inf(benford),
+        l1=shares.l1(benford),
         mantissa_ks=ks.statistic,
         mantissa_ks_critical=ks.critical,
-        compartment_masses=shares,
+        compartment_masses=shares.probs,
         annotations=annotations,
     )

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import bisect
 import functools
+import itertools
 import math
 import sys
 from dataclasses import dataclass
@@ -291,27 +292,6 @@ def benford_pattern(pattern, base: int = 10) -> float:
     return math.log1p(1 / n) / math.log(base)  # 1 / n of a long pattern underflows to 0.0
 
 
-def _prefixes(length: int, base: int):
-    """All valid digit prefixes of the given length (first digit nonzero)."""
-    if length == 0:
-        yield ()
-        return
-    for first in range(1, base):
-        if length == 1:
-            yield (first,)
-            continue
-        rest = [0] * (length - 1)
-        while True:
-            yield (first, *rest)
-            for i in range(length - 2, -1, -1):
-                rest[i] += 1
-                if rest[i] < base:
-                    break
-                rest[i] = 0
-            else:
-                break
-
-
 def benford_nth_unconditional(n: int, d: int, base: int = 10) -> float:
     """Unconditional probability that the n-th significant digit is d (n >= 2)."""
     _check_base(base)
@@ -319,9 +299,8 @@ def benford_nth_unconditional(n: int, d: int, base: int = 10) -> float:
         raise BadDigitError("nth-digit law needs n >= 2; use benford_first for n = 1")
     if not 0 <= d <= base - 1:
         raise BadDigitError(f"digit {d} out of range for base {base}")
-    return math.fsum(
-        benford_pattern(prefix + (d,), base) for prefix in _prefixes(n - 1, base)
-    )
+    prefixes = itertools.product(range(1, base), *[range(base)] * (n - 2))
+    return math.fsum(benford_pattern(prefix + (d,), base) for prefix in prefixes)
 
 
 def benford_conditional(n: int, d: int, prefix, base: int = 10) -> float:
@@ -338,14 +317,13 @@ def benford_conditional(n: int, d: int, prefix, base: int = 10) -> float:
 
 @dataclass(frozen=True)
 class DigitDistribution:
-    """Probability vector over leading digits (or digit patterns).
+    """Probability vector over the leading digits 1..base-1.
 
-    ``probs`` maps a digit (order 1) or a digit tuple (order > 1) to its
-    probability.  Probabilities sum to 1 within 1e-9.
+    ``probs`` maps a digit to its probability.  Probabilities sum to 1
+    within 1e-9.
     """
 
     base: int
-    order: int
     probs: dict
 
     def __post_init__(self):
@@ -359,18 +337,16 @@ class DigitDistribution:
 
     @classmethod
     def from_counts(cls, counts) -> "DigitDistribution":
-        """Order-1 law of per-digit counts or masses for digits 1..len(counts).
+        """Law of per-digit counts or masses for digits 1..len(counts).
 
         Each probability is count / math.fsum(counts); a zero total gives empty probs.
         """
         total = math.fsum(counts)
         probs = {d: float(counts[d - 1] / total) for d in range(1, len(counts) + 1)} if total else {}
-        return cls(base=len(counts) + 1, order=1, probs=probs)
+        return cls(base=len(counts) + 1, probs=probs)
 
     def first_order_vector(self):
-        """Probabilities for digits 1..base-1 as a list (order-1 only)."""
-        if self.order != 1:
-            raise BadDigitError("first_order_vector requires an order-1 distribution")
+        """Probabilities for digits 1..base-1 as a list."""
         return [self.probs.get(d, 0.0) for d in range(1, self.base)]
 
     def l_inf(self, other: "DigitDistribution") -> float:
@@ -388,7 +364,6 @@ def benford_distribution(base: int = 10) -> DigitDistribution:
     """The first-order Benford law as a DigitDistribution."""
     return DigitDistribution(
         base=base,
-        order=1,
         probs={d: benford_first(d, base) for d in range(1, base)},
     )
 

@@ -13,13 +13,16 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .conformity import chi_sqr_vs_benford, first_digit_counts
+from .conformity import chi_sqr, first_digit_counts
 from .digits import DigitDistribution, compartment_boundaries
-from .distributions import DistributionModel
 from .errors import BadParamsError, EmptyInputError, PolicyExhaustedError, TooLargeError
+
+if TYPE_CHECKING:  # an annotation only; importing distributions would cost every growth start
+    from .distributions import DistributionModel
 
 __all__ = [
     "GrowthSeries",
@@ -34,7 +37,6 @@ __all__ = [
     "equivalent_rate",
     "random_multiplication_process",
     "power_transform_ld",
-    "chi_sqr_vs_benford",
 ]
 
 _BOUNDS = np.array(compartment_boundaries(10))
@@ -208,7 +210,7 @@ def _ld_chi(x: np.ndarray, tally=_digit_counts) -> tuple[DigitDistribution, floa
     if not np.isfinite(x).all():
         raise BadParamsError("a non-finite value has no leading digit")
     counts = tally(x)
-    return DigitDistribution.from_counts(counts), chi_sqr_vs_benford(counts)
+    return DigitDistribution.from_counts(counts), chi_sqr(counts)
 
 
 def series_ld(values_or_series) -> tuple[DigitDistribution, float]:
@@ -401,7 +403,7 @@ def rate_scan(
     m_b, m_f = math.log10(base) % 1.0, x % 1.0
     rows = max(1, _BLOCK // n_elements)
     chis = np.concatenate([
-        chi_sqr_vs_benford(_digit_counts(_mantissa_rows(m_b, m_f[i:i + rows], n_elements)))
+        chi_sqr(_digit_counts(_mantissa_rows(m_b, m_f[i:i + rows], n_elements)))
         for i in range(0, len(pcts), rows)
     ])
     tol = 0.5 / n_elements

@@ -49,13 +49,12 @@ class SchemeResult:
     """Exact first-digit distribution of an averaging scheme."""
 
     ld: DigitDistribution
-    exact: bool = True
     meta: dict = field(default_factory=dict)
 
     def to_json_dict(self) -> dict:
         return {
             "schema_version": 1,
-            "exact": self.exact,
+            "exact": True,
             "ld_probs": {str(d): p for d, p in sorted(self.ld.probs.items())},
             **self.meta,
         }
@@ -63,7 +62,7 @@ class SchemeResult:
 
 def _result(avg: np.ndarray, **meta) -> SchemeResult:
     probs = {d: float(avg[d - 1]) for d in _DIGITS}
-    return SchemeResult(ld=DigitDistribution(base=10, order=1, probs=probs), meta=meta)
+    return SchemeResult(ld=DigitDistribution(base=10, probs=probs), meta=meta)
 
 
 def _check_bounds(**bounds) -> None:
@@ -119,7 +118,7 @@ def interval_ld(lb: int, ub: int) -> DigitDistribution:
     """First-digit distribution of the discrete uniform on [lb, ub]."""
     counts = interval_ld_counts(lb, ub)
     size = ub - lb + 1
-    return DigitDistribution(base=10, order=1, probs={d: counts[d] / size for d in _DIGITS})
+    return DigitDistribution(base=10, probs={d: counts[d] / size for d in _DIGITS})
 
 
 def _nested_mean(lb: int, starts: tuple[int, ...], lo: int, hi: int) -> np.ndarray:

@@ -531,9 +531,13 @@ class TestLdDecades:
 
     def test_blend_identity(self):
         for model in (LogNormal(1.0, 2.3), Exponential(0.02547), PowerLaw(1.0, 1.0, 1000.0)):
-            dec = analytic.ld_decades(model, (-3, 4) if not isinstance(model, PowerLaw) else (0, 2))
+            lo, hi = (-3, 4) if not isinstance(model, PowerLaw) else (0, 2)
+            dec = analytic.ld_decades(model, (lo, hi))
             blended = dec.blend()
             assert dec.overall.l_inf(blended) < 1e-9
+            # the blend is the LD of the density restricted to the decades
+            restricted = analytic.ld_of_density(model.pdf, (10.0**lo, 10.0 ** (hi + 1)), tol=1e-10)
+            assert blended.l_inf(restricted) < 1e-9
             assert sum(dec.weights) == pytest.approx(1.0, abs=1e-9)
 
 

@@ -587,6 +587,13 @@ class TestExitCodes:
             "EmptyInputError": EXIT_EMPTY, "QuadratureFailureError": EXIT_NUMERIC,
             "PolicyExhaustedError": EXIT_NUMERIC}
 
+    def test_removed_keep_sign_exits_2(self, tmp_path, capsys):
+        # the flag did nothing: the report reads |x| whatever it said
+        data = tmp_path / "data.txt"
+        data.write_text("-1.5\n23\n")
+        assert main(["analyze", str(data), "--keep-sign", "--quiet"]) == EXIT_USAGE
+        assert "unrecognized arguments: --keep-sign" in capsys.readouterr().err
+
     def test_all_zero_draws_exit_3(self, capsys):
         # Uniform(0, 5e-324) draws 0 about half the time; this one draw is 0,
         # where the check divided 0 by 0 and printed NaN
@@ -842,7 +849,7 @@ class TestStartup:
     def test_growth_scan_loads_growth_and_what_it_tallies_with(self):
         probe = _probe(["growth", "scan", "--lo", "21.1", "--hi", "21.2", "--quiet"])
         assert set(probe["digitlab"]) == self._BASE | {
-            "digitlab.growth", "digitlab.conformity", "digitlab.distributions"}
+            "digitlab.growth", "digitlab.conformity"}
 
     def test_check_sees_a_module_level_subcommand_import(self, tmp_path):
         # positive control: a copy of the package whose cli.py imports chains at module level
@@ -924,7 +931,7 @@ _ARGV = st.one_of(
     _command([st.just("analyze"), st.sampled_from(("{data}", "{out}", "/nonexistent/x"))],
              {"--format": st.sampled_from(("plain", "csv", "jsonl")),
               "--column": st.sampled_from(("v", "0", "9", "")), "--field": st.sampled_from(("v", "a.b")),
-              "--min-magnitude": _NUM, "--keep-sign": None}),
+              "--min-magnitude": _NUM}),
     _command([st.just("chain"),
               st.sampled_from([f"--spec={s}" for s in _SPECS] + [f"--preset={p}" for p in _PRESETS]),
               st.sampled_from(("--n=-1", "--n=0", "--n=1", "--n=1000", "--n=nan", "--n="))],

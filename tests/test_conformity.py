@@ -42,18 +42,42 @@ class TestChiSqr:
     def test_zero_expected_with_mass_rejected(self):
         from digitlab.digits import DigitDistribution
 
-        lopsided = DigitDistribution(base=10, order=1, probs={1: 1.0})
+        lopsided = DigitDistribution(base=10, probs={1: 1.0})
         with pytest.raises(BadExpectedError):
             conformity.chi_sqr({1: 5, 2: 5}, lopsided)
 
+    def test_zero_probability_digit_is_left_out(self):
+        from digitlab.digits import DigitDistribution
+
+        law = DigitDistribution(base=10, probs={d: 0.0 if d == 5 else 1 / 8 for d in DIGITS})
+        rows = np.array([[3, 1, 4, 1, 0, 9, 2, 6, 5], [10] * 4 + [0] + [10] * 4])
+        with pytest.raises(BadExpectedError):
+            conformity.chi_sqr(np.vstack([rows, [1] * 9]), law)
+        kept = np.delete(rows, 4, axis=1)
+        expected = [sum((o - r.sum() / 8) ** 2 / (r.sum() / 8) for o in r) for r in kept]
+        assert conformity.chi_sqr(rows, law) == pytest.approx(expected, rel=1e-14)
+        assert conformity.chi_sqr(dict(zip(DIGITS, rows[0].tolist())), law) == pytest.approx(expected[0])
+
     def test_vs_benford_rowwise(self):
+        from scipy import stats
+
         rows = np.array([[30, 18, 12, 10, 8, 7, 6, 5, 4], [1000] * 9, [0, 0, 5, 0, 0, 0, 0, 0, 0]])
         got = conformity.chi_sqr_vs_benford(rows)
         assert isinstance(conformity.chi_sqr_vs_benford(rows[0]), float)
-        assert got.tolist() == [conformity.chi_sqr_vs_benford(r) for r in rows]
-        assert got[1] == pytest.approx(conformity.chi_sqr(list(rows[1]), benford_distribution()))
+        benford = np.array(benford_distribution().first_order_vector())
+        oracle = [stats.chisquare(r, r.sum() * benford).statistic for r in rows]
+        assert got == pytest.approx(oracle, rel=1e-12)
         with pytest.raises(EmptyInputError):
             conformity.chi_sqr_vs_benford(np.vstack([rows, np.zeros(9)]))
+
+    @given(st.lists(st.lists(st.integers(0, 10**9), min_size=9, max_size=9), min_size=1, max_size=8)
+           .filter(lambda rows: all(sum(r) > 0 for r in rows)))
+    def test_dict_sequence_and_rows_agree_bit_for_bit(self, rows):
+        # the dict form summed its terms one by one and the rows form pairwise,
+        # so the two differed in the last bits on about 3 vectors in 10
+        by_row = conformity.chi_sqr(np.array(rows)).tolist()
+        assert [conformity.chi_sqr(r) for r in rows] == by_row
+        assert [conformity.chi_sqr(dict(zip(DIGITS, r)), benford_distribution()) for r in rows] == by_row
 
     def test_power_of_ten_invariance(self):
         vals = benford_sample(20_000, seed=3)

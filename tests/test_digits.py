@@ -373,7 +373,7 @@ class TestBenfordLaws:
 
     def test_from_counts(self):
         dist = digits.DigitDistribution.from_counts([3, 0, 1, 0, 0, 0, 0, 0, 2])
-        assert (dist.base, dist.order) == (10, 1)
+        assert dist.base == 10
         assert dist.first_order_vector() == [3 / 6, 0.0, 1 / 6, 0.0, 0.0, 0.0, 0.0, 0.0, 2 / 6]
         assert digits.DigitDistribution.from_counts([1, 1, 2]).base == 4
         assert digits.DigitDistribution.from_counts([0] * 9).probs == {}
@@ -456,7 +456,7 @@ class TestDigitalUsage:
 class TestDigitDistribution:
     def test_invariants_enforced(self):
         with pytest.raises(BadDigitError):
-            digits.DigitDistribution(base=10, order=1, probs={1: 0.9, 2: 0.3})
+            digits.DigitDistribution(base=10, probs={1: 0.9, 2: 0.3})
 
     def test_benford_distribution_valid(self):
         dist = digits.benford_distribution()
