@@ -2,9 +2,9 @@
 
 Two computational styles coexist on purpose:
 
-- closed-form decade summation where the density allows it (k/x, k/x**m,
-  the exponential, and 10**Y for piecewise-analytic log-densities Y, which
-  are folded modulo 1 exactly);
+- closed-form decade summation where the density allows it (k/x**m, the
+  exponential, and 10**Y for piecewise-analytic log-densities Y, which are
+  folded modulo 1 exactly; k/x is 10**Y for a uniform Y);
 - generic adaptive quadrature over digit intervals (``ld_of_density``),
   which doubles as the independent cross-check path.
 
@@ -18,11 +18,11 @@ import heapq
 import math
 import sys
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .digits import DigitDistribution, benford_first
-from .distributions import DistributionModel, Exponential, LogNormal
 from .errors import (
     BadParamsError,
     BadRangeError,
@@ -31,11 +31,13 @@ from .errors import (
     UnsupportedFamilyError,
 )
 
+if TYPE_CHECKING:  # an annotation only; importing distributions would cost every analytic start
+    from .distributions import DistributionModel
+
 __all__ = [
     "UniformLog",
     "TriangularLog",
     "SemiCircularLog",
-    "HangingSemiCircularLog",
     "DecadeDecomposition",
     "ld_kx",
     "ld_power_law",
@@ -73,25 +75,12 @@ def _check_log_support(name: str, a: float, b: float) -> None:
 def ld_kx(s: float, g: float) -> DigitDistribution:
     """LD of the density k/x over [10**s, 10**(s+g)], k = 1/(g ln 10).
 
-    Computed in log space: each digit's probability is the total overlap of
-    its per-decade mantissa block with [s, s+g], divided by g.  Integer g
-    telescopes to log10(1+1/d) exactly.
+    In log space k/x is the uniform density on [s, s+g], so this is its
+    exact fold modulo 1.  Integer g telescopes to log10(1+1/d).
     """
     if g <= 0:
         raise BadRangeError(f"need g > 0, got {g}")
-    lo, hi = s, s + g
-    _check_log_support("k/x", lo, hi)
-    vec = []
-    for d in _DIGITS:
-        block_lo, block_hi = math.log10(d), math.log10(d + 1)
-        total = 0.0
-        for j in range(math.floor(lo) - 1, math.ceil(hi) + 1):
-            a = max(lo, j + block_lo)
-            b = min(hi, j + block_hi)
-            if b > a:
-                total += b - a
-        vec.append(total / g)
-    return DigitDistribution.from_counts(vec)
+    return ld_ten_to_symmetric(UniformLog(s, s + g))
 
 
 def ld_power_law(m: float, lo: float, hi: float) -> DigitDistribution:
@@ -287,88 +276,54 @@ def _half_disc_share(u: float, r: float) -> float:
 
 @dataclass(frozen=True)
 class SemiCircularLog:
-    """Semi-circular-like log-density: (2/(pi R^2)) sqrt(R^2 - (y-c)^2)."""
+    """Semi-circular log-density sqrt(R^2 - (y-c)^2), raised by an elevation h >= 0.
 
-    center: float
-    radius: float
-
-    def __post_init__(self):
-        if not self.radius > 0:
-            raise BadParamsError(f"SemiCircularLog requires radius > 0, got {self.radius}")
-        _check_log_support("SemiCircularLog", *self.bounds)
-
-    @property
-    def bounds(self):
-        return (self.center - self.radius, self.center + self.radius)
-
-    def cdf(self, y: float) -> float:
-        return _half_disc_share(y - self.center, self.radius)
-
-    def pdf(self, y: float) -> float:
-        r = self.radius
-        u = y - self.center
-        if abs(u) > r:
-            return 0.0
-        return 2.0 * math.sqrt(r * r - u * u) / (math.pi * r * r)
-
-    def translated(self, offset: float) -> "SemiCircularLog":
-        return SemiCircularLog(self.center + offset, self.radius)
-
-    def scaled(self, factor: float) -> "SemiCircularLog":
-        return SemiCircularLog(self.center * factor, self.radius * factor)
-
-
-@dataclass(frozen=True)
-class HangingSemiCircularLog:
-    """Semi-circle raised on a pedestal: density h + sqrt(R^2 - (y-c)^2), normalized.
-
-    'Hangs above the axis': starts and ends at the same nonzero elevation.
+    The density h + sqrt(R^2 - (y-c)^2), normalized: at h > 0 it 'hangs
+    above the axis', starting and ending at the same nonzero height.  It is
+    the mixture of the semicircle (2/(pi R^2)) sqrt(R^2 - (y-c)^2) with
+    weight 1 and the uniform on [c-R, c+R] with weight lift = 4h/(pi R), so
+    h = 0 gives the semicircle itself.
     """
 
     center: float
     radius: float
-    elevation: float
+    elevation: float = 0.0
 
     def __post_init__(self):
         if not (self.radius > 0 and 0 <= self.elevation < math.inf):
-            raise BadParamsError(
-                f"HangingSemiCircularLog requires radius > 0, finite elevation >= 0, got {self}"
-            )
-        _check_log_support("HangingSemiCircularLog", *self.bounds)
+            raise BadParamsError(f"SemiCircularLog requires radius > 0, finite elevation >= 0, got {self}")
+        _check_log_support("SemiCircularLog", *self.bounds)
 
     @property
-    def _norm(self) -> float:
-        r, h = self.radius, self.elevation
-        return 2.0 * r * h + 0.5 * math.pi * r * r
+    def _lift(self) -> float:
+        return 4.0 * self.elevation / (math.pi * self.radius)
 
     @property
     def bounds(self):
         return (self.center - self.radius, self.center + self.radius)
 
     def cdf(self, y: float) -> float:
-        r, h = self.radius, self.elevation
+        r, lift = self.radius, self._lift
         u = y - self.center
-        if u <= -r:
-            return 0.0
-        if u >= r:
-            return 1.0
-        return (h * (u + r) + 0.5 * math.pi * r * r * _half_disc_share(u, r)) / self._norm
+        flat = min(max((u + r) / (2.0 * r), 0.0), 1.0)  # the uniform's cdf
+        return (lift * flat + _half_disc_share(u, r)) / (1.0 + lift)
 
     def pdf(self, y: float) -> float:
-        r, h = self.radius, self.elevation
+        r, lift = self.radius, self._lift
         u = y - self.center
         if abs(u) > r:
             return 0.0
-        return (h + math.sqrt(r * r - u * u)) / self._norm
+        semi = 2.0 * math.sqrt(r * r - u * u) / (math.pi * r * r)
+        return (lift / (2.0 * r) + semi) / (1.0 + lift)
 
-    def translated(self, offset: float) -> "HangingSemiCircularLog":
-        return HangingSemiCircularLog(self.center + offset, self.radius, self.elevation)
+    def translated(self, offset: float) -> "SemiCircularLog":
+        return SemiCircularLog(self.center + offset, self.radius, self.elevation)
 
-    def scaled(self, factor: float) -> "HangingSemiCircularLog":
-        return HangingSemiCircularLog(self.center * factor, self.radius * factor, self.elevation)
+    def scaled(self, factor: float) -> "SemiCircularLog":
+        return SemiCircularLog(self.center * factor, self.radius * factor, self.elevation)
 
 
-LogDensitySpec = UniformLog | TriangularLog | SemiCircularLog | HangingSemiCircularLog
+LogDensitySpec = UniformLog | TriangularLog | SemiCircularLog
 
 
 def _folded_mass(spec, lo: float, hi: float) -> float:
@@ -480,6 +435,17 @@ def quad(f, a: float, b: float, tol: float) -> tuple[float, float]:
     return value, err
 
 
+def _digit_masses(pdf, lo: float, hi: float, j: int, tol: float) -> np.ndarray:
+    """Integral of pdf over each digit block [d 10**j, (d+1) 10**j] cut to [lo, hi], d = 1..9."""
+    dm = np.zeros(9)
+    for d in _DIGITS:
+        a = max(lo, d * 10.0**j)
+        b = min(hi, (d + 1) * 10.0**j, _FLOAT_MAX)
+        if b > a:
+            dm[d - 1] = quad(pdf, a, b, tol)[0]
+    return dm
+
+
 def ld_of_density(pdf, support: tuple[float, float], tol: float = 1e-9) -> DigitDistribution:
     """LD of an arbitrary density by adaptive quadrature over digit intervals.
 
@@ -503,20 +469,11 @@ def ld_of_density(pdf, support: tuple[float, float], tol: float = 1e-9) -> Digit
         j_lo = _J_LO if open_lo else math.floor(math.log10(s_lo))
         j_hi = _J_HI if open_hi else math.floor(math.log10(s_hi))
 
-        def decade_masses(j: int) -> np.ndarray:
-            dm = np.zeros(9)
-            for d in _DIGITS:
-                a = max(s_lo, d * 10.0**j)
-                b = min(s_hi, (d + 1) * 10.0**j, _FLOAT_MAX)
-                if b > a:
-                    dm[d - 1] = quad(side_pdf, a, b, tol)[0]
-            return dm
-
         def walk(js, truncate: bool) -> None:
             nonlocal out
             misses = 0
             for j in js:
-                dm = decade_masses(j)
+                dm = _digit_masses(side_pdf, s_lo, s_hi, j, tol)
                 out += dm
                 if truncate:
                     misses = misses + 1 if dm.sum() < 1e-12 * max(out.sum(), 1e-300) else 0
@@ -571,14 +528,13 @@ class DecadeDecomposition:
     locals_: list[DigitDistribution]
     truncated_mass: float
 
-    def blend(self) -> DigitDistribution:
+    @property
+    def overall(self) -> DigitDistribution:
         """The weight blend of the per-decade laws: the LD over all the decades."""
         vec = np.zeros(9)
         for w, loc in zip(self.weights, self.locals_):
             vec += w * np.array(loc.first_order_vector())
         return DigitDistribution.from_counts(vec)
-
-    overall = property(blend)
 
 
 def ld_decades(model: DistributionModel, decades: tuple[int, int]) -> DecadeDecomposition:
@@ -587,28 +543,19 @@ def ld_decades(model: DistributionModel, decades: tuple[int, int]) -> DecadeDeco
     ``decades`` is the inclusive range of exponents j; decade j covers
     [10**j, 10**(j+1)).  Negative support contributes via |x|.  Weights are
     normalized over the included decades; the mass outside is reported as
-    truncated_mass.  Every mass is one ``quad`` call with tolerance 1e-10.
+    truncated_mass.  Each digit block of each side is one ``quad`` call with
+    tolerance 1e-10, and a decade's weight is the sum of its nine masses.
     """
     j_lo, j_hi = decades
     if j_lo > j_hi:
         raise BadRangeError(f"need j_lo <= j_hi, got {decades}")
     sup = model.support()
-
-    def mass(a: float, b: float) -> float:
-        """Mass of |x| in [a, b]: the positive side plus the mirrored negative side."""
-        out = 0.0
-        for lo, hi in ((max(a, sup.lo), min(b, sup.hi)), (max(-b, sup.lo), min(-a, sup.hi))):
-            if hi > lo:
-                out += quad(model.pdf, lo, hi, 1e-10)[0]
-        return out
-
-    weights_raw, locals_, spans = [], [], []
+    spans = [(10.0**j, 10.0 ** (j + 1)) for j in range(j_lo, j_hi + 1)]
+    weights_raw, locals_ = [], []
     for j in range(j_lo, j_hi + 1):
-        lo10, hi10 = 10.0**j, 10.0 ** (j + 1)
-        w = mass(lo10, hi10)
-        vec = [mass(d * 10.0**j, (d + 1) * 10.0**j) for d in _DIGITS]
-        weights_raw.append(w)
-        spans.append((lo10, hi10))
+        vec = (_digit_masses(model.pdf, sup.lo, sup.hi, j, 1e-10)
+               + _digit_masses(lambda u: model.pdf(-u), -sup.hi, -sup.lo, j, 1e-10))
+        weights_raw.append(w := math.fsum(vec))
         locals_.append(DigitDistribution.from_counts(vec if w > 0 else [1.0] * 9))
 
     total_in = math.fsum(weights_raw)
@@ -624,6 +571,8 @@ def ld_decades(model: DistributionModel, decades: tuple[int, int]) -> DecadeDeco
 
 def ld_inflection_point(model: DistributionModel) -> float:
     """x-value where the density's log10-transform peaks (k/x-like locally)."""
+    from .distributions import Exponential, LogNormal
+
     if isinstance(model, Exponential):
         return 1.0 / model.rho
     if isinstance(model, LogNormal):

@@ -13,7 +13,7 @@ from __future__ import annotations
 import functools
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -267,30 +267,12 @@ class ConformityReport:
     annotations: list[str] = field(default_factory=list)
 
     def to_json_dict(self) -> dict:
-        return {
-            "schema_version": 1,
-            "n": self.n,
-            "skipped_zeros": self.skipped_zeros,
-            "skipped_nonfinite": self.skipped_nonfinite,
-            "observed_first": {str(k): v for k, v in self.observed_first.items()},
-            "observed_second": {str(k): v for k, v in self.observed_second.items()},
-            "observed_third": {str(k): v for k, v in self.observed_third.items()},
-            "excluded_second": self.excluded_second,
-            "excluded_third": self.excluded_third,
-            "ambiguous": self.ambiguous,
-            "chi_sqr_first": self.chi_sqr_first,
-            "chi_sqr_critical_001": self.chi_sqr_critical_001,
-            "l_inf": self.l_inf,
-            "l1": self.l1,
-            "mantissa_ks": self.mantissa_ks,
-            "mantissa_ks_critical": self.mantissa_ks_critical,
-            "compartment_masses": (
-                {str(k): v for k, v in self.compartment_masses.items()}
-                if self.compartment_masses is not None
-                else None
-            ),
-            "annotations": list(self.annotations),
-        }
+        """A copy of the fields, in order, after schema_version; dict keys become strings."""
+        doc = {"schema_version": 1, **asdict(self)}
+        for name, value in doc.items():
+            if isinstance(value, dict):
+                doc[name] = {str(k): v for k, v in value.items()}
+        return doc
 
 
 def report(values) -> ConformityReport:

@@ -142,9 +142,6 @@ class DistributionModel:
     def mean(self) -> float:
         raise NotImplementedError
 
-    # True when mean() is a closed-form expression rather than quadrature.
-    closed_form_mean: ClassVar[bool] = True
-
     def scaled_by_power_of_ten(self, m: int, subset=None) -> "DistributionModel":
         """Return the model with parameters multiplied by 10**m.
 
@@ -669,13 +666,12 @@ class Gompertz(DistributionModel):
 
     The CDF works out to F(x) = (1 - e^{-bx}) exp(-eta e^{-bx}); sampling
     inverts it in closed form (see quantile).  The mean has no closed form
-    and is integrated numerically (closed_form_mean is False).
+    and is integrated numerically.
     """
 
     b: float
     eta: float
     pot_scale_params = ("b",)
-    closed_form_mean = False
 
     @staticmethod
     def valid(b, eta):

@@ -191,7 +191,7 @@ class TestTenToSymmetric:
         lambda: analytic.SemiCircularLog(11.0, 1e-300),  # both ends round to 11
         lambda: analytic.UniformLog(0.0, 1e308),
         lambda: analytic.TriangularLog(0.0, math.nan, 3.0),
-        lambda: analytic.HangingSemiCircularLog(5.0, 1.5, math.inf),
+        lambda: analytic.SemiCircularLog(5.0, 1.5, math.inf),
     ])
     def test_bad_shapes(self, make):
         with pytest.raises(BadParamsError):
@@ -218,7 +218,7 @@ class TestTenToSymmetric:
             analytic.UniformLog(0.3, 2.9),
             analytic.TriangularLog(0.0, 1.2, 3.0),
             analytic.SemiCircularLog(11.0, 1.3),
-            analytic.HangingSemiCircularLog(5.0, 1.5, 0.2),
+            analytic.SemiCircularLog(5.0, 1.5, 0.2),
         ]
         for spec in specs:
             fold = analytic.ld_ten_to_symmetric(spec)
@@ -231,7 +231,7 @@ class TestTenToSymmetric:
             analytic.UniformLog(0.3, 2.4),
             analytic.TriangularLog(0.0, 0.8, 2.5),
             analytic.SemiCircularLog(11.0, 1.3),
-            analytic.HangingSemiCircularLog(5.0, 1.5, 0.2),
+            analytic.SemiCircularLog(5.0, 1.5, 0.2),
         ]
         for spec in specs:
             base = analytic.ld_ten_to_symmetric(spec)
@@ -305,18 +305,48 @@ class TestSemiCircleCdf:
         assert dist == Fraction(1, 2**51)
         assert spec.cdf(11.416) == pytest.approx(self._edge_mass(dist, 1.286), rel=1e-14, abs=0.0)
 
-    @pytest.mark.parametrize("spec", [analytic.SemiCircularLog(12.702, 1.286),
-                                      analytic.SemiCircularLog(0.0, 1.286),  # u down to 5e-324
-                                      analytic.HangingSemiCircularLog(5.0, 1.5, 0.2)],
-                             ids=repr)
-    def test_monotone_within_unit_interval(self, spec):
+    @staticmethod
+    def _grid(spec) -> list[float]:
+        """A grid from 0.1 below to 0.1 above the support, plus the 200 doubles
+        on each side of both ends and of the center."""
         a, b = spec.bounds
         ys = list(np.linspace(a - 0.1, b + 0.1, 4001))
-        for end in (a, spec.center, b):  # 200 adjacent doubles on each side
+        for end in (a, spec.center, b):
             ys += [float(v) for v in end + np.arange(-200, 201) * np.spacing(end)]
-        cdf = np.array([spec.cdf(y) for y in sorted(ys)])
+        return sorted(ys)
+
+    @pytest.mark.parametrize("spec", [analytic.SemiCircularLog(12.702, 1.286),
+                                      analytic.SemiCircularLog(0.0, 1.286),  # u down to 5e-324
+                                      analytic.SemiCircularLog(5.0, 1.5, 0.2)],
+                             ids=repr)
+    def test_monotone_within_unit_interval(self, spec):
+        cdf = np.array([spec.cdf(y) for y in self._grid(spec)])
         assert np.all((cdf >= 0.0) & (cdf <= 1.0))
         assert np.all(np.diff(cdf) >= 0.0)
+
+    @pytest.mark.parametrize("center,radius", [*SHAPES, (0.0, 1.286)])
+    def test_no_elevation_is_the_semicircle_bit_for_bit(self, center, radius):
+        spec = analytic.SemiCircularLog(center, radius)
+        for y in self._grid(spec):
+            u = y - center
+            assert spec.cdf(y) == analytic._half_disc_share(u, radius)
+            semi = (2.0 * math.sqrt(radius * radius - u * u) / (math.pi * radius * radius)
+                    if abs(u) <= radius else 0.0)
+            assert spec.pdf(y) == semi
+
+    @pytest.mark.parametrize("elevation", [0.2, 3.0])
+    def test_elevation_is_the_raised_semicircle(self, elevation):
+        # the density h + sqrt(R^2 - u^2) over its integral 2Rh + pi R^2 / 2
+        r, h = 1.5, elevation
+        spec = analytic.SemiCircularLog(5.0, r, h)
+        norm = 2.0 * r * h + 0.5 * math.pi * r * r
+        for y in self._grid(spec):
+            u = y - 5.0
+            cdf = ((h * (u + r) + 0.5 * math.pi * r * r * analytic._half_disc_share(u, r)) / norm
+                   if abs(u) < r else float(u > 0))
+            assert spec.cdf(y) == pytest.approx(cdf, rel=1e-15, abs=0.0)
+            pdf = (h + math.sqrt(r * r - u * u)) / norm if abs(u) <= r else 0.0
+            assert spec.pdf(y) == pytest.approx(pdf, rel=1e-15, abs=0.0)
 
 
 class TestMantissaDensity:
@@ -533,11 +563,9 @@ class TestLdDecades:
         for model in (LogNormal(1.0, 2.3), Exponential(0.02547), PowerLaw(1.0, 1.0, 1000.0)):
             lo, hi = (-3, 4) if not isinstance(model, PowerLaw) else (0, 2)
             dec = analytic.ld_decades(model, (lo, hi))
-            blended = dec.blend()
-            assert dec.overall.l_inf(blended) < 1e-9
             # the blend is the LD of the density restricted to the decades
             restricted = analytic.ld_of_density(model.pdf, (10.0**lo, 10.0 ** (hi + 1)), tol=1e-10)
-            assert blended.l_inf(restricted) < 1e-9
+            assert dec.overall.l_inf(restricted) < 1e-9
             assert sum(dec.weights) == pytest.approx(1.0, abs=1e-9)
 
 

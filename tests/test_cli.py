@@ -851,6 +851,11 @@ class TestStartup:
         assert set(probe["digitlab"]) == self._BASE | {
             "digitlab.growth", "digitlab.conformity"}
 
+    def test_analytic_loads_only_analytic(self):
+        # DistributionModel is an annotation only; ld_inflection_point imports its families
+        probe = _probe(["analytic", "ten-to-semicircle", "--quiet"])
+        assert set(probe["digitlab"]) == self._BASE | {"digitlab.analytic"}
+
     def test_check_sees_a_module_level_subcommand_import(self, tmp_path):
         # positive control: a copy of the package whose cli.py imports chains at module level
         package = tmp_path / "digitlab"

@@ -6,6 +6,8 @@ store does not count).  Dunder names are hooks Python itself reads.
 """
 
 import ast
+import importlib
+import re
 import shutil
 from pathlib import Path
 
@@ -70,3 +72,36 @@ def test_check_sees_an_unread_name(tmp_path):
                       + "\n\n_ORPHAN = 1\n")
     unread = _unread(package, [tmp_path / "src", _ROOT / "tests", _ROOT / "bench"])
     assert unread == ["digits.py:_orphan", "digits.py:_ORPHAN"]
+
+
+def _cap_table(readme: str) -> dict[str, str]:
+    """`module._NAME` -> value text of each row of the README's Caps table."""
+    section = readme.split("\n## Caps\n", 1)[1].split("\n## ", 1)[0]
+    return dict(re.findall(r"^\| `(\w+\.\w+)` \| ([^|]+?) \|", section, re.MULTILINE))
+
+
+def _cap_value(text: str) -> int:
+    """100, 10^4 or 2×10^9 as an int."""
+    m = re.fullmatch(r"(?:(\d+)×)?10\^(\d+)|(\d+)", text)
+    assert m, f"unreadable cap value {text!r}"
+    factor, exponent, plain = m.groups()
+    return int(plain) if plain else int(factor or 1) * 10 ** int(exponent)
+
+
+def test_readme_cap_table_matches_the_code():
+    table = _cap_table((_ROOT / "README.md").read_text())
+    for name, text in table.items():
+        module, _, constant = name.partition(".")
+        assert getattr(importlib.import_module(f"digitlab.{module}"), constant) == _cap_value(text), name
+    caps = {f"{path.stem}.{name}" for path, name, _ in _definitions(_ROOT / "src" / "digitlab")
+            if name.startswith("_MAX_")}
+    assert caps <= set(table)
+
+
+def test_cap_table_check_reads_rows_and_values():
+    # positive control: the parser finds every row, and a wrong value would not match
+    table = _cap_table("\n## Caps\n\n| constant | value |\n| --- | --- |\n"
+                       "| `growth._MAX_RATES` | 10^6 | x |\n| `chains._MAX_WORKERS` | 64 | y |\n"
+                       "| `growth._MAX_SCAN_ELEMENTS` | 2×10^9 | z |\n\n## Next\n| `a.b` | 1 |\n")
+    assert {k: _cap_value(v) for k, v in table.items()} == {
+        "growth._MAX_RATES": 10**6, "chains._MAX_WORKERS": 64, "growth._MAX_SCAN_ELEMENTS": 2 * 10**9}
