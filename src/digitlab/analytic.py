@@ -543,12 +543,14 @@ def ld_decades(model: DistributionModel, decades: tuple[int, int]) -> DecadeDeco
     ``decades`` is the inclusive range of exponents j; decade j covers
     [10**j, 10**(j+1)).  Negative support contributes via |x|.  Weights are
     normalized over the included decades; the mass outside is reported as
-    truncated_mass.  Each digit block of each side is one ``quad`` call with
-    tolerance 1e-10, and a decade's weight is the sum of its nine masses.
+    truncated_mass.  The decades must lie in -323..307, whose ends 10**j
+    and 10**(j+1) are nonzero doubles.  Each digit block of each side is one
+    ``quad`` call with tolerance 1e-10, and a decade's weight is the sum of
+    its nine masses.
     """
     j_lo, j_hi = decades
-    if j_lo > j_hi:
-        raise BadRangeError(f"need j_lo <= j_hi, got {decades}")
+    if not _J_LO <= j_lo <= j_hi < _J_HI:
+        raise BadRangeError(f"need {_J_LO} <= j_lo <= j_hi <= {_J_HI - 1}, got {decades}")
     sup = model.support()
     spans = [(10.0**j, 10.0 ** (j + 1)) for j in range(j_lo, j_hi + 1)]
     weights_raw, locals_ = [], []

@@ -214,8 +214,10 @@ def parse_chain(text: str) -> FamilyNode:
 # simulation
 
 # rows a worker draws, resamples and tallies at a time: of 2^15..2^17, the size with
-# the least peak memory at which the 2-thread benchmark chain is no slower (at 2^15
-# its resampling rounds, a fixed number per chunk, cost it 8%)
+# the least peak memory at which the 2-thread benchmark chain is no slower.  Measured
+# again once the CLI kept freed memory (cli._keep_freed_memory), 2^15 still took that
+# chain from 0.546 to 0.588 s (+8%: its resampling rounds are a fixed number per
+# chunk) for a peak of 43.7 MB against 47.4 MB, 11 alternating runs each
 _CHUNK = 2**16
 _MAX_WORKERS = 64
 _MAX_ATTEMPTS = 10**4  # resampling rounds per chunk, each over every still-invalid row

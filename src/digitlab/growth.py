@@ -13,7 +13,7 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
@@ -42,7 +42,7 @@ __all__ = [
 _BOUNDS = np.array(compartment_boundaries(10))
 # elements per mantissa block of a rate scan; bounds the scan's scratch arrays
 _BLOCK = 2**14
-# rates in one scan (each result cell holds about 270 bytes and 0.1 ms of
+# rates in one scan (each result cell holds about 130 bytes and 0.1 ms of
 # work), (L, T) pairs one enumerate_anomalous call may consider, and the
 # elements of one series or cumulative_factors array
 _MAX_RATES = 10**6
@@ -352,8 +352,7 @@ def equivalent_rate(percent: float, subdivisions: int) -> float:
     return 100.0 * ((1.0 + percent / 100.0) ** (1.0 / subdivisions) - 1.0)
 
 
-@dataclass(frozen=True)
-class RateScanCell:
+class RateScanCell(NamedTuple):
     percent: float
     chi_sqr: float
     anomaly: AnomalyRecord | None
@@ -380,9 +379,10 @@ def rate_scan(
     _digits_from_mantissas).  A rate is flagged as detect_anomalous(rate,
     t_flag, tol=1/(2 n_elements)) would flag it: a rate within that distance
     of a bounded-denominator rational behaves anomalously at this series
-    length, which is what the flag is for.  The flags come from one exact
-    continued-fraction expansion over _BLOCK rates at a time, on the same
-    x = log10(1 + rate/100) whose fractional part drives the mantissas.
+    length, which is what the flag is for.  _BLOCK rates at a time get one
+    chi-square call over their stacked counts and one exact continued-fraction
+    expansion for the flags, on the same x = log10(1 + rate/100) whose
+    fractional part drives the mantissas.
     """
     if not (lo_percent < hi_percent < math.inf and 0 < step < math.inf):
         raise BadParamsError("need lo < hi and step > 0, all finite")
@@ -402,17 +402,18 @@ def rate_scan(
     x = np.array([math.log10(1.0 + pct / 100.0) for pct in pcts])
     m_b, m_f = math.log10(base) % 1.0, x % 1.0
     rows = max(1, _BLOCK // n_elements)
-    chis = np.concatenate([
-        chi_sqr(_digit_counts(_mantissa_rows(m_b, m_f[i:i + rows], n_elements)))
-        for i in range(0, len(pcts), rows)
-    ])
     tol = 0.5 / n_elements
-    flags = [rec for i in range(0, len(pcts), _BLOCK)
-             for rec in _anomalies(x[i:i + _BLOCK], t_flag, tol)]
-    return [
-        RateScanCell(percent=pct, chi_sqr=chi, anomaly=rec)
-        for pct, chi, rec in zip(pcts, chis.tolist(), flags)
-    ]
+    chis: list[float] = []
+    flags: list[AnomalyRecord | None] = []
+    for i in range(0, len(pcts), _BLOCK):
+        end = min(i + _BLOCK, len(pcts))
+        counts = np.concatenate([
+            _digit_counts(_mantissa_rows(m_b, m_f[j:min(j + rows, end)], n_elements))
+            for j in range(i, end, rows)
+        ])
+        chis += chi_sqr(counts).tolist()
+        flags += _anomalies(x[i:end], t_flag, tol)
+    return list(map(RateScanCell, pcts, chis, flags))
 
 
 def scan_to_csv(cells: list[RateScanCell]) -> str:

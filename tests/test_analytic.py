@@ -568,6 +568,24 @@ class TestLdDecades:
             assert dec.overall.l_inf(restricted) < 1e-9
             assert sum(dec.weights) == pytest.approx(1.0, abs=1e-9)
 
+    @pytest.mark.parametrize("decades", [(300, 308), (-324, -323), (-324, 307), (5, 4)])
+    def test_decades_past_the_doubles_rejected(self, decades):
+        # 10.0**309 overflows and 10.0**-324 is 0.0: refused before any quad
+        with pytest.raises(BadRangeError, match="-323 <= j_lo <= j_hi <= 307"):
+            analytic.ld_decades(LogNormal(1.0, 2.3), decades)
+
+    def test_decades_at_the_ends_of_the_doubles_run(self):
+        dec = analytic.ld_decades(LogNormal(1.0, 2.3), (-323, 307))
+        assert dec.decades[0] == (1e-323, 1e-322) and dec.decades[-1] == (1e307, 1e308)
+        assert sum(dec.weights) == pytest.approx(1.0, abs=1e-9)
+        top = analytic.ld_decades(Uniform(0.0, 1e308), (307, 307))
+        assert top.weights == [1.0]
+        assert top.truncated_mass == pytest.approx(0.1, abs=1e-12)
+        assert max(abs(p - 1 / 9) for p in top.locals_[0].probs.values()) < 1e-12
+        # the lowest decade passes the range check; this model has no mass there
+        with pytest.raises(QuadratureFailureError, match="no mass"):
+            analytic.ld_decades(LogNormal(1.0, 2.3), (-323, -323))
+
 
 class TestInflectionPoint:
     def test_exponential(self):
