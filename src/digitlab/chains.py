@@ -126,7 +126,8 @@ def render_chain(node) -> str:
         return f"Mixture[{inner}]"
     if isinstance(node, FormulaNode):
         return f"<{node.name}>"
-    return f"{node:g}"
+    text = f"{node:g}"  # short where it reads back as the same number, else repr's exact digits
+    return text if float(text) == node else repr(node)
 
 
 _TOKEN = re.compile(
@@ -213,14 +214,15 @@ def parse_chain(text: str) -> FamilyNode:
 # ---------------------------------------------------------------------------
 # simulation
 
-# rows a worker draws, resamples and tallies at a time: of 2^15..2^17, the size with
-# the least peak memory at which the 2-thread benchmark chain is no slower.  Measured
-# again once the CLI kept freed memory (cli._keep_freed_memory), 2^15 still took that
-# chain from 0.546 to 0.588 s (+8%: its resampling rounds are a fixed number per
-# chunk) for a peak of 43.7 MB against 47.4 MB, 11 alternating runs each
-_CHUNK = 2**16
+# rows in one buffer of a worker's stream.  With invalid rows carried into the next
+# buffer, the 2e6-draw Normal chain on 2 threads peaked at 40.0 / 42.3 / 46.1 / 54.0 MB
+# at 2^14 / 2^15 / 2^16 / 2^17 rows (wait4, 9 alternating runs), and its in-process
+# time was 248 / 196 / 170 ms at 2^14 / 2^15 / 2^16 (21 interleaved runs), against
+# 199 ms when each 2^16-row chunk resampled in rounds.  2^15 is the smallest size at
+# which a seeded run of 2 x 10^4 draws on one worker still draws in one buffer
+_CHUNK = 2**15
 _MAX_WORKERS = 64
-_MAX_ATTEMPTS = 10**4  # resampling rounds per chunk, each over every still-invalid row
+_MAX_ATTEMPTS = 10**4  # resamples of one row
 # row evaluations a run may make, n x max_attempts: the default policy at n = 10^7,
 # about half a minute of resampling when every draw is invalid
 _MAX_ROW_EVALS = 10**9
@@ -298,43 +300,65 @@ def _eval_node(node, n: int, rng: np.random.Generator) -> np.ndarray:
             ok = fam.valid(*args)
             if ok.all():
                 return fam.draw(rng, n, *args)
-            safe = [np.where(ok, a, 1.0) for a in args]
-            return np.where(ok, fam.draw(rng, n, *safe), np.nan)
+            bad = ~ok
+            # a child's draw is its own fresh array, masked in place; a
+            # constant is a read-only view and gets a masked copy
+            for i, a in enumerate(args):
+                if a.flags.writeable:
+                    np.copyto(a, 1.0, where=bad)
+                else:
+                    args[i] = np.where(ok, a, 1.0)
+            out = fam.draw(rng, n, *args)
+            out[bad] = np.nan
+            return out
     raise TypeError(f"not a chain node: {node!r}")
 
 
 def _draw_batch(spec, n, rng, policy, samples=None) -> tuple[np.ndarray, int, int, int]:
-    """Draw, resample and tally n values, _CHUNK rows at a time.
+    """Draw, resample and tally n values in buffers of at most _CHUNK rows.
 
-    The generator carries on from one chunk to the next, and no more than
-    one chunk of draws is alive at once.  Returns (ld_counts, zeros,
-    resampled, dropped); a list passed as ``samples`` gets each chunk's
-    accepted nonzero draws.
+    Each buffer holds the rows still invalid in the one before it, then
+    fresh rows, and is drawn by one _eval_node call: its valid rows are
+    tallied and its invalid rows carried into the next buffer, each with
+    its own count of resamples.  The last buffer has no fresh rows after
+    it, so its invalid rows are drawn again in place, a round at a time.
+    A row still invalid after policy.max_attempts resamples is dropped, or
+    raises PolicyExhaustedError.  The generator carries on from one buffer
+    to the next, and no more than one buffer of draws is alive at once.
+    Returns (ld_counts, zeros, resampled, dropped); a list passed as
+    ``samples`` gets each buffer's accepted nonzero draws.
     """
     counts = np.zeros(9, dtype=np.int64)
     zeros = resampled = dropped = 0
-    for start in range(0, n, _CHUNK):
-        vals = np.require(_eval_node(spec, min(_CHUNK, n - start), rng), requirements="W")
+    tries = np.zeros(0, dtype=np.int16)  # resamples so far of each row of the buffer
+    redo = np.zeros(0, dtype=bool)  # rows of the buffer to draw again
+    left = n  # fresh rows not yet drawn
+    while left or redo.any():
+        m = int(np.count_nonzero(redo))
+        resampled += m
+        if left:  # a new buffer: the rows carried over, then fresh rows
+            fresh = min(_CHUNK - m, left)
+            left -= fresh
+            tries = np.concatenate((tries[redo] + 1, np.zeros(fresh, dtype=np.int16)))
+            vals = np.require(_eval_node(spec, tries.size, rng), requirements="W")
+        else:  # the last buffer: draw its invalid rows again in place
+            tries[redo] += 1
+            vals[redo] = _eval_node(spec, m, rng)
         bad = ~np.isfinite(vals)
-        attempts = 0
-        while bad.any() and attempts < policy.max_attempts:
-            attempts += 1
-            m = int(bad.sum())
-            resampled += m
-            vals[bad] = _eval_node(spec, m, rng)
-            bad = ~np.isfinite(vals)
-        lost = int(bad.sum())
-        if lost and policy.on_exhaustion == "error":
-            raise PolicyExhaustedError(
-                f"{lost} draw(s) still invalid after {policy.max_attempts} attempts"
-            )
-        dropped += lost
-        vals = vals[~bad]
-        chunk_counts = first_digit_counts(vals)
-        counts += chunk_counts
-        zeros += vals.size - int(chunk_counts.sum())
-        if samples is not None:
-            samples.append(vals[vals != 0.0])
+        redo = bad & (tries < policy.max_attempts)
+        if left or not redo.any():  # the buffer is done: drop its spent rows, tally the rest
+            lost = int(np.count_nonzero(bad)) - int(np.count_nonzero(redo))
+            if lost and policy.on_exhaustion == "error":
+                raise PolicyExhaustedError(
+                    f"{lost} draw(s) still invalid after {policy.max_attempts} attempts"
+                )
+            dropped += lost
+            good = vals[~bad]
+            buffer_counts = first_digit_counts(good)
+            counts += buffer_counts
+            zeros += good.size - int(buffer_counts.sum())
+            if samples is not None:
+                samples.append(good[good != 0.0])
     return counts, zeros, resampled, dropped
 
 
@@ -353,13 +377,16 @@ def simulate_chain(
     _MAX_ROW_EVALS raises TooLargeError before any draw.  ``workers`` (1 to
     64) partitions the draws across threads with generator states spawned
     from the master seed.  Each worker draws, resamples and tallies its
-    share in chunks of _CHUNK = 65,536 rows, its generator carrying on
-    across its chunks, and the tallies are summed.  Memory is flat in n
-    (3 to 7 MB traced per worker on the benchmark chains) unless
-    ``keep_samples`` asks for the accepted nonzero draws, in worker and
-    stream order.  Results are deterministic for a fixed (spec, n, seed,
-    workers), and bit-identical to drawing each worker's share in one piece
-    whenever n / workers <= _CHUNK.
+    share in buffers of at most _CHUNK = 32,768 rows, its generator carrying
+    on from one buffer to the next, and the tallies are summed.  A row still
+    invalid in one buffer is drawn again in the next, and keeps its count of
+    resamples; only the last buffer redraws its invalid rows in rounds.
+    Memory is flat in n (2 to 3.5 MB traced per worker on the benchmark
+    chains) unless ``keep_samples`` asks for the accepted nonzero draws, in
+    worker and stream order.  Results are deterministic for a fixed (spec,
+    n, seed, workers), and bit-identical to drawing each worker's share in
+    one piece, with the resample loop over it, only when n / workers <=
+    _CHUNK.
     """
     if isinstance(spec, str):
         spec = parse_chain(spec)

@@ -52,15 +52,20 @@ EXIT_USAGE = 2
 # 2 vCPUs, the benchmark's 14,901-rate scan went from 93.7k minor faults and 0.70 s
 # to 7.1k and 0.52 s, and a 3e6-draw flehinger chain from 60.0k faults and 0.67 s to
 # 6.4k and 0.55 s, its peak RSS within 0.5 MB.  Any pair above the largest block
-# churned (a chain's 512 KiB chunk arrays) does as well: 1 MiB / 32 MiB and
+# churned (a chain's 256 KiB buffer arrays) does as well: 1 MiB / 32 MiB and
 # 4 MiB / 8 MiB measured the same faults and times within noise.
-_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3  # mallopt parameters, as in malloc.h
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD, _M_ARENA_MAX = -1, -3, -8  # mallopt parameters, as in malloc.h
 _MMAP_THRESHOLD = 64 << 20
 _TRIM_THRESHOLD = 256 << 20
+# glibc gives each thread that allocates an arena of its own, and the memory one
+# arena keeps free no other thread can use.  With one arena for all threads, a
+# 2e6-draw chain on 2 threads peaked at 42.3 MB against 43.6 MB, and on 4 threads
+# at 45.9 MB against 47.9 MB, its wall time within noise (wait4, 9 alternating runs)
+_ARENA_MAX = 1
 
 
 def _keep_freed_memory() -> None:
-    """Raise glibc's mmap and trim thresholds; a no-op off glibc."""
+    """Raise glibc's mmap and trim thresholds and share one arena; a no-op off glibc."""
     import ctypes
 
     try:
@@ -69,6 +74,7 @@ def _keep_freed_memory() -> None:
         return
     mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD)
     mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD)
+    mallopt(_M_ARENA_MAX, _ARENA_MAX)
 
 
 def _manifest(args: argparse.Namespace) -> dict:

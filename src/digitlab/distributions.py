@@ -558,7 +558,11 @@ class LogNormal(DistributionModel):
 # the two special functions the families need: Wright omega (Gompertz
 # quantile) and the harmonic number H_a = psi(a + 1) - psi(1) (GuptaKundu mean)
 
-_OMEGA_BLOCK = 8192  # elements per pass: every temporary of a pass stays in cache
+# elements per pass: every temporary of a pass stays in cache.  With a chain's
+# 2^15-row buffers, one pass per buffer measured no faster (1e6-draw Gompertz chain,
+# 9 alternating wait4 runs on 2 vCPUs: 0.468 against 0.491 s, within their spread) and its
+# dozen buffer-sized temporaries raised the peak from 41.6 to 44.1 MB
+_OMEGA_BLOCK = 8192
 
 
 def _two_diff(a, b):

@@ -1,14 +1,19 @@
 """Tests for the chain engine: grammar, simulation, experiments, presets."""
 
 import math
+import threading
 import tracemalloc
+from dataclasses import fields
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from digitlab import chains
 from digitlab.digits import benford_first, leading_digits
 from digitlab.distributions import (
+    FAMILIES,
     Exponential,
     GeneralizedExp1,
     GeneralizedExp2,
@@ -29,6 +34,22 @@ from digitlab.errors import (
 )
 
 DIGITS = range(1, 10)
+
+
+_FAMILIES = sorted(set(FAMILIES.values()), key=lambda fam: fam.__name__)
+
+
+def _family_over(args):
+    """FamilyNode trees whose arguments are drawn from ``args``."""
+    return st.sampled_from(_FAMILIES).flatmap(
+        lambda fam: st.tuples(*[args] * len(fields(fam))).map(lambda a: chains.FamilyNode(fam, a)))
+
+
+def _spec_trees():
+    """Random chain specs: families over finite constants, a few levels deep."""
+    args = st.recursive(st.floats(allow_nan=False, allow_infinity=False), _family_over,
+                        max_leaves=8)
+    return _family_over(args)
 
 
 class TestParser:
@@ -74,6 +95,27 @@ class TestParser:
     def test_render_round_trip(self):
         text = "Normal(Uniform(0, ChiSqr(Die(6))), Uniform(0, 2))"
         spec = chains.parse_chain(text)
+        assert chains.parse_chain(chains.render_chain(spec)) == spec
+
+    @pytest.mark.parametrize("text,rendered", [
+        # the benchmark chains keep their short text
+        ("Gompertz(Uniform(0,10), 1)", "Gompertz(Uniform(0, 10), 1)"),
+        ("Normal(Uniform(-1,1), Uniform(-0.5,2))", "Normal(Uniform(-1, 1), Uniform(-0.5, 2))"),
+        ("Uniform(0,Uniform(0,Uniform(0,Uniform(0,100000))))",
+         "Uniform(0, Uniform(0, Uniform(0, Uniform(0, 100000))))"),
+        # where six significant digits lose the number, its repr is written
+        ("Uniform(0, 1234567)", "Uniform(0, 1234567.0)"),
+        ("Uniform(0.1234567, Normal(1234567.5, 2.5e-7))",
+         "Uniform(0.1234567, Normal(1234567.5, 2.5e-07))"),
+    ])
+    def test_render_is_short_and_exact(self, text, rendered):
+        spec = chains.parse_chain(text)
+        assert chains.render_chain(spec) == rendered
+        assert chains.parse_chain(rendered) == spec
+
+    @settings(max_examples=200, deadline=None)
+    @given(spec=_spec_trees())
+    def test_render_round_trips_any_spec(self, spec):
         assert chains.parse_chain(chains.render_chain(spec)) == spec
 
     def test_nesting_capped_while_descending(self):
@@ -159,6 +201,13 @@ class TestSimulate:
         assert chains.simulate_chain(2.5, 1000, seed=1).ld_counts == (0, 1000, 0, 0, 0, 0, 0, 0, 0)
         res = chains.simulate_chain(math.inf, 100, seed=1, policy=chains.ResamplePolicy(max_attempts=2))
         assert (res.policy_dropped, res.n_resampled) == (100, 200)
+
+    def test_invalid_constant_beside_a_drawn_parameter(self):
+        # numpy's normal sampler raises on sigma = -1: an invalid row's constants, not
+        # only its drawn parameters, go to the sampler as 1.0
+        res = chains.simulate_chain("Normal(Uniform(0, 1), -1)", 1000, seed=1,
+                                    policy=chains.ResamplePolicy(max_attempts=2))
+        assert (res.policy_dropped, res.n_resampled) == (1000, 2000)
 
     def test_work_budget_checked_before_any_draw(self, monkeypatch):
         # the default policy at n = 10^7 is inside the budget, one draw more is not
@@ -260,10 +309,15 @@ def test_golden_tallies(text, seed, workers, counts, resampled):
 
 
 def _chunked_reference(spec, n, seed, workers, policy=chains.ResamplePolicy()):
-    """The chunked stream rebuilt from _eval_node and the plain resample loop.
+    """An independent model of the carried stream, built on _eval_node alone.
 
-    Returns (ld_counts, zeros, resampled, dropped, accepted nonzero draws in
-    worker and stream order).
+    Each worker draws buffers of at most _CHUNK rows: the rows still invalid
+    in the buffer before (each carrying its count of resamples), then fresh
+    rows, in one _eval_node call.  A row is dropped once it is invalid after
+    max_attempts resamples.  The last buffer, with no fresh rows after it,
+    redraws its invalid rows in place, one round at a time.  Returns
+    (ld_counts, zeros, resampled, dropped, accepted nonzero draws in worker
+    and stream order).
     """
     seq = np.random.SeedSequence(seed)
     seqs = [seq] if workers == 1 else seq.spawn(workers)
@@ -271,21 +325,44 @@ def _chunked_reference(spec, n, seed, workers, policy=chains.ResamplePolicy()):
     kept, resampled, dropped = [], 0, 0
     for size, child in zip(sizes, seqs):
         rng = np.random.Generator(np.random.PCG64(child))
-        for start in range(0, size, chains._CHUNK):
-            vals = chains._eval_node(spec, min(chains._CHUNK, size - start), rng)
-            for _ in range(policy.max_attempts):
-                bad = ~np.isfinite(vals)
-                if not bad.any():
-                    break
-                resampled += int(bad.sum())
-                vals[bad] = chains._eval_node(spec, int(bad.sum()), rng)
+        carried = []  # resamples made so far of each row carried over
+        drawn = 0
+        while drawn < size or carried:
+            fresh = min(chains._CHUNK - len(carried), size - drawn)
+            drawn += fresh
+            resampled += len(carried)
+            tries = np.array([t + 1 for t in carried] + [0] * fresh)
+            vals = chains._eval_node(spec, tries.size, rng).copy()
+            if drawn == size:
+                while True:
+                    redo = ~np.isfinite(vals) & (tries < policy.max_attempts)
+                    if not redo.any():
+                        break
+                    resampled += int(redo.sum())
+                    tries[redo] += 1
+                    vals[redo] = chains._eval_node(spec, int(redo.sum()), rng)
             good = np.isfinite(vals)
-            dropped += int((~good).sum())
+            spent = ~good & (tries == policy.max_attempts)
+            dropped += int(spent.sum())
+            carried = tries[~good & ~spent].tolist()
             kept.append(vals[good])
     vals = np.concatenate(kept)
     nonzero = vals[vals != 0.0]
     counts = np.bincount(leading_digits(nonzero).prefix, minlength=10)[1:]
     return tuple(int(c) for c in counts), vals.size - nonzero.size, resampled, dropped, nonzero
+
+
+def _root_rows(spec):
+    """A wrapper of _eval_node, and the list of row counts its root calls get, per thread."""
+    rows = []
+    evaluate = chains._eval_node
+
+    def counted(node, n, rng):
+        if node is spec:
+            rows.append((threading.get_ident(), n))
+        return evaluate(node, n, rng)
+
+    return counted, rows
 
 
 class TestChunkedStream:
@@ -311,6 +388,89 @@ class TestChunkedStream:
         assert np.array_equal(res.samples, samples)
         tally = np.bincount(leading_digits(res.samples).prefix, minlength=10)[1:]
         assert tuple(int(c) for c in tally) == res.ld_counts
+
+    @settings(max_examples=25, deadline=None)
+    @given(k=st.integers(1, 3), d=st.integers(-3, 3), workers=st.integers(1, 3),
+           max_attempts=st.integers(1, 3), seed=st.integers(0, 2**32 - 1),
+           text=st.sampled_from([
+               "flehinger",  # every draw valid
+               "Normal(Uniform(-1,1), Uniform(-0.5,2))",  # a fifth resampled, few dropped
+               "Uniform(0, Normal(1e-322, 1e-322))",  # zeros, resamples and drops
+               "Normal(0, Uniform(-2, -1))",  # every draw dropped: buffers of carried rows only
+           ]))
+    def test_carried_stream(self, k, d, workers, max_attempts, seed, text):
+        n = k * chains._CHUNK + d
+        spec = chains.preset(text) if "(" not in text else chains.parse_chain(text)
+        skip = chains.ResamplePolicy(max_attempts=max_attempts)
+        counted, rows = _root_rows(spec)
+        with mock.patch.object(chains, "_eval_node", counted):
+            res = chains.simulate_chain(spec, n, seed=seed, policy=skip, workers=workers,
+                                        keep_samples=True)
+        assert res.n_accepted + res.skipped_zeros + res.policy_dropped == n
+        assert res.n_resampled == sum(r for _, r in rows) - n
+        counts, zeros, resampled, dropped, samples = _chunked_reference(spec, n, seed, workers, skip)
+        assert (res.ld_counts, res.skipped_zeros, res.n_resampled, res.policy_dropped) == (
+            counts, zeros, resampled, dropped)
+        assert np.array_equal(res.samples, samples)
+        # the error policy raises exactly when the skip policy drops a draw
+        error = chains.ResamplePolicy(max_attempts=max_attempts, on_exhaustion="error")
+        if res.policy_dropped:
+            with pytest.raises(PolicyExhaustedError):
+                chains.simulate_chain(spec, n, seed=seed, policy=error, workers=workers)
+        else:
+            again = chains.simulate_chain(spec, n, seed=seed, policy=error, workers=workers)
+            assert (again.ld_counts, again.n_resampled) == (res.ld_counts, res.n_resampled)
+
+    @pytest.mark.parametrize("on_exhaustion", ["skip", "error"])
+    def test_drop_before_the_last_buffer(self, on_exhaustion):
+        # the first two root calls come out invalid, every later one valid: with one
+        # attempt the first buffer's rows are carried, then dropped in the second
+        # buffer, which has no room for fresh rows; the last buffers drop nothing
+        calls = []
+
+        def late(rng, n):
+            calls.append(n)
+            return np.full(n, np.nan if len(calls) <= 2 else 1.0)
+
+        policy = chains.ResamplePolicy(max_attempts=1, on_exhaustion=on_exhaustion)
+        n = 2 * chains._CHUNK + 1
+        if on_exhaustion == "error":
+            with pytest.raises(PolicyExhaustedError):
+                chains.simulate_chain(chains.FormulaNode("late", late), n, seed=1, policy=policy)
+            assert len(calls) == 2
+        else:
+            res = chains.simulate_chain(chains.FormulaNode("late", late), n, seed=1, policy=policy)
+            assert calls == [chains._CHUNK, chains._CHUNK, chains._CHUNK, 1]
+            assert (res.policy_dropped, res.n_resampled, res.n_accepted) == (chains._CHUNK, chains._CHUNK,
+                                                                              chains._CHUNK + 1)
+
+    # the benchmark's resampling chain: 2e6 draws on 2 threads, a fifth of them invalid
+    _BENCH_NORMAL = ("Normal(Uniform(-1,1), Uniform(-0.5,2))", 2_000_000, 2)
+
+    def test_resampling_costs_no_rounds_per_buffer(self):
+        # each worker makes one root call per full buffer, one for its last buffer,
+        # then that buffer's rounds of redraws in place: about log(_CHUNK) / log(5)
+        # = 6.5 at a fifth invalid, so 12 leaves room.  Rounds in every chunk made
+        # 245 calls at 2^16 rows; the bound here is 104
+        text, n, workers = self._BENCH_NORMAL
+        spec = chains.parse_chain(text)
+        counted, rows = _root_rows(spec)
+        with mock.patch.object(chains, "_eval_node", counted):
+            res = chains.simulate_chain(spec, n, seed=31, workers=workers)
+        evaluated = sum(r for _, r in rows)
+        assert evaluated == n + res.n_resampled
+        assert len({thread for thread, _ in rows}) == workers
+        assert len(rows) <= evaluated / chains._CHUNK + workers * (2 + 12), len(rows)
+
+    def test_traced_peak_of_the_benchmark_resampling_chain(self):
+        text, n, workers = self._BENCH_NORMAL
+        tracemalloc.start()
+        try:
+            chains.simulate_chain(text, n, seed=31, workers=workers)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4.5 * 2**20, peak / 2**20  # 3.4 MB; 7.3 MB with rounds per 2^16-row chunk
 
     def test_zeros_resamples_and_drops_all_occur(self):
         policy = chains.ResamplePolicy(max_attempts=1)

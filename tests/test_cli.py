@@ -946,6 +946,18 @@ class TestAllocator:
         assert outputs() == want
         assert looked_up == [None, None]
 
+    def test_asks_for_thresholds_and_one_arena(self, monkeypatch):
+        asked = []
+
+        class Libc:
+            def mallopt(self, param, value):
+                asked.append((param, value))
+                return 1
+
+        monkeypatch.setattr(ctypes, "CDLL", lambda name, *args, **kwargs: Libc())
+        cli._keep_freed_memory()
+        assert asked == [(-3, 64 << 20), (-1, 256 << 20), (-8, 1)]  # M_MMAP_THRESHOLD, M_TRIM_THRESHOLD, M_ARENA_MAX
+
     # minor page faults of one rate scan of the benchmark's size (14,901 rates x 1000
     # elements), without the allocator call ("off") or after it ("on"); at 2,000 rates
     # every scratch array is under 128 KiB and the two counts barely differ
