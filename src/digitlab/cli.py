@@ -13,8 +13,10 @@ Exit codes follow one rule for every command: 0 on success, else the
 exit_code of the error raised (errors.py): 2 for a bad argument or an
 unreadable or unwritable file, 3 for empty or unparseable data, 4 for a
 numerical failure.  --json writes the same numbers the table shows; every
-JSON document embeds a reproducibility manifest.  Each command imports the
-one module it runs, so a start loads no other.
+JSON document embeds a reproducibility manifest.  A start loads only what
+its command runs: arguments parse with the standard library alone, so
+--version, --help and a usage error never load numpy, and each command
+imports the one module it runs, with numpy behind it.
 """
 
 from __future__ import annotations
@@ -28,19 +30,16 @@ import math
 import os
 import sys
 import time
-from dataclasses import fields
+
+from . import __version__
+from .errors import BadParamsError, DigitLabError, EmptyInputError
 
 # No command does threaded BLAS work (its matrix products have a few dozen
 # terms), yet OpenBLAS starts a worker per CPU when numpy loads, and each spins
 # for about 0.1 s of CPU before it sleeps: on a busy machine that slows the main
-# thread by a varying amount.  A value the user set is kept.
+# thread by a varying amount.  A value the user set is kept.  It is set here, before
+# any command imports numpy.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
-
-import numpy as np  # noqa: E402
-
-from . import __version__
-from .digits import benford_first
-from .errors import BadParamsError, DigitLabError, EmptyInputError
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -62,6 +61,10 @@ _TRIM_THRESHOLD = 256 << 20
 # 2e6-draw chain on 2 threads peaked at 42.3 MB against 43.6 MB, and on 4 threads
 # at 45.9 MB against 47.9 MB, its wall time within noise (wait4, 9 alternating runs)
 _ARENA_MAX = 1
+# main() makes the call once the arguments parse and before a command loads numpy, so
+# numpy's own import allocations fall under these settings too.  The order was measured:
+# against loading numpy first, the 12 benchmark commands peaked 0.0 to 0.4 MB higher,
+# their wall times within noise (wait4, 7 alternating runs)
 
 
 def _keep_freed_memory() -> None:
@@ -109,6 +112,8 @@ def _write_csv(path: str, header: list[str], rows) -> None:
 
 
 def _ld_table(probs: dict, extra: dict | None = None) -> str:
+    from .digits import benford_first
+
     lines = ["digit  probability  benford", "-----  -----------  -------"]
     for d in range(1, 10):
         lines.append(f"{d:>5}  {probs.get(d, 0.0):>11.5f}  {benford_first(d):>7.5f}")
@@ -122,13 +127,16 @@ def _ld_table(probs: dict, extra: dict | None = None) -> str:
 
 
 _BLOCK = 1 << 12  # lines or CSV rows converted at a time: memory stays flat in file size
-_OUTSIDE = np.ones(256, dtype=bool)  # the bytes a stripped float text may not hold
-_OUTSIDE[np.frombuffer(b"0123456789+-.eE", np.uint8)] = False
+# a bytes.translate table: 1 for each byte a stripped float text may not hold, else 0
+_OUTSIDE = bytes(b not in b"0123456789+-.eE" for b in range(256))
 
 
-def _convert(items: list[str]) -> tuple[np.ndarray, int]:
-    """Stripped lines or fields as floats, NaN where Python's float raises or where a
-    character outside 0-9 + - . e E is left (one table pass); and the number of blanks."""
+def _convert(items: list[str]):
+    """Stripped lines or fields as a float array, NaN where Python's float raises or
+    where a character outside 0-9 + - . e E is left (one table pass); and the number
+    of blanks."""
+    import numpy as np
+
     items = list(map(str.strip, items))
     out: list[float] = []
     numbers = map(float, items)
@@ -140,7 +148,7 @@ def _convert(items: list[str]) -> tuple[np.ndarray, int]:
             out.append(math.nan)
     values = np.array(out, dtype=np.float64)
     text = "".join(items).encode("ascii", "replace")  # one byte a character, non-ASCII as '?'
-    odd = np.flatnonzero(_OUTSIDE[np.frombuffer(text, np.uint8)])
+    odd = np.flatnonzero(np.frombuffer(text.translate(_OUTSIDE), np.bool_))
     if odd.size:
         ends = np.cumsum(np.fromiter(map(len, items), np.intp, len(items)))
         values[np.searchsorted(ends, odd, side="right")] = math.nan
@@ -153,6 +161,8 @@ def ingest(path: str, fmt: str, selector: str | None):
     Plain lines and CSV fields go through _convert a block at a time: a blank
     plain line is skipped, a blank CSV field or short row is malformed.
     """
+    import numpy as np
+
     kept, malformed = array.array("d"), 0  # one growing buffer: no pile of block arrays
     limit = csv.field_size_limit(sys.maxsize)  # a long field is read, then found malformed
     try:
@@ -208,7 +218,10 @@ def ingest(path: str, fmt: str, selector: str | None):
 
 
 def cmd_analyze(args) -> None:
+    import numpy as np
+
     from . import conformity
+    from .digits import benford_first
 
     values, malformed = ingest(args.path, args.format, args.column or args.field)
     if args.min_magnitude is not None:
@@ -263,6 +276,8 @@ def cmd_chain(args) -> None:
         keep_samples=args.samples is not None, workers=args.threads,
     )
     if args.samples is not None:
+        import numpy as np
+
         np.savetxt(args.samples, res.samples)
     extra = {
         "spec": res.spec_text,
@@ -305,12 +320,12 @@ def cmd_analytic(args) -> None:
         spec = analytic.SemiCircularLog(args.center, args.radius)
     elif args.case == "shifted-kx":
         dist = analytic.ld_of_density(
-            lambda x: (1.0 / np.log(10.0)) / (x - 4.0) if 5.0 <= x <= 14.0 else 0.0,
+            lambda x: (1.0 / math.log(10.0)) / (x - 4.0) if 5.0 <= x <= 14.0 else 0.0,
             (5.0, 14.0),
         )
     elif args.case == "mixed-sign-kx":
         dist = analytic.ld_of_density(
-            lambda x: (1.0 / np.log(10.0)) / (x + 4.0) if -3.0 <= x <= 6.0 else 0.0,
+            lambda x: (1.0 / math.log(10.0)) / (x + 4.0) if -3.0 <= x <= 6.0 else 0.0,
             (-3.0, 6.0),
         )
     else:  # ratio-uniforms
@@ -371,6 +386,8 @@ def cmd_growth(args) -> None:
 
 
 def cmd_invariance(args) -> None:
+    from dataclasses import fields
+
     from . import chains
     from .distributions import family_by_name
 

@@ -27,7 +27,6 @@ import itertools
 import math
 import sys
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
@@ -89,13 +88,13 @@ def _normalize(a: float, base: int) -> tuple[float, int]:
     return s, e
 
 
-def _ceil_double(q: Fraction) -> float:
-    """The smallest double >= q > 0 (inf beyond the double range)."""
+def _ceil_double(q) -> float:
+    """The smallest double >= q > 0, for an exact rational q (inf beyond the double range)."""
     try:
         t = float(q)
     except OverflowError:
         return math.inf
-    return t if Fraction(t) >= q else math.nextafter(t, math.inf)
+    return t if q <= t else math.nextafter(t, math.inf)  # a Fraction compares exactly with a float
 
 
 # a double carries at most 17 significant decimal digits; rows grow as base**k
@@ -113,6 +112,8 @@ def _row(base: int, k: int, e: int) -> tuple[float, ...]:
     prefixes = range(base ** (k - 1), base**k)
     if base == 10:
         return tuple(float(f"{n}e{s}") for n in prefixes)
+    from fractions import Fraction  # loads decimal: only a non-decimal base pays for it
+
     unit = Fraction(base) ** s
     return tuple(_ceil_double(n * unit) for n in prefixes)
 

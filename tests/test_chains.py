@@ -1,5 +1,6 @@
 """Tests for the chain engine: grammar, simulation, experiments, presets."""
 
+import concurrent.futures
 import math
 import threading
 import tracemalloc
@@ -46,9 +47,8 @@ def _family_over(args):
 
 
 def _spec_trees():
-    """Random chain specs: families over finite constants, a few levels deep."""
-    args = st.recursive(st.floats(allow_nan=False, allow_infinity=False), _family_over,
-                        max_leaves=8)
+    """Random chain specs: families over constants, infinite ones too, a few levels deep."""
+    args = st.recursive(st.floats(allow_nan=False), _family_over, max_leaves=8)
     return _family_over(args)
 
 
@@ -107,6 +107,8 @@ class TestParser:
         ("Uniform(0, 1234567)", "Uniform(0, 1234567.0)"),
         ("Uniform(0.1234567, Normal(1234567.5, 2.5e-7))",
          "Uniform(0.1234567, Normal(1234567.5, 2.5e-07))"),
+        # an infinite constant as a number that overflows, not as 'inf', a family name
+        ("Uniform(-1e999, 1e400)", "Uniform(-1e999, 1e999)"),
     ])
     def test_render_is_short_and_exact(self, text, rendered):
         spec = chains.parse_chain(text)
@@ -506,9 +508,18 @@ class TestChunkedStream:
         def no_pool(*args, **kwargs):
             raise AssertionError("a thread pool was started")
 
-        monkeypatch.setattr(chains, "ThreadPoolExecutor", no_pool)
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_pool)
         with pytest.raises(BadParamsError, match="workers"):
             chains.simulate_chain("Uniform(0, 1)", 100, seed=1, workers=workers)
+
+    def test_workers_in_range_start_the_pool(self, monkeypatch):
+        # positive control for the test above: its patch is the pool two workers start
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a thread pool was started")
+
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_pool)
+        with pytest.raises(AssertionError, match="pool"):
+            chains.simulate_chain("Uniform(0, 1)", 100, seed=1, workers=2)
 
 
 class TestSequentialChiSqr:

@@ -742,24 +742,32 @@ class TestScanBudget:
         assert 14_901 * 1000 <= growth._MAX_SCAN_ELEMENTS  # the benchmark's growth-scan
 
 
-# runs main() and reports its exit code, the scipy and digitlab modules it
-# left loaded, and whether numpy.ma and _hashlib (OpenSSL) are loaded
+# runs main() and reports its exit code, the scipy and digitlab modules it left
+# loaded, and which of numpy, numpy.ma, concurrent.futures and _hashlib (OpenSSL) it did
 _PROBE = """
 import json, sys
 from digitlab.cli import main
 rc = main(sys.argv[1:])
 loaded = lambda top: sorted(m for m in sys.modules if m.split(".")[0] == top)
 print(json.dumps({"rc": rc, "scipy": loaded("scipy"), "digitlab": loaded("digitlab"),
-                  **{name: name in sys.modules for name in ("numpy.ma", "_hashlib")}}))
+                  **{name: name in sys.modules
+                     for name in ("numpy", "numpy.ma", "concurrent.futures", "_hashlib")}}))
 """
+# run before the probe, it makes any import of numpy raise ImportError
+_NO_NUMPY = "import sys\nsys.modules['numpy'] = None\n"
 
 
-def _probe(argv: list[str], env: dict = _ENV) -> dict:
-    proc = subprocess.run([sys.executable, "-c", _PROBE, *argv], capture_output=True, text=True,
+def _probe_process(argv: list[str], env: dict = _ENV, numpy: bool = True):
+    script = _PROBE if numpy else _NO_NUMPY + _PROBE
+    return subprocess.run([sys.executable, "-c", script, *argv], capture_output=True, text=True,
                           timeout=_TIMEOUT_S, env=env)
+
+
+def _probe(argv: list[str], env: dict = _ENV, rc: int = EXIT_OK, numpy: bool = True) -> dict:
+    proc = _probe_process(argv, env, numpy)
     assert proc.returncode == 0, proc.stderr
     probe = json.loads(proc.stdout.strip().splitlines()[-1])
-    assert probe["rc"] == EXIT_OK
+    assert probe["rc"] == rc
     return probe
 
 
@@ -814,22 +822,46 @@ class TestStartup:
         package = tmp_path / "digitlab"
         shutil.copytree(Path(digitlab.__file__).parent, package,
                         ignore=shutil.ignore_patterns("__pycache__"))
-        module = package / "digits.py"
+        module = package / "errors.py"
         source = module.read_text()
         module.write_text(source + "\nimport scipy.special\n")
         line = source.count("\n") + 2  # after the blank line written before it
         probe = _probe(["--version"], {**os.environ, "PYTHONPATH": str(tmp_path)})
         assert "scipy.special" in probe["scipy"]
-        assert _scipy_imports(package) == [f"digits.py:{line}"]
+        assert _scipy_imports(package) == [f"errors.py:{line}"]
 
-    # every start loads these; each command adds the one module it runs
-    _BASE = {"digitlab", "digitlab.cli", "digitlab.digits", "digitlab.errors"}
+    # every start loads these, --version no more
+    _VERSION = {"digitlab", "digitlab.cli", "digitlab.errors"}
+    # every command loads these; each adds the one module it runs
+    _BASE = _VERSION | {"digitlab.digits"}
 
     def test_import_and_version_load_no_subcommand_module(self):
         probe = _probe(["--version"])
-        assert set(probe["digitlab"]) == self._BASE
-        assert not probe["numpy.ma"]
+        assert set(probe["digitlab"]) == self._VERSION
+        assert not probe["numpy"]
         assert not probe["_hashlib"]
+
+    @pytest.mark.parametrize("argv,rc", [
+        (["--version"], EXIT_OK),
+        (["--help"], EXIT_OK),
+        (["chain", "--help"], EXIT_OK),
+        (["growth", "scan", "--n", "x"], EXIT_USAGE),
+    ], ids=lambda v: " ".join(v) if isinstance(v, list) else f"rc={v}")
+    def test_arguments_parse_without_numpy(self, argv, rc):
+        assert not _probe(argv, rc=rc)["numpy"]
+        assert _probe(argv, rc=rc, numpy=False)["rc"] == rc
+
+    def test_check_sees_a_command_import_numpy(self):
+        # positive control for the test above: a command needs numpy, and fails without it
+        proc = _probe_process(["growth", "series", "--quiet"], numpy=False)
+        assert proc.returncode == 1
+        assert "import of numpy halted" in proc.stderr
+        assert _probe(["growth", "series", "--quiet"])["numpy"]
+
+    def test_only_threads_load_concurrent_futures(self):
+        argv = ["chain", "--preset", "flehinger", "--n", "1000", "--seed", "1", "--quiet"]
+        assert not _probe(argv)["concurrent.futures"]
+        assert _probe([*argv, "--threads", "2"])["concurrent.futures"]
 
     def test_only_a_json_manifest_loads_openssl(self, tmp_path):
         argv = ["growth", "scan", "--lo", "21.1", "--hi", "21.2", "--quiet"]
@@ -871,37 +903,39 @@ class TestStartup:
         module = package / "cli.py"
         module.write_text(module.read_text() + "\nfrom . import chains\n")
         probe = _probe(["--version"], {**os.environ, "PYTHONPATH": str(tmp_path)})
-        assert set(probe["digitlab"]) != self._BASE
+        assert set(probe["digitlab"]) != self._VERSION
         assert "digitlab.chains" in probe["digitlab"]
 
-    _THREADS = ("import os, sys, {module}; print(len(os.listdir('/proc/self/task')),"
+    _THREADS = ("import os, sys; {run}; print(len(os.listdir('/proc/self/task')),"
                 " os.environ.get('OPENBLAS_NUM_THREADS'), 'numpy' in sys.modules)")
+    # a command that loads numpy and starts no thread of its own
+    _COMMAND = "from digitlab.cli import main; main(['growth', 'series', '--quiet'])"
 
-    def _threads(self, module: str, setting: str | None) -> list[str]:
+    def _threads(self, run: str, setting: str | None) -> list[str]:
         env = {k: v for k, v in _ENV.items() if k != "OPENBLAS_NUM_THREADS"}
         if setting is not None:
             env["OPENBLAS_NUM_THREADS"] = setting
-        proc = subprocess.run([sys.executable, "-c", self._THREADS.format(module=module)],
+        proc = subprocess.run([sys.executable, "-c", self._THREADS.format(run=run)],
                               capture_output=True, text=True, timeout=_TIMEOUT_S, env=env)
         assert proc.returncode == 0, proc.stderr
         return proc.stdout.split()
 
     def test_import_digitlab_loads_no_numpy(self):
-        assert self._threads("digitlab", None)[2] == "False"
+        assert self._threads("import digitlab", None)[2] == "False"
 
     @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="counts threads in /proc")
     def test_cli_starts_numpy_without_a_blas_pool(self):
         # an idle OpenBLAS pool spins its workers for about 0.1 s of CPU per start
-        assert self._threads("digitlab.cli", None) == ["1", "1", "True"]
+        assert self._threads(self._COMMAND, None) == ["1", "1", "True"]
 
     def test_cli_keeps_the_users_blas_threads(self):
-        assert self._threads("digitlab.cli", "2")[1:] == ["2", "True"]
+        assert self._threads(self._COMMAND, "2")[1:] == ["2", "True"]
 
     @pytest.mark.skipif(not os.path.isdir("/proc/self/task") or len(os.sched_getaffinity(0)) < 2,
                         reason="counts threads in /proc; needs two CPUs")
     def test_thread_count_sees_a_blas_pool(self):
         # positive control: numpy loaded alone, with no setting, starts a pool of workers
-        assert int(self._threads("numpy", None)[0]) > 1
+        assert int(self._threads("import numpy", None)[0]) > 1
 
 
 def _has_mallopt() -> bool:
