@@ -301,14 +301,15 @@ def _eval_node(node, n: int, rng: np.random.Generator) -> np.ndarray:
             ok = fam.valid(*args)
             if ok.all():
                 return fam.draw(rng, n, *args)
-            bad = ~ok
-            # a child's draw is its own fresh array, masked in place; a
-            # constant is a read-only view and gets a masked copy
+            # written through an index: a boolean mask of randomly placed
+            # rows writes about three times slower
+            bad = np.flatnonzero(~ok)
+            # a child's draw is its own fresh array, written in place; a
+            # constant is a read-only view and gets a copy
             for i, a in enumerate(args):
-                if a.flags.writeable:
-                    np.copyto(a, 1.0, where=bad)
-                else:
-                    args[i] = np.where(ok, a, 1.0)
+                if not a.flags.writeable:
+                    args[i] = a = a.copy()
+                a[bad] = 1.0
             out = fam.draw(rng, n, *args)
             out[bad] = np.nan
             return out
@@ -348,15 +349,16 @@ def _draw_batch(spec, n, rng, policy, samples=None) -> tuple[np.ndarray, int, in
             tries[redo] += 1
             vals[redo] = _eval_node(spec, m, rng)
         bad = ~np.isfinite(vals)
-        redo = np.flatnonzero(bad & (tries < policy.max_attempts))
+        valid = not bad.any()  # then nothing is carried or dropped, and vals is tallied as it is
+        redo = redo[:0] if valid else np.flatnonzero(bad & (tries < policy.max_attempts))
         if left or not redo.size:  # the buffer is done: drop its spent rows, tally the rest
-            lost = int(np.count_nonzero(bad)) - redo.size
+            lost = 0 if valid else int(np.count_nonzero(bad)) - redo.size
             if lost and policy.on_exhaustion == "error":
                 raise PolicyExhaustedError(
                     f"{lost} draw(s) still invalid after {policy.max_attempts} attempts"
                 )
             dropped += lost
-            good = vals[np.flatnonzero(~bad)]
+            good = vals if valid else vals[np.flatnonzero(~bad)]
             buffer_counts = first_digit_counts(good)
             counts += buffer_counts
             zeros += good.size - int(buffer_counts.sum())

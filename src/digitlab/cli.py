@@ -80,8 +80,25 @@ def _keep_freed_memory() -> None:
     mallopt(_M_ARENA_MAX, _ARENA_MAX)
 
 
+# No command needs OpenSSL, yet importing numpy.random (through secrets and hmac) or
+# hashlib loads its libcrypto, 3.4 to 3.8 MB of a chain's peak RSS.  With _hashlib
+# marked absent, both fall back to CPython's builtin hashes: the same sha256 digest,
+# and numpy still seeds from os.urandom.  hashlib logs an error to stderr for each
+# hash whose builtin module is missing, so the mark is set only when all of them exist
+_BUILTIN_HASHES = (("_md5", "_sha1", "_sha2", "_blake2", "_sha3") if sys.version_info >= (3, 12)
+                   else ("_md5", "_sha1", "_sha256", "_sha512", "_blake2", "_sha3"))
+
+
+def _skip_openssl() -> None:
+    """Mark _hashlib absent unless a process already loaded it; a no-op where a builtin hash is missing."""
+    from importlib.util import find_spec
+
+    if all(find_spec(name) is not None for name in _BUILTIN_HASHES):
+        sys.modules.setdefault("_hashlib", None)
+
+
 def _manifest(args: argparse.Namespace) -> dict:
-    import hashlib  # loads OpenSSL: only a run that writes --json pays for it
+    import hashlib
 
     argv = getattr(args, "_argv", [])
     digest = hashlib.sha256(" ".join(argv).encode()).hexdigest()[:16]
@@ -542,6 +559,7 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code else EXIT_OK
     args._argv = ["digitlab", *argv]
     _keep_freed_memory()
+    _skip_openssl()
     try:
         args.fn(args)
     except DigitLabError as exc:

@@ -142,12 +142,20 @@ def ks_critical(n: int, significance: float = SIGNIFICANCE) -> float:
     return math.sqrt(-0.5 * math.log(significance / 2.0)) / math.sqrt(n)
 
 
+# rows per pass of the KS differences and of the prefix tally: their scratch arrays
+# stay this long, not n long
+_BLOCK = 1 << 16
+
+
 def _clean(values) -> tuple[np.ndarray, int, int]:
     """(|x| of the nonzero finite values, number of zeros, number of non-finite values)."""
     vals = np.asarray(values, dtype=np.float64).ravel()
-    finite = vals[np.isfinite(vals)]
-    nonzero = finite[finite != 0.0]
-    return np.abs(nonzero), finite.size - nonzero.size, vals.size - finite.size
+    keep = np.isfinite(vals)
+    finite = int(np.count_nonzero(keep))
+    keep &= vals != 0.0
+    out = vals[keep]
+    np.abs(out, out=out)
+    return out, finite - out.size, vals.size - finite
 
 
 @dataclass(frozen=True)
@@ -163,12 +171,23 @@ def mantissa_uniformity_test(values, significance: float = SIGNIFICANCE) -> KSRe
     vals, _, _ = _clean(values)
     if vals.size == 0:
         raise EmptyInputError("mantissa test needs nonzero values")
-    m = np.sort(np.log10(vals) % 1.0)
+    return _mantissa_ks(vals, significance)
+
+
+def _mantissa_ks(vals: np.ndarray, significance: float) -> KSResult:
+    """The KS test on cleaned values (nonempty, positive, finite): one array of n
+    besides them, the sorted mantissae, and D+ = max(i/n - m), D- = max(m - (i-1)/n)
+    taken a block of _BLOCK rows at a time."""
+    m = np.log10(vals)
+    np.mod(m, 1.0, out=m)
+    m.sort()
     n = m.size
-    i = np.arange(1, n + 1)
-    d_plus = np.max(i / n - m)
-    d_minus = np.max(m - (i - 1) / n)
-    stat = float(max(d_plus, d_minus))
+    stat = -math.inf
+    for lo in range(0, n, _BLOCK):
+        block = m[lo:lo + _BLOCK]
+        i = np.arange(lo + 1, lo + block.size + 1)
+        stat = max(stat, np.max(i / n - block), np.max(block - (i - 1) / n))
+    stat = float(stat)
     crit = ks_critical(n, significance)
     return KSResult(statistic=stat, critical=crit, passed=stat < crit, n=n)
 
@@ -301,17 +320,23 @@ def report(values) -> ConformityReport:
             annotations=["empty input"],
         )
 
-    lead = leading_digits(vals, 3)
-    first = np.bincount(lead.prefix // 100, minlength=10)[1:10]
-    second = np.bincount((lead.prefix // 10 % 10)[lead.ndig >= 2], minlength=10)
-    third = np.bincount((lead.prefix % 10)[lead.ndig >= 3], minlength=10)
+    # the three prefix tallies add up over blocks, as does the ambiguous count
+    first, second, third = (np.zeros(10, np.int64) for _ in range(3))
+    ambiguous = 0
+    for lo in range(0, n, _BLOCK):
+        lead = leading_digits(vals[lo:lo + _BLOCK], 3)
+        first += np.bincount(lead.prefix // 100, minlength=10)
+        second += np.bincount((lead.prefix // 10 % 10)[lead.ndig >= 2], minlength=10)
+        third += np.bincount((lead.prefix % 10)[lead.ndig >= 3], minlength=10)
+        ambiguous += lead.ambiguous
+    first = first[1:10]
     first_counts = {d: int(first[d - 1]) for d in _DIGITS}
     second_counts = {d: int(second[d]) for d in range(10)}
     third_counts = {d: int(third[d]) for d in range(10)}
 
     shares = DigitDistribution.from_counts(first)
     benford = benford_distribution()
-    ks = mantissa_uniformity_test(vals)
+    ks = _mantissa_ks(vals, SIGNIFICANCE)
 
     annotations = []
     if n < 1000:
@@ -333,7 +358,7 @@ def report(values) -> ConformityReport:
         observed_third=third_counts,
         excluded_second=n - int(second.sum()),
         excluded_third=n - int(third.sum()),
-        ambiguous=lead.ambiguous,
+        ambiguous=ambiguous,
         chi_sqr_first=chi_sqr(first),
         chi_sqr_critical_001=crit,
         l_inf=shares.l_inf(benford),

@@ -4,6 +4,7 @@ import ast
 import contextlib
 import csv
 import ctypes
+import hashlib
 import io
 import json
 import os
@@ -743,28 +744,29 @@ class TestScanBudget:
 
 
 # runs main() and reports its exit code, the scipy and digitlab modules it left
-# loaded, and which of numpy, numpy.ma, concurrent.futures and _hashlib (OpenSSL) it did
+# loaded, and which of numpy, numpy.ma, concurrent.futures and _hashlib (OpenSSL) it
+# did; a None entry in sys.modules marks a module absent, not loaded
 _PROBE = """
 import json, sys
 from digitlab.cli import main
 rc = main(sys.argv[1:])
 loaded = lambda top: sorted(m for m in sys.modules if m.split(".")[0] == top)
 print(json.dumps({"rc": rc, "scipy": loaded("scipy"), "digitlab": loaded("digitlab"),
-                  **{name: name in sys.modules
+                  **{name: sys.modules.get(name) is not None
                      for name in ("numpy", "numpy.ma", "concurrent.futures", "_hashlib")}}))
 """
 # run before the probe, it makes any import of numpy raise ImportError
 _NO_NUMPY = "import sys\nsys.modules['numpy'] = None\n"
 
 
-def _probe_process(argv: list[str], env: dict = _ENV, numpy: bool = True):
-    script = _PROBE if numpy else _NO_NUMPY + _PROBE
-    return subprocess.run([sys.executable, "-c", script, *argv], capture_output=True, text=True,
-                          timeout=_TIMEOUT_S, env=env)
+def _probe_process(argv: list[str], env: dict = _ENV, prelude: str = ""):
+    """The probe in a fresh interpreter, after the statements of ``prelude``."""
+    return subprocess.run([sys.executable, "-c", prelude + _PROBE, *argv], capture_output=True,
+                          text=True, timeout=_TIMEOUT_S, env=env)
 
 
-def _probe(argv: list[str], env: dict = _ENV, rc: int = EXIT_OK, numpy: bool = True) -> dict:
-    proc = _probe_process(argv, env, numpy)
+def _probe(argv: list[str], env: dict = _ENV, rc: int = EXIT_OK, prelude: str = "") -> dict:
+    proc = _probe_process(argv, env, prelude)
     assert proc.returncode == 0, proc.stderr
     probe = json.loads(proc.stdout.strip().splitlines()[-1])
     assert probe["rc"] == rc
@@ -849,11 +851,11 @@ class TestStartup:
     ], ids=lambda v: " ".join(v) if isinstance(v, list) else f"rc={v}")
     def test_arguments_parse_without_numpy(self, argv, rc):
         assert not _probe(argv, rc=rc)["numpy"]
-        assert _probe(argv, rc=rc, numpy=False)["rc"] == rc
+        assert _probe(argv, rc=rc, prelude=_NO_NUMPY)["rc"] == rc
 
     def test_check_sees_a_command_import_numpy(self):
         # positive control for the test above: a command needs numpy, and fails without it
-        proc = _probe_process(["growth", "series", "--quiet"], numpy=False)
+        proc = _probe_process(["growth", "series", "--quiet"], prelude=_NO_NUMPY)
         assert proc.returncode == 1
         assert "import of numpy halted" in proc.stderr
         assert _probe(["growth", "series", "--quiet"])["numpy"]
@@ -863,10 +865,49 @@ class TestStartup:
         assert not _probe(argv)["concurrent.futures"]
         assert _probe([*argv, "--threads", "2"])["concurrent.futures"]
 
-    def test_only_a_json_manifest_loads_openssl(self, tmp_path):
-        argv = ["growth", "scan", "--lo", "21.1", "--hi", "21.2", "--quiet"]
+    # each command with --json, whose manifest digest is a sha256
+    _OPENSSL_FREE = [
+        ["growth", "scan", "--lo", "21.1", "--hi", "21.2", "--quiet"],
+        ["analyze", "{data}", "--quiet"],
+        ["chain", "--preset", "flehinger", "--n", "1000", "--seed", "1", "--quiet"],
+        ["chain", "--spec", "Normal(Uniform(-1,1), Uniform(-0.5,2))", "--n", "20000",
+         "--threads", "2", "--seed", "1", "--quiet"],
+        ["invariance", "--family", "normal", "--params", "0", "1", "--mode", "montecarlo",
+         "--n", "1000", "--seed", "1", "--quiet"],
+    ]
+
+    @pytest.mark.parametrize("argv", _OPENSSL_FREE, ids=" ".join)
+    def test_no_command_loads_openssl(self, argv, benford_file, tmp_path):
+        argv = [a.replace("{data}", str(benford_file)) for a in argv]
+        argv += ["--json", str(tmp_path / "out.json")]
         assert not _probe(argv)["_hashlib"]
-        assert _probe([*argv, "--json", str(tmp_path / "out.json")])["_hashlib"]
+        # positive control: numpy.random loaded before main() brings OpenSSL with it
+        assert _probe(argv, prelude="import numpy.random\n")["_hashlib"]
+
+    _CHAIN = ["chain", "--preset", "flehinger", "--n", "1000", "--seed", "1", "--quiet"]
+
+    def test_manifest_digest_is_the_sha256_of_the_command_line(self, tmp_path):
+        out = tmp_path / "out.json"
+        argv = [*self._CHAIN, "--json", str(out)]
+        assert not _probe(argv)["_hashlib"]
+        want = hashlib.sha256(" ".join(["digitlab", *argv]).encode()).hexdigest()[:16]
+        assert json.loads(out.read_text())["manifest"]["config_digest"] == want
+
+    # a Python built without _sha3: hashlib without OpenSSL would log an error for it
+    _NO_SHA3 = "import sys\nsys.modules['_sha3'] = None\n"
+
+    def test_openssl_loads_as_before_where_a_builtin_hash_is_missing(self, tmp_path):
+        argv = [*self._CHAIN, "--json", str(tmp_path / "out.json")]
+        proc = _probe_process(argv, prelude=self._NO_SHA3)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout.strip().splitlines()[-1])["_hashlib"]
+        assert proc.stderr == ""
+
+    def test_check_sees_hashlib_log_a_missing_builtin_hash(self):
+        # positive control for the test above: OpenSSL marked absent regardless
+        proc = _probe_process(self._CHAIN, prelude=self._NO_SHA3 + "sys.modules['_hashlib'] = None\n")
+        assert proc.returncode == 0, proc.stderr
+        assert "code for hash sha3_224 was not found" in proc.stderr
 
     @pytest.mark.parametrize("fmt", ["plain", "csv"])
     def test_analyze_loads_only_conformity(self, fmt, tmp_path):

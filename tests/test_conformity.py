@@ -1,13 +1,16 @@
 """Tests for the goodness-of-fit machinery."""
 
+import json
 import math
+import os
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from digitlab import conformity
-from digitlab.digits import benford_distribution, benford_first
+from digitlab.digits import benford_distribution, benford_first, leading_digits
 from digitlab.distributions import PowerLaw
 from digitlab.errors import BadExpectedError, BadParamsError, EmptyInputError
 
@@ -315,3 +318,77 @@ class TestReport:
         doc = json.loads(json.dumps(rep.to_json_dict()))
         assert doc["schema_version"] == 1
         assert doc["n"] == rep.n
+
+
+# report documents of edge inputs, as the one-shot report (one leading_digits call
+# and one KS pass over all n values) wrote them; values are stored as their repr
+_DOCUMENTS = os.path.join(os.path.dirname(__file__), "_artifacts", "conformity_report_documents.json")
+
+
+def _mixed_values(n: int, seed: int) -> np.ndarray:
+    """n values over 40 decades with subnormals, ties, both signs, zeros and non-finites."""
+    rng = np.random.default_rng(seed)
+    vals = 10.0 ** rng.uniform(-20.0, 20.0, n)
+    pick = rng.random(n)
+    vals[pick < 0.3] *= -1.0
+    vals[pick < 0.01] = rng.choice([0.0, math.inf, -math.inf, math.nan, 5e-324, 1e-320, 2.5, 2.5],
+                                   int(np.count_nonzero(pick < 0.01)))
+    return vals
+
+
+def _one_shot(values) -> dict:
+    """The tallies and KS distance over all values at once: the oracle of the blocked ones."""
+    vals = np.asarray(values, dtype=np.float64)
+    vals = np.abs(vals[np.isfinite(vals) & (vals != 0.0)])
+    lead = leading_digits(vals, 3)
+    m = np.sort(np.log10(vals) % 1.0)
+    n = m.size
+    i = np.arange(1, n + 1)
+    return {
+        "first": np.bincount(lead.prefix // 100, minlength=10)[1:10].tolist(),
+        "second": np.bincount((lead.prefix // 10 % 10)[lead.ndig >= 2], minlength=10).tolist(),
+        "third": np.bincount((lead.prefix % 10)[lead.ndig >= 3], minlength=10).tolist(),
+        "ambiguous": lead.ambiguous,
+        "ks": float(max(np.max(i / n - m), np.max(m - (i - 1) / n))) if n else None,
+    }
+
+
+class TestReportInBlocks:
+    @pytest.mark.parametrize("case", ["empty", "all-non-finite", "subnormal", "mixed-sign"])
+    def test_documents_unchanged(self, case):
+        with open(_DOCUMENTS) as fh:
+            stored = json.load(fh)[case]
+        rep = conformity.report([float(t) for t in stored["values"]])
+        assert (json.dumps(rep.to_json_dict(), sort_keys=True)
+                == json.dumps(stored["document"], sort_keys=True))
+
+    _B = conformity._BLOCK
+
+    @settings(max_examples=25, deadline=None)
+    @given(n=st.one_of(st.sampled_from([1, 2, _B - 1, _B, _B + 1, 2 * _B - 1, 2 * _B, 2 * _B + 1]),
+                       st.integers(1, 3 * _B)),
+           seed=st.integers(0, 2**32 - 1))
+    def test_blocked_tallies_and_ks_equal_one_shot(self, n, seed):
+        vals = _mixed_values(n, seed)
+        want = _one_shot(vals)
+        rep = conformity.report(vals)
+        assert [rep.observed_first.get(d, 0) for d in DIGITS] == want["first"]
+        assert [rep.observed_second.get(d, 0) for d in range(10)] == want["second"]
+        assert [rep.observed_third.get(d, 0) for d in range(10)] == want["third"]
+        assert rep.ambiguous == want["ambiguous"]
+        assert rep.mantissa_ks == want["ks"]
+        if want["ks"] is not None:
+            assert conformity.mantissa_uniformity_test(vals).statistic == want["ks"]
+
+    def test_report_holds_two_arrays_of_n(self):
+        # the cleaned copy and the sorted mantissae; the one-shot report peaked at
+        # 49.7 MB over its 8 MB input
+        vals = _mixed_values(10**6, 19)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            conformity.report(vals)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * vals.nbytes, peak / 2**20
