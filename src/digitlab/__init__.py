@@ -11,7 +11,7 @@ __version__ = "0.1.0"
 # runs before cli.py, which sets numpy's BLAS threads before numpy loads.
 __all__ = ["DigitDistribution", "Significand", "benford_distribution", "benford_first",
            "benford_pattern", "compartment_boundaries", "digit_pattern", "first_digit", "lda",
-           "leading_digits", "mantissa10"]
+           "leading_digits", "mantissa10", "prefix_counts"]
 
 
 def __getattr__(name: str):

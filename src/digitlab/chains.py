@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 import re
+import threading
 from dataclasses import dataclass, field, fields
 from typing import Callable
 
@@ -215,12 +216,10 @@ def parse_chain(text: str) -> FamilyNode:
 # ---------------------------------------------------------------------------
 # simulation
 
-# rows in one buffer of a worker's stream.  With invalid rows carried into the next
-# buffer, the 2e6-draw Normal chain on 2 threads peaked at 40.0 / 42.3 / 46.1 / 54.0 MB
-# at 2^14 / 2^15 / 2^16 / 2^17 rows (wait4, 9 alternating runs), and its in-process
-# time was 248 / 196 / 170 ms at 2^14 / 2^15 / 2^16 (21 interleaved runs), against
-# 199 ms when each 2^16-row chunk resampled in rounds.  2^15 is the smallest size at
-# which a seeded run of 2 x 10^4 draws on one worker still draws in one buffer
+# rows in one buffer of a worker's stream.  The 2e6-draw Normal chain on 2 threads
+# peaked at 35.1 / 36.4 / 39.5 MB at 2^14 / 2^15 / 2^16 rows (wait4, medians of 9
+# alternating runs).  2^15 is the smallest size at which a seeded run of 2 x 10^4 draws
+# on one worker still draws in one buffer
 _CHUNK = 2**15
 _MAX_WORKERS = 64
 _MAX_ATTEMPTS = 10**4  # resamples of one row
@@ -286,10 +285,10 @@ def _eval_node(node, n: int, rng: np.random.Generator) -> np.ndarray:
         idx = rng.integers(0, len(comps), size=n)
         out = np.empty(n)
         for i, comp in enumerate(comps):
-            mask = idx == i
-            m = int(mask.sum())
-            if m:
-                out[mask] = _eval_node(comp, m, rng)
+            # an index, as below: a boolean mask selects and writes four times slower
+            rows = np.flatnonzero(idx == i)
+            if rows.size:
+                out[rows] = _eval_node(comp, rows.size, rng)
         return out
     if isinstance(node, FamilyNode):
         fam = node.family
@@ -325,8 +324,9 @@ def _draw_batch(spec, n, rng, policy, samples=None) -> tuple[np.ndarray, int, in
     its own count of resamples.  The last buffer has no fresh rows after
     it, so its invalid rows are drawn again in place, a round at a time.
     A row still invalid after policy.max_attempts resamples is dropped, or
-    raises PolicyExhaustedError.  The generator carries on from one buffer
-    to the next, and no more than one buffer of draws is alive at once.
+    raises PolicyExhaustedError.  A done buffer's invalid rows are set to 0
+    in place and the buffer tallied as it is.  The generator carries on from
+    one buffer to the next, and no more than one buffer of draws is alive.
     Returns (ld_counts, zeros, resampled, dropped); a list passed as
     ``samples`` gets each buffer's accepted nonzero draws.
     """
@@ -352,18 +352,20 @@ def _draw_batch(spec, n, rng, policy, samples=None) -> tuple[np.ndarray, int, in
         valid = not bad.any()  # then nothing is carried or dropped, and vals is tallied as it is
         redo = redo[:0] if valid else np.flatnonzero(bad & (tries < policy.max_attempts))
         if left or not redo.size:  # the buffer is done: drop its spent rows, tally the rest
-            lost = 0 if valid else int(np.count_nonzero(bad)) - redo.size
+            invalid = 0 if valid else int(np.count_nonzero(bad))
+            lost = invalid - redo.size
             if lost and policy.on_exhaustion == "error":
                 raise PolicyExhaustedError(
                     f"{lost} draw(s) still invalid after {policy.max_attempts} attempts"
                 )
             dropped += lost
-            good = vals if valid else vals[np.flatnonzero(~bad)]
-            buffer_counts = first_digit_counts(good)
+            if invalid:  # set to 0 in place, the invalid rows tally as nothing, as zeros do
+                vals[np.flatnonzero(bad)] = 0.0
+            buffer_counts = first_digit_counts(vals)
             counts += buffer_counts
-            zeros += good.size - int(buffer_counts.sum())
+            zeros += vals.size - invalid - int(buffer_counts.sum())
             if samples is not None:
-                samples.append(good[good != 0.0])
+                samples.append(vals[vals != 0.0])
     return counts, zeros, resampled, dropped
 
 
@@ -381,17 +383,15 @@ def simulate_chain(
     invalid are retried per the policy; n x max_attempts above
     _MAX_ROW_EVALS raises TooLargeError before any draw.  ``workers`` (1 to
     64) partitions the draws across threads with generator states spawned
-    from the master seed.  Each worker draws, resamples and tallies its
-    share in buffers of at most _CHUNK = 32,768 rows, its generator carrying
-    on from one buffer to the next, and the tallies are summed.  A row still
-    invalid in one buffer is drawn again in the next, and keeps its count of
-    resamples; only the last buffer redraws its invalid rows in rounds.
-    Memory is flat in n (2 to 3.5 MB traced per worker on the benchmark
-    chains) unless ``keep_samples`` asks for the accepted nonzero draws, in
-    worker and stream order.  Results are deterministic for a fixed (spec,
-    n, seed, workers), and bit-identical to drawing each worker's share in
-    one piece, with the resample loop over it, only when n / workers <=
-    _CHUNK.
+    from the master seed: worker 0 runs in the calling thread, each other
+    one in a plain thread of its own, and an error a worker raises is raised
+    here once all are done.  Each worker draws, resamples and tallies its
+    share in buffers of at most _CHUNK = 32,768 rows (_draw_batch), so memory
+    is flat in n (1.2 to 2.1 MB traced per worker on the benchmark chains)
+    unless ``keep_samples`` asks for the accepted nonzero draws, in worker
+    and stream order.  Results are deterministic for a fixed (spec, n, seed,
+    workers), and bit-identical to drawing each worker's share in one piece,
+    with the resample loop over it, only when n / workers <= _CHUNK.
     """
     if isinstance(spec, str):
         spec = parse_chain(spec)
@@ -404,23 +404,26 @@ def simulate_chain(
                             f"is over the budget of {_MAX_ROW_EVALS}")
 
     seq = np.random.SeedSequence(seed)
+    seeds = seq.spawn(workers) if workers > 1 else [seq]
     kept = [[] if keep_samples else None for _ in range(workers)]
-    if workers == 1:
-        rng = np.random.Generator(np.random.PCG64(seq))
-        parts = [_draw_batch(spec, n, rng, policy, kept[0])]
-    else:
-        from concurrent.futures import ThreadPoolExecutor  # loads logging: only threads pay
+    parts: list = [None] * workers  # each worker's tallies, or what it raised
 
-        children = seq.spawn(workers)
-        sizes = [n // workers + (1 if i < n % workers else 0) for i in range(workers)]
+    def run(i: int) -> None:
+        try:
+            rng = np.random.Generator(np.random.PCG64(seeds[i]))
+            parts[i] = _draw_batch(spec, n // workers + (i < n % workers), rng, policy, kept[i])
+        except BaseException as exc:  # raised below, once every worker has ended
+            parts[i] = exc
 
-        def run(args):
-            size, child, samples = args
-            rng = np.random.Generator(np.random.PCG64(child))
-            return _draw_batch(spec, size, rng, policy, samples)
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(run, zip(sizes, children, kept)))
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(1, workers)]
+    for t in threads:
+        t.start()
+    run(0)
+    for t in threads:
+        t.join()
+    for p in parts:
+        if isinstance(p, BaseException):
+            raise p
 
     counts = sum(p[0] for p in parts)
     skipped_zeros = sum(p[1] for p in parts)

@@ -18,10 +18,12 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .digits import (
+    _BLOCK,
     DigitDistribution,
     benford_distribution,
     compartment_boundaries,
     leading_digits,
+    prefix_counts,
 )
 from .errors import BadExpectedError, BadParamsError, EmptyInputError
 
@@ -133,18 +135,12 @@ def chi_sqr_critical(significance: float = SIGNIFICANCE, dof: int = 8) -> float:
 
 def first_digit_counts(values) -> np.ndarray:
     """Counts of the first digits 1..9 (digit d at index d - 1) of finite values, zeros skipped."""
-    vals = np.asarray(values, dtype=np.float64)
-    return np.bincount(leading_digits(vals[vals != 0.0]).prefix, minlength=10)[1:10]
+    return prefix_counts(values)[0][0, 1:]
 
 
 def ks_critical(n: int, significance: float = SIGNIFICANCE) -> float:
     """Asymptotic one-sample KS critical distance sqrt(-ln(a/2)/2)/sqrt(n)."""
     return math.sqrt(-0.5 * math.log(significance / 2.0)) / math.sqrt(n)
-
-
-# rows per pass of the KS differences and of the prefix tally: their scratch arrays
-# stay this long, not n long
-_BLOCK = 1 << 16
 
 
 def _clean(values) -> tuple[np.ndarray, int, int]:
@@ -249,17 +245,17 @@ def scale_invariance_probe(values, factors, expected: DigitDistribution | None =
     if expected is None:
         expected = benford_distribution()
 
-    def chi_of(arr: np.ndarray) -> float:
-        return chi_sqr(first_digit_counts(_clean(arr)[0]), expected)
-
-    base_chi = chi_of(vals)
+    base_chi = chi_sqr(first_digit_counts(vals), expected)
     out = {}
     for c in factors:
         if c <= 0:
             raise BadExpectedError(f"factors must be positive, got {c}")
-        with np.errstate(over="ignore"):
-            scaled = vals * c
-        out[c] = chi_of(scaled) - base_chi
+        counts = np.zeros(9, np.int64)
+        for lo in range(0, vals.size, _BLOCK):  # the products a block at a time
+            with np.errstate(over="ignore"):
+                scaled = vals[lo:lo + _BLOCK] * c
+            counts += first_digit_counts(scaled[np.isfinite(scaled)])
+        out[c] = chi_sqr(counts, expected) - base_chi
     return out
 
 
@@ -320,15 +316,7 @@ def report(values) -> ConformityReport:
             annotations=["empty input"],
         )
 
-    # the three prefix tallies add up over blocks, as does the ambiguous count
-    first, second, third = (np.zeros(10, np.int64) for _ in range(3))
-    ambiguous = 0
-    for lo in range(0, n, _BLOCK):
-        lead = leading_digits(vals[lo:lo + _BLOCK], 3)
-        first += np.bincount(lead.prefix // 100, minlength=10)
-        second += np.bincount((lead.prefix // 10 % 10)[lead.ndig >= 2], minlength=10)
-        third += np.bincount((lead.prefix % 10)[lead.ndig >= 3], minlength=10)
-        ambiguous += lead.ambiguous
+    (first, second, third), ambiguous = prefix_counts(vals, 3)
     first = first[1:10]
     first_counts = {d: int(first[d - 1]) for d in _DIGITS}
     second_counts = {d: int(second[d]) for d in range(10)}

@@ -43,6 +43,7 @@ __all__ = [
     "LeadingDigits",
     "Significand",
     "leading_digits",
+    "prefix_counts",
     "first_digit",
     "digit_pattern",
     "mantissa10",
@@ -151,13 +152,20 @@ class LeadingDigits(NamedTuple):
 # at most one k-digit threshold
 _KEY_BITS = {1: 4, 2: 7, 3: 10}
 
+# values per pass of a tally and of conformity's KS differences: scratch stays this long
+_BLOCK = 1 << 16
+
+
+def _ndig(prefix, k: int):
+    """Significant digits of the decimal that is its k-digit prefix: k less trailing zeros."""
+    return k - sum((prefix % 10**t == 0 for t in range(1, k)), np.zeros_like(prefix))
+
 
 @functools.cache
 def _cells(k: int, exp: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per key cell of the normal doubles with biased exponent exp: the prefix
-    of the last threshold below the cell and the one threshold in it (inf if none).
-
-    The cells are the 2**b runs of doubles that share their top b mantissa bits.
+    """Per key cell of the normal doubles with biased exponent exp (the 2**b runs that
+    share their top b mantissa bits), its threshold (inf if none), and per code 3 cell
+    + class, the slot ndig * 10**k + prefix of the values below, above and on it.
     """
     b = _KEY_BITS[k]
     with np.errstate(over="ignore"):  # the top exponent's last cell ends at 2**1024
@@ -165,8 +173,56 @@ def _cells(k: int, exp: int) -> tuple[np.ndarray, np.ndarray]:
     d = math.floor(math.log10(edges[0]))  # the cells lie within decades d and d + 1
     thr = np.array(_row(10, k, d - 1) + _row(10, k, d) + _row(10, k, d + 1))
     j = np.searchsorted(thr, edges[:-1]) - 1
-    start = (j % (9 * 10 ** (k - 1)) + 10 ** (k - 1)).astype(np.int16)
-    return start, np.where(thr[j + 1] < edges[1:], thr[j + 1], math.inf)
+    start = j % (9 * 10 ** (k - 1)) + 10 ** (k - 1)  # the prefix of the last threshold below
+    up = start + 1
+    up[up == 10**k] = 10 ** (k - 1)  # the threshold in the cell starts a decade
+    ndig = np.stack([np.full_like(up, k), np.full_like(up, k), _ndig(up, k)], axis=1)
+    slots = ndig * 10**k + np.stack([start, up, up], axis=1)
+    return slots.astype(np.int16).ravel(), np.where(thr[j + 1] < edges[1:], thr[j + 1], math.inf)
+
+
+def _slots(values: np.ndarray, k: int) -> tuple[np.ndarray, int]:
+    """Each finite value's slot (_cells; 0 for a zero), signs ignored, and how many
+    are ambiguous.  Subnormals are searched for in the rows of their decades; those
+    that several k-digit decimals parse to take their digits from repr."""
+    b = _KEY_BITS[k]
+    key = values.view(np.int64) >> (52 - b)
+    key &= (1 << (11 + b)) - 1  # the biased exponent, then b mantissa bits
+    exp = key >> b
+    count = np.bincount(exp)
+    if count.size == 2048:  # the top exponent holds inf and NaN
+        raise ZeroInputError("leading digits need finite values")
+    exps = np.flatnonzero(count).tolist()
+    tiny = np.flatnonzero(exp == 0) if count[0] else key[:0]
+    block = np.zeros(count.size, np.int64)  # one block of cells per exponent present
+    block[exps] = (np.arange(len(exps)) - exps) << b
+    key += block[exp]
+    del exp
+    # exponent 0 takes dummy cells: its zeros keep slot 0, its subnormals are searched for below
+    cells = [_cells(k, e) if e else (np.zeros(3 << b, np.int16), np.full(2**b, math.inf))
+             for e in exps]
+    a = np.abs(values)
+    split = np.concatenate([c[1] for c in cells])[key]
+    key *= 3
+    key += a >= split
+    if k > 1:  # on the threshold, a prefix ending in 0 has fewer than k digits
+        key += a == split
+    del split
+    slot = np.concatenate([c[0] for c in cells])[key]
+    tiny = tiny[a[tiny] != 0.0]  # a zero keeps slot 0
+    if not tiny.size:
+        return slot, 0
+    at = a[tiny]
+    table = np.array([t for d in range(-325, -307) for t in _row(10, k, d)])
+    j = np.searchsorted(table, at, side="right") - 1
+    prefix = j % (9 * 10 ** (k - 1)) + 10 ** (k - 1)
+    on = table[j] == at
+    slot[tiny] = np.where(on, _ndig(prefix, k), k) * 10**k + prefix
+    ambiguous = tiny[on & (table[j - 1] == at)]
+    for t in ambiguous:
+        prefix, ndig = _repr_digits(a[t], k)
+        slot[t] = ndig * 10**k + prefix
+    return slot, int(ambiguous.size)
 
 
 def leading_digits(values, k: int = 1) -> LeadingDigits:
@@ -176,48 +232,44 @@ def leading_digits(values, k: int = 1) -> LeadingDigits:
     significant digits capped at k (50.0 has one), both as its shortest
     repr gives them; ``ambiguous`` counts the values read off repr.  A
     normal double is keyed by its exponent and top b mantissa bits
-    (_KEY_BITS); its key's cell holds at most one threshold, so its prefix
-    is the cell's start prefix, plus one from that threshold up.  Subnormals
-    are searched for in the rows of their decades.
+    (_KEY_BITS); its key's cell holds at most one threshold (_cells).
     """
     if not 1 <= k <= 3:
         raise BadDigitError(f"prefix length must be 1..3, got {k}")
-    a = np.abs(np.asarray(values, dtype=np.float64)).ravel()
-    if a.size == 0:
+    vals = np.asarray(values, dtype=np.float64).ravel()
+    if vals.size == 0:
         return LeadingDigits(np.zeros(0, np.int16), np.zeros(0, np.int8), 0)
-    if not (np.isfinite(a).all() and a.all()):
-        raise ZeroInputError("leading digits need finite nonzero values")
-    b = _KEY_BITS[k]
-    key = a.view(np.int64) >> (52 - b)  # the biased exponent, then b mantissa bits
-    exp = key >> b
-    count = np.bincount(exp)
-    exps = np.flatnonzero(count).tolist()
-    block = np.zeros(count.size, np.int64)  # one block of cells per exponent present
-    block[exps] = (np.arange(len(exps)) - exps) << b
-    key += block[exp]
-    # exponent 0 (the subnormals) takes a dummy block: they are searched for below
-    cells = [_cells(k, e) if e else (np.zeros(2**b, np.int16), np.full(2**b, math.inf))
-             for e in exps]
-    split = np.concatenate([c[1] for c in cells])[key]
-    prefix = np.concatenate([c[0] for c in cells])[key]
-    prefix += a >= split
-    prefix[prefix == 10**k] = 10 ** (k - 1)  # the threshold in the cell starts a decade
-    hit = a == split
-    tiny = np.flatnonzero(exp == 0) if count[0] else key[:0]
-    ambiguous = tiny
-    if tiny.size:
-        table = np.array([t for d in range(-325, -307) for t in _row(10, k, d)])
-        at = a[tiny]
-        j = np.searchsorted(table, at, side="right") - 1
-        prefix[tiny] = j % (9 * 10 ** (k - 1)) + 10 ** (k - 1)
-        hit[tiny] = table[j] == at
-        ambiguous = tiny[hit[tiny] & (table[j - 1] == at)]
-    ndig = np.full(a.size, k, dtype=np.int8)
-    for t in range(1, k):
-        ndig -= hit & (prefix % 10**t == 0)
-    for t in ambiguous:
-        prefix[t], ndig[t] = _repr_digits(a[t], k)
-    return LeadingDigits(prefix, ndig, int(ambiguous.size))
+    slot, ambiguous = _slots(vals, k)
+    if not slot.all():
+        raise ZeroInputError("leading digits need nonzero values")
+    return LeadingDigits(slot % 10**k, (slot // 10**k).astype(np.int8), ambiguous)
+
+
+def prefix_counts(values, k: int = 1) -> tuple[np.ndarray, int]:
+    """Tallies of the first k (<= 3) significant digits of finite values, zeros
+    skipped, and how many values are ambiguous.
+
+    Row j of the (k, 10) tallies counts the (j + 1)-th digits 0..9, as leading_digits
+    reads them, of the values with j + 1 significant digits: row 0 is the first-digit
+    tally.  _BLOCK values at a time are counted by slot (_slots): about 27 bytes of
+    scratch a value, and no per-value prefix or digit count.
+    """
+    if not 1 <= k <= 3:
+        raise BadDigitError(f"prefix length must be 1..3, got {k}")
+    vals = np.asarray(values, dtype=np.float64).ravel()
+    slots = np.zeros((k + 1) * 10**k, np.int64)
+    ambiguous = 0
+    for lo in range(0, vals.size, _BLOCK):
+        slot, more = _slots(vals[lo:lo + _BLOCK], k)
+        slots += np.bincount(slot, minlength=slots.size)
+        ambiguous += more
+    # values per significant digits and prefix; slot 0 holds the zeros
+    rows = slots.reshape(k + 1, 10**k)[:, 10 ** (k - 1):]
+    prefixes = np.arange(10 ** (k - 1), 10**k)
+    counts = np.zeros((k, 10), np.int64)
+    for j in range(k):
+        np.add.at(counts[j], prefixes // 10 ** (k - 1 - j) % 10, rows[j + 1:].sum(0))
+    return counts, ambiguous
 
 
 def first_digit(x: float, base: int = 10) -> int:

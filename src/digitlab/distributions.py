@@ -181,8 +181,11 @@ class Uniform(DistributionModel):
 
     @staticmethod
     def draw(rng, n, a, b):
-        # numpy's uniform evaluates this formula, without its range check
-        return a + (b - a) * rng.random(n)
+        # numpy's uniform evaluates a + (b - a) * u, without its range check; in place here
+        out = rng.random(n)
+        out *= b - a
+        out += a
+        return out
 
     def support(self):
         return Support(self.a, self.b)
@@ -558,10 +561,9 @@ class LogNormal(DistributionModel):
 # the two special functions the families need: Wright omega (Gompertz
 # quantile) and the harmonic number H_a = psi(a + 1) - psi(1) (GuptaKundu mean)
 
-# elements per pass: every temporary of a pass stays in cache.  With a chain's
-# 2^15-row buffers, one pass per buffer measured no faster (1e6-draw Gompertz chain,
-# 9 alternating wait4 runs on 2 vCPUs: 0.468 against 0.491 s, within their spread) and its
-# dozen buffer-sized temporaries raised the peak from 41.6 to 44.1 MB
+# elements per pass of the Gompertz quantile (Gompertz.draw): its dozen temporaries stay
+# this long, and in cache.  One pass per 2^15-row chain buffer raised the 1e6-draw
+# Gompertz chain's peak from 35.6 to 39.9 MB (wait4, medians of 9 alternating runs)
 _OMEGA_BLOCK = 8192
 
 
@@ -586,25 +588,6 @@ def _fixed_point_step(z, w):
     return x + x * e
 
 
-def _omega_block(z):
-    with np.errstate(all="ignore"):  # lanes outside their guess's region may overflow or be NaN
-        # first guesses, Algorithm 917's regions on the real line
-        p = np.exp(z)
-        below = p * (1.0 + p * (-1.0 + p * (1.5 + p * (-8.0 / 3.0 + p * (125.0 / 24.0)))))
-        d = z - 1.0
-        near_one = 0.5 + 0.5 * z + d * d * (
-            1.0 / 16.0 + d * (-1.0 / 192.0 + d * (-1.0 / 3072.0 + d * (13.0 / 61440.0))))
-        za = np.maximum(z, 1.0 + math.pi)
-        lz = np.log(za)
-        above = za - lz + lz / za * (1.0 + (0.5 * lz - 1.0 + ((lz / 3.0 - 1.5) * lz + 1.0) / za) / za)
-        w = np.where(z <= -2.0, below, np.where(z <= 1.0 + math.pi, near_one, above))
-        w = _fsc_step(w, z - w - np.log(w))
-        s, e = _two_diff(z, w)
-        w = _fsc_step(w, (s - np.log(w)) + e)
-        w = np.where(z <= -1.0, _fixed_point_step(z, _fixed_point_step(z, w)), w)
-        return np.where(z < -37.0, p, np.where(z > 1e20, z, w))
-
-
 def _wright_omega(z):
     """Wright omega of real z, element-wise: the w > 0 with w + ln w = z.
 
@@ -623,11 +606,22 @@ def _wright_omega(z):
     and log on an AVX-512 x86-64 CPU).
     """
     z = np.asarray(z, dtype=float)
-    out = np.empty_like(z)
-    flat_z, flat_out = z.reshape(-1), out.reshape(-1)
-    for i in range(0, flat_z.size, _OMEGA_BLOCK):
-        flat_out[i:i + _OMEGA_BLOCK] = _omega_block(flat_z[i:i + _OMEGA_BLOCK])
-    return out
+    with np.errstate(all="ignore"):  # lanes outside their guess's region may overflow or be NaN
+        # first guesses, Algorithm 917's regions on the real line
+        p = np.exp(z)
+        below = p * (1.0 + p * (-1.0 + p * (1.5 + p * (-8.0 / 3.0 + p * (125.0 / 24.0)))))
+        d = z - 1.0
+        near_one = 0.5 + 0.5 * z + d * d * (
+            1.0 / 16.0 + d * (-1.0 / 192.0 + d * (-1.0 / 3072.0 + d * (13.0 / 61440.0))))
+        za = np.maximum(z, 1.0 + math.pi)
+        lz = np.log(za)
+        above = za - lz + lz / za * (1.0 + (0.5 * lz - 1.0 + ((lz / 3.0 - 1.5) * lz + 1.0) / za) / za)
+        w = np.where(z <= -2.0, below, np.where(z <= 1.0 + math.pi, near_one, above))
+        w = _fsc_step(w, z - w - np.log(w))
+        s, e = _two_diff(z, w)
+        w = _fsc_step(w, (s - np.log(w)) + e)
+        w = np.where(z <= -1.0, _fixed_point_step(z, _fixed_point_step(z, w)), w)
+        return np.where(z < -37.0, p, np.where(z > 1e20, z, w))
 
 
 # B_2k / 2k for k = 1..10: the terms B_2k / (2k a^2k) of the asymptotic series
@@ -721,7 +715,12 @@ class Gompertz(DistributionModel):
 
     @staticmethod
     def draw(rng, n, b, eta):
-        return Gompertz.quantile(rng.random(n), b, eta)
+        p = rng.random(n)
+        b, eta = np.broadcast_to(b, n), np.broadcast_to(eta, n)
+        for lo in range(0, n, _OMEGA_BLOCK):  # every step is element-wise: the same bits
+            part = slice(lo, lo + _OMEGA_BLOCK)
+            p[part] = Gompertz.quantile(p[part], b[part], eta[part])
+        return p
 
     def support(self):
         return Support(0.0, math.inf)

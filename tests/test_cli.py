@@ -604,6 +604,16 @@ class TestExitCodes:
         assert rc == EXIT_EMPTY
         assert capsys.readouterr().err.startswith("error: all 1 draws")
 
+    def test_exhausted_policy_on_threads_exits_4(self):
+        # every draw is invalid: both workers raise PolicyExhaustedError, the
+        # second in a thread of its own
+        proc = _run(["-m", "digitlab.cli", "chain", "--spec", "Normal(0, Uniform(-2, -1))",
+                     "--n", "1000", "--threads", "2", "--max-attempts", "3",
+                     "--on-exhaustion", "error", "--seed", "1", "--quiet"])
+        assert proc.returncode == EXIT_NUMERIC, proc.stderr
+        assert proc.stderr.startswith("error:") and "after 3 attempts" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
     @pytest.mark.parametrize("argv", [
         ["chain", "--preset", "flehinger", "--n", "10"],
         ["invariance", "--family", "normal", "--params", "0", "1", "--mode", "montecarlo"],
@@ -860,10 +870,14 @@ class TestStartup:
         assert "import of numpy halted" in proc.stderr
         assert _probe(["growth", "series", "--quiet"])["numpy"]
 
-    def test_only_threads_load_concurrent_futures(self):
-        argv = ["chain", "--preset", "flehinger", "--n", "1000", "--seed", "1", "--quiet"]
-        assert not _probe(argv)["concurrent.futures"]
-        assert _probe([*argv, "--threads", "2"])["concurrent.futures"]
+    def test_no_chain_loads_concurrent_futures(self):
+        # workers are plain threads: no chain loads concurrent.futures, nor the
+        # logging it loads; the prelude that imports it is the positive control
+        for threads in ("1", "2"):
+            argv = ["chain", "--preset", "flehinger", "--n", "1000", "--seed", "1",
+                    "--threads", threads, "--quiet"]
+            assert not _probe(argv)["concurrent.futures"]
+            assert _probe(argv, prelude="import concurrent.futures\n")["concurrent.futures"]
 
     # each command with --json, whose manifest digest is a sha256
     _OPENSSL_FREE = [

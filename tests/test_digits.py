@@ -230,6 +230,62 @@ class TestBitKeyedKernel:
         assert proc.stdout.split() == ["0", "0"]
 
 
+def _tally_values(n: int, seed: int) -> np.ndarray:
+    """n finite values of both signs: log-uniform over 40 decades, any double by its
+    bits, zeros, ambiguous subnormals and values of fewer than three digits."""
+    rng = np.random.default_rng(seed)
+    vals = 10.0 ** rng.uniform(-20.0, 20.0, n)
+    pick = rng.random(n)
+    whole = pick < 0.1
+    vals[whole] = rng.integers(0, 0x7FF0000000000000, int(np.count_nonzero(whole))).view(np.float64)
+    odd = pick > 0.98
+    vals[odd] = rng.choice([0.0, 5e-324, 1e-320, 2.5, 50.0, 1e-310, 120.0], int(np.count_nonzero(odd)))
+    vals[rng.random(n) < 0.3] *= -1.0
+    return vals
+
+
+def _one_shot_tallies(values, k: int) -> tuple[list, int]:
+    """The digit tallies and ambiguous count from one leading_digits call over all the
+    nonzero values: the oracle of the blocked tallies."""
+    vals = np.asarray(values, dtype=np.float64)
+    lead = digits.leading_digits(vals[vals != 0.0], k)
+    tallies = [np.bincount((lead.prefix // 10 ** (k - 1 - j) % 10)[lead.ndig > j], minlength=10)
+               for j in range(k)]
+    return [t.tolist() for t in tallies], lead.ambiguous
+
+
+class TestPrefixCounts:
+    _B = digits._BLOCK
+
+    @settings(max_examples=30, deadline=None)
+    @given(n=st.one_of(st.sampled_from([0, 1, 2, _B - 1, _B, _B + 1, 2 * _B - 1, 2 * _B, 2 * _B + 1]),
+                       st.integers(1, 3 * _B)),
+           k=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+    def test_blocked_tallies_equal_one_shot(self, n, k, seed):
+        vals = _tally_values(n, seed)
+        counts, ambiguous = digits.prefix_counts(vals, k)
+        assert (counts.tolist(), ambiguous) == _one_shot_tallies(vals, k)
+
+    def test_known_tallies(self):
+        vals = [50.0, 123.0, -0.25, 0.0, 5e-324, 1e-323, 2.0, 1e-320]
+        counts, ambiguous = digits.prefix_counts(vals, 3)
+        # 5e-324 and 1e-323 are ambiguous and read as repr gives them; 0 is skipped, and
+        # only 123 and 0.25 have a second digit, only 123 a third
+        assert ambiguous == 2
+        assert counts.tolist() == [[0, 3, 2, 0, 0, 2, 0, 0, 0, 0],
+                                   [0, 0, 1, 0, 0, 1, 0, 0, 0, 0],
+                                   [0, 0, 0, 1, 0, 0, 0, 0, 0, 0]]
+
+    def test_empty_and_bad_input(self):
+        counts, ambiguous = digits.prefix_counts([], 2)
+        assert counts.tolist() == [[0] * 10] * 2 and ambiguous == 0
+        with pytest.raises(BadDigitError):
+            digits.prefix_counts([1.0], 4)
+        for bad in (math.inf, -math.inf, math.nan):
+            with pytest.raises(ZeroInputError):
+                digits.prefix_counts([1.0, bad])
+
+
 def _exact_prefix(x: float, k: int, base: int) -> int:
     """k-digit base-B prefix of the exact value of the double x."""
     q = Fraction(abs(x))
