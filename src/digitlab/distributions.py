@@ -1,4 +1,4 @@
-"""Parametric distribution families: pdf, sampler, support, and mean.
+"""Parametric distribution families: pdf, sampler and support.
 
 Each family is a small frozen dataclass whose fields are its parameters,
 in order (``dataclasses.fields`` of the class or an instance).  It
@@ -74,16 +74,6 @@ class Support:
     lo: float
     hi: float
 
-    @property
-    def kind(self) -> str:
-        if self.lo == -math.inf and self.hi == math.inf:
-            return "(-inf,+inf)"
-        if self.lo == -math.inf:
-            return "(-inf,0)" if self.hi == 0 else f"(-inf,{self.hi})"
-        if self.hi == math.inf:
-            return "(0,+inf)" if self.lo == 0 else f"({self.lo},+inf)"
-        return f"bounded({self.lo},{self.hi})"
-
 
 def _positive(x):
     """Element-wise 0 < x < inf."""
@@ -139,9 +129,6 @@ class DistributionModel:
     def support(self) -> Support:
         raise NotImplementedError
 
-    def mean(self) -> float:
-        raise NotImplementedError
-
     def scaled_by_power_of_ten(self, m: int, subset=None) -> "DistributionModel":
         """Return the model with parameters multiplied by 10**m.
 
@@ -190,9 +177,6 @@ class Uniform(DistributionModel):
     def support(self):
         return Support(self.a, self.b)
 
-    def mean(self):
-        return 0.5 * (self.a + self.b)
-
 
 @dataclass(frozen=True)
 class Normal(DistributionModel):
@@ -215,9 +199,6 @@ class Normal(DistributionModel):
     def support(self):
         return Support(-math.inf, math.inf)
 
-    def mean(self):
-        return self.mu
-
 
 @dataclass(frozen=True)
 class OriginNormal(DistributionModel):
@@ -238,9 +219,6 @@ class OriginNormal(DistributionModel):
 
     def support(self):
         return Support(-math.inf, math.inf)
-
-    def mean(self):
-        return 0.0
 
 
 class _ExponentialBase(DistributionModel):
@@ -268,9 +246,6 @@ class _ExponentialBase(DistributionModel):
 
     def support(self):
         return Support(0.0, math.inf)
-
-    def mean(self):
-        return self._scale(self.rho)
 
 
 @dataclass(frozen=True)
@@ -369,9 +344,6 @@ class GeneralizedExp1(DistributionModel):
     def support(self):
         return Support(self.mu, math.inf)
 
-    def mean(self):
-        return self.mu + 1.0 / self.rho
-
 
 @dataclass(frozen=True)
 class GeneralizedExp2(DistributionModel):
@@ -396,9 +368,6 @@ class GeneralizedExp2(DistributionModel):
 
     def support(self):
         return Support(self.mu, math.inf)
-
-    def mean(self):
-        return self.mu + self.rho
 
 
 @dataclass(frozen=True)
@@ -430,9 +399,6 @@ class Gamma(DistributionModel):
 
     def support(self):
         return Support(0.0, math.inf)
-
-    def mean(self):
-        return self.k * self.theta
 
 
 @dataclass(frozen=True)
@@ -466,9 +432,6 @@ class Weibull(DistributionModel):
     def support(self):
         return Support(0.0, math.inf)
 
-    def mean(self):
-        return self.lam * math.gamma(1.0 + 1.0 / self.k)
-
 
 @dataclass(frozen=True)
 class Rayleigh(DistributionModel):
@@ -493,9 +456,6 @@ class Rayleigh(DistributionModel):
 
     def support(self):
         return Support(0.0, math.inf)
-
-    def mean(self):
-        return self.sigma * math.sqrt(math.pi / 2.0)
 
 
 @dataclass(frozen=True)
@@ -525,9 +485,6 @@ class Wald(DistributionModel):
     def support(self):
         return Support(0.0, math.inf)
 
-    def mean(self):
-        return self.mu
-
 
 @dataclass(frozen=True)
 class LogNormal(DistributionModel):
@@ -553,13 +510,9 @@ class LogNormal(DistributionModel):
     def support(self):
         return Support(0.0, math.inf)
 
-    def mean(self):
-        return math.exp(self.location + 0.5 * self.shape**2)
-
 
 # ---------------------------------------------------------------------------
-# the two special functions the families need: Wright omega (Gompertz
-# quantile) and the harmonic number H_a = psi(a + 1) - psi(1) (GuptaKundu mean)
+# the special function the families need: Wright omega (Gompertz quantile)
 
 # elements per pass of the Gompertz quantile (Gompertz.draw): its dozen temporaries stay
 # this long, and in cache.  One pass per 2^15-row chain buffer raised the 1e6-draw
@@ -624,47 +577,12 @@ def _wright_omega(z):
         return np.where(z < -37.0, p, np.where(z > 1e20, z, w))
 
 
-# B_2k / 2k for k = 1..10: the terms B_2k / (2k a^2k) of the asymptotic series
-# of the digamma function (Abramowitz & Stegun 6.3.18)
-_PSI_SERIES = (1.0 / 12.0, -1.0 / 120.0, 1.0 / 252.0, -1.0 / 240.0, 1.0 / 132.0,
-               -691.0 / 32760.0, 1.0 / 12.0, -3617.0 / 8160.0, 43867.0 / 14364.0,
-               -174611.0 / 6600.0)
-_EULER_GAMMA = 0.57721566490153286061
-_PSI_FROM = 8  # the series is used from here up; its first dropped term is 4e-18 at 8
-
-
-def _harmonic(a: float) -> float:
-    """H_a = psi(a + 1) - psi(1) for real a > 0.
-
-    From a >= 8: H_a = ln a + gamma + 1/(2a) - sum B_2k / (2k a^2k) (A&S
-    6.3.18 with 6.3.5).  Below, the upward recurrence (A&S 6.3.5) gives H_a
-    = sum_{k=1}^{8} a / (k (k + a)) + (H_{a+8} - H_8).  The difference of
-    the two series at a + 8 and 8 is then taken term by term, with log1p
-    and expm1, so that no term cancels.  Small a keeps its full relative
-    precision: H_a ~ (pi^2 / 6) a.
-    """
-    if a >= _PSI_FROM:
-        t = 1.0 / (a * a)
-        series = 0.0
-        for c in reversed(_PSI_SERIES):
-            series = (series + c) * t
-        return math.log(a) + _EULER_GAMMA + 0.5 / a - series
-    n = _PSI_FROM
-    head = math.fsum(a / (k * (k + a)) for k in range(1, n + 1))
-    log_ratio = math.log1p(a / n)  # ln((a + n) / n)
-    tail = log_ratio - a / (2.0 * n * (a + n)) - math.fsum(
-        c * n ** (-2 * k) * math.expm1(-2 * k * log_ratio)
-        for k, c in enumerate(_PSI_SERIES, start=1))
-    return head + tail
-
-
 @dataclass(frozen=True)
 class Gompertz(DistributionModel):
     """pdf b e^{-bx} e^{-eta e^{-bx}} [1 + eta (1 - e^{-bx})] on (0, +inf).
 
     The CDF works out to F(x) = (1 - e^{-bx}) exp(-eta e^{-bx}); sampling
-    inverts it in closed form (see quantile).  The mean has no closed form
-    and is integrated numerically.
+    inverts it in closed form (see quantile).
     """
 
     b: float
@@ -680,12 +598,6 @@ class Gompertz(DistributionModel):
             return 0.0
         u = math.exp(-self.b * x)
         return self.b * u * math.exp(-self.eta * u) * (1.0 + self.eta * (1.0 - u))
-
-    def cdf(self, x):
-        x = np.asarray(x, dtype=float)
-        u = np.exp(-self.b * np.clip(x, 0.0, None))
-        out = (1.0 - u) * np.exp(-self.eta * u)
-        return np.where(x <= 0, 0.0, out)
 
     @staticmethod
     def quantile(p, b, eta):
@@ -725,13 +637,6 @@ class Gompertz(DistributionModel):
     def support(self):
         return Support(0.0, math.inf)
 
-    def mean(self):
-        """Mean of Gompertz(1, eta), integrated over [0, 40], divided by b (X = Y / b)."""
-        from .analytic import quad
-
-        unit = Gompertz(1.0, self.eta)
-        return quad(lambda y: y * unit.pdf(y), 0.0, 40.0, 1e-12)[0] / self.b
-
 
 @dataclass(frozen=True)
 class Nakagami(DistributionModel):
@@ -764,10 +669,6 @@ class Nakagami(DistributionModel):
     def support(self):
         return Support(0.0, math.inf)
 
-    def mean(self):
-        m, w = self.mu, self.omega
-        return math.exp(math.lgamma(m + 0.5) - math.lgamma(m)) * math.sqrt(w / m)
-
 
 @dataclass(frozen=True)
 class GuptaKundu(DistributionModel):
@@ -799,9 +700,6 @@ class GuptaKundu(DistributionModel):
     def support(self):
         return Support(0.0, math.inf)
 
-    def mean(self):
-        return _harmonic(self.alpha) / self.lam
-
 
 @dataclass(frozen=True)
 class Pareto(DistributionModel):
@@ -826,11 +724,6 @@ class Pareto(DistributionModel):
 
     def support(self):
         return Support(self.a, math.inf)
-
-    def mean(self):
-        if self.theta <= 1.0:
-            return math.inf
-        return self.a * self.theta / (self.theta - 1.0)
 
 
 @dataclass(frozen=True)
@@ -858,9 +751,6 @@ class FisherTippett(DistributionModel):
     def support(self):
         return Support(-math.inf, math.inf)
 
-    def mean(self):
-        return self.mu + 0.5772156649015329 * self.lam
-
 
 @dataclass(frozen=True)
 class Logistic(DistributionModel):
@@ -883,9 +773,6 @@ class Logistic(DistributionModel):
     def support(self):
         return Support(-math.inf, math.inf)
 
-    def mean(self):
-        return self.mu
-
 
 @dataclass(frozen=True)
 class CauchyLorentz(DistributionModel):
@@ -907,10 +794,6 @@ class CauchyLorentz(DistributionModel):
 
     def support(self):
         return Support(-math.inf, math.inf)
-
-    def mean(self):
-        # Undefined in the strict sense; reported as the infinite marker.
-        return math.inf
 
 
 @dataclass(frozen=True)
@@ -938,9 +821,6 @@ class ChiSqr(DistributionModel):
 
     def support(self):
         return Support(0.0, math.inf)
-
-    def mean(self):
-        return float(self.dof)
 
 
 @dataclass(frozen=True)
@@ -983,9 +863,6 @@ class Triangular(DistributionModel):
 
     def support(self):
         return Support(self.a, self.b)
-
-    def mean(self):
-        return (self.a + self.m + self.b) / 3.0
 
 
 @dataclass(frozen=True)
@@ -1039,13 +916,6 @@ class PowerLaw(DistributionModel):
     def support(self):
         return Support(self.lo, self.hi)
 
-    def mean(self):
-        k = self.k
-        if self.m == 2.0:
-            return k * math.log(self.hi / self.lo)
-        q = 2.0 - self.m
-        return k * (self.hi**q - self.lo**q) / q
-
 
 @dataclass(frozen=True)
 class Die(DistributionModel):
@@ -1068,9 +938,6 @@ class Die(DistributionModel):
 
     def support(self):
         return Support(1.0, float(self.faces))
-
-    def mean(self):
-        return (self.faces + 1) / 2.0
 
 
 FAMILIES: dict[str, type] = {

@@ -536,7 +536,9 @@ class TestChunkedStream:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 40 * 2**20, peak / 2**20
+        # the traced peak is 1.97 MiB (CPython 3.11, numpy 2.4): one buffer of
+        # draws and its tally; the bound is about twice that
+        assert peak <= 4 * 2**20, peak / 2**20
 
     @pytest.mark.parametrize("workers", [0, -1, 10**6])
     def test_workers_out_of_range_refused_before_any_thread(self, workers, monkeypatch):

@@ -1,8 +1,17 @@
-"""Every top-level def, class and constant of src/digitlab is read somewhere.
+"""Every top-level def, class and constant of src/digitlab is read somewhere,
+and so is every method of its classes.
 
 A name counts as read where src/, tests/ or bench/ load it as a name, an
 attribute or an import, outside its own definition (a recursive call or a
 store does not count).  Dunder names are hooks Python itself reads.
+
+A method counts as read where src/ or bench/ load its name outside its own
+body (a test's call does not count), where it overrides a base method that
+is read, or where the README names its class as library API.  The check goes
+by name, not by type: any load of the same name counts.  So numpy's
+``.mean()`` in bench/refs.py would hide an unread ``mean`` method, argparse's
+``args.kind`` an unread ``kind``, and an analytic spec's ``spec.cdf`` an
+unread ``cdf``; the last test below keeps those three out by hand.
 """
 
 import ast
@@ -10,6 +19,8 @@ import importlib
 import re
 import shutil
 from pathlib import Path
+
+from digitlab.distributions import Gompertz
 
 _ROOT = Path(__file__).resolve().parents[1]
 
@@ -72,6 +83,85 @@ def test_check_sees_an_unread_name(tmp_path):
                       + "\n\n_ORPHAN = 1\n")
     unread = _unread(package, [tmp_path / "src", _ROOT / "tests", _ROOT / "bench"])
     assert unread == ["digits.py:_orphan", "digits.py:_ORPHAN"]
+
+
+def _library_classes(readme: str) -> set[str]:
+    """Classes of each `Class.method` in the README's "Library API" paragraph."""
+    section = readme.split("\n## Library quick start\n", 1)[1].split("\n## ", 1)[0]
+    paragraph = next(p for p in section.split("\n\n") if p.startswith("Library API"))
+    return set(re.findall(r"`([A-Z]\w*)\.\w+`", paragraph))
+
+
+def _unread_methods(package: Path, trees: list[Path], library: set[str]) -> list[str]:
+    reads = _reads(sorted({p.resolve() for tree in trees for p in tree.rglob("*.py")}))
+    classes = {}  # class name -> (path, {method name: node}, base names)
+    for path in sorted(package.resolve().glob("*.py")):
+        for cls in ast.parse(path.read_text(), str(path)).body:
+            if isinstance(cls, ast.ClassDef):
+                methods = {n.name: n for n in cls.body
+                           if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))}
+                bases = [b.id for b in cls.bases if isinstance(b, ast.Name)]
+                classes[cls.name] = (path, methods, bases)
+
+    def read(cls: str, name: str) -> bool:
+        if cls not in classes:
+            return False
+        path, methods, bases = classes[cls]
+        node = methods.get(name)
+        if node is not None:
+            own = range(node.lineno, node.end_lineno + 1)
+            if cls in library or any(p != path or line not in own for p, line in reads.get(name, [])):
+                return True
+        return any(read(base, name) for base in bases)  # the base method it overrides
+
+    return [f"{path.name}:{cls}.{name}" for cls, (path, methods, _) in classes.items()
+            for name in methods if not name.startswith("__") and not read(cls, name)]
+
+
+def test_every_method_is_read():
+    library = _library_classes((_ROOT / "README.md").read_text())
+    assert _unread_methods(_ROOT / "src" / "digitlab", [_ROOT / "src", _ROOT / "bench"], library) == []
+
+
+def test_method_check_sees_an_unread_method(tmp_path):
+    # positive control: a method that only calls itself and one that only a
+    # test calls are flagged; an override of a read method is not
+    package = tmp_path / "src" / "digitlab"
+    shutil.copytree(_ROOT / "src" / "digitlab", package,
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    module = package / "distributions.py"
+    module.write_text(module.read_text().replace(
+        "    lo: float\n    hi: float\n",
+        "    lo: float\n    hi: float\n\n"
+        "    def _self_only(self, n):\n        return self._self_only(n - 1) if n else 0\n\n"
+        "    def tested_only(self):\n        return self.lo\n", 1))
+    (package / "analytic.py").write_text((package / "analytic.py").read_text()
+                                         + "\n\nclass _Shifted(UniformLog):\n"
+                                           "    def translated(self, offset):\n        return self\n")
+    (tmp_path / "tests").mkdir()
+    (tmp_path / "tests" / "test_planted.py").write_text(
+        "from digitlab.distributions import Support\n\n\n"
+        "def test_planted():\n    assert Support(0.0, 1.0).tested_only() == 0.0\n")
+    library = _library_classes((_ROOT / "README.md").read_text())
+    unread = _unread_methods(package, [tmp_path / "src", _ROOT / "bench"], library)
+    assert unread == ["distributions.py:Support._self_only", "distributions.py:Support.tested_only"]
+    # the README's library classes are all that keeps the methods only tests call
+    assert sorted(_unread_methods(package, [tmp_path / "src", _ROOT / "bench"], set())) == [
+        "analytic.py:DecadeDecomposition.overall", "analytic.py:SemiCircularLog.translated",
+        "analytic.py:TriangularLog.translated", "analytic.py:UniformLog.translated",
+        "analytic.py:_Shifted.translated", "digits.py:Significand.reconstruct",
+        "distributions.py:Support._self_only", "distributions.py:Support.tested_only",
+        "growth.py:AnomalyRecord.first_power_of_ten_factor"]
+
+
+def test_no_mean_api_and_no_second_harmonic_number():
+    # the method check cannot see these names, which other objects load
+    # (numpy's mean, argparse's kind, the analytic specs' cdf)
+    pattern = re.compile(r"def mean|_harmonic\b|_PSI_|_EULER_GAMMA|def kind")
+    hits = [f"{path.name}:{i}" for path in sorted((_ROOT / "src").rglob("*.py"))
+            for i, line in enumerate(path.read_text().splitlines(), 1) if pattern.search(line)]
+    assert hits == []
+    assert not hasattr(Gompertz, "cdf")
 
 
 def _cap_table(readme: str) -> dict[str, str]:

@@ -1,8 +1,8 @@
-"""Tests for the in-house special functions behind Gompertz and GuptaKundu.
+"""Tests for the in-house special function behind Gompertz: Wright omega.
 
 The module imports no scipy: the Wright omega properties and the exact
-oracle below run on numpy and the decimal module alone.  The scipy oracles
-import ``scipy.special`` inside the test.
+oracle below run on numpy and the decimal module alone.  The scipy oracle
+imports ``scipy.special`` inside the test.
 """
 
 import math
@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from digitlab.distributions import _harmonic, _wright_omega
+from digitlab.distributions import _wright_omega
 
 # every z that Gompertz.quantile reaches is ln eta + ln p + eta, eta and p
 # doubles in (0, 1.8e308] and (0, 1): from 2 ln(5e-324) = -1489.3 up to 1.8e308
@@ -112,23 +112,3 @@ class TestWrightOmega:
         exact = [_omega_exact(z) for z in OMEGA_GRID[apart]]
         nearer = _ulps(ours[apart], exact) < _ulps(theirs[apart], exact)
         assert np.all(nearer), OMEGA_GRID[apart][~nearer]
-
-
-class TestHarmonic:
-    ALPHAS = np.concatenate([np.logspace(-300, 300, 601), np.arange(0.25, 20.0, 0.25)])
-
-    def test_agrees_with_scipy_digamma(self):
-        from scipy import special
-
-        for a in self.ALPHAS:
-            if a >= 0.5:
-                ref = special.digamma(a + 1.0) - special.digamma(1.0)
-            else:  # psi(1 + a) - psi(1) = sum_k (-1)^(k+1) zeta(k + 1) a^k, no cancellation
-                k = np.arange(1, 61)
-                ref = math.fsum((-1.0) ** (k + 1) * special.zeta(k + 1.0) * a**k)
-            assert _harmonic(float(a)) == pytest.approx(ref, rel=1e-15, abs=0.0), a
-
-    def test_integers_are_harmonic_numbers(self):
-        for n in (1, 2, 7, 8, 9, 100):
-            exact = math.fsum(1.0 / k for k in range(1, n + 1))
-            assert _harmonic(float(n)) == pytest.approx(exact, rel=2e-16, abs=0.0)
