@@ -706,9 +706,14 @@ def preset(name: str, **kwargs):
     mini_hill           - equal-weight six-component mixture.
     rayleigh_cycles     - Rayleigh(Uniform(0, Exponential(...))) cycles.
     table8_chain        - Normal(Uniform(0, ChiSqr(Die(6))), Uniform(0, 2)).
-    A depth or cycle count that nests more than _MAX_DEPTH levels is refused.
+    A keyword its preset does not take, and a depth or cycle count that nests
+    more than _MAX_DEPTH levels, are refused.
     """
     key = name.lower().replace("-", "_")
+    takes = {"flehinger": {"depth", "m"}, "rayleigh_cycles": {"cycles"}}.get(key, set())
+    extra = sorted(set(kwargs) - takes)
+    if extra:
+        raise BadParamsError(f"preset {name!r} takes no {', '.join(extra)}")
     if key == "flehinger":
         depth = int(kwargs.get("depth", 4))
         m = float(kwargs.get("m", 1e5))

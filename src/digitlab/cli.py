@@ -1,6 +1,7 @@
 """Command-line interface: dataset ingestion and subcommand dispatch.
 
-One binary, one subcommand per module family:
+One binary, one subcommand per module family; scheme, analytic and growth
+take a case, and each case takes only the flags it reads:
 
     digitlab analyze   <file> [--format csv --column amount ...]
     digitlab chain     --spec 'Uniform(0, Uniform(0, 1e5))' --n 100000
@@ -47,24 +48,16 @@ EXIT_USAGE = 2
 # glibc serves each allocation of 128 KiB or more from its own mmap, unmapped on
 # free, and gives back the heap top once 128 KiB of it is free: the blocks a growth
 # scan or a chain allocates and frees over and over then fault in page by page each
-# time.  The thresholds below keep freed memory in the process.  Measured by wait4 on
-# 2 vCPUs, the benchmark's 14,901-rate scan went from 93.7k minor faults and 0.70 s
-# to 7.1k and 0.52 s, and a 3e6-draw flehinger chain from 60.0k faults and 0.67 s to
-# 6.4k and 0.55 s, its peak RSS within 0.5 MB.  Any pair above the largest block
-# churned (a chain's 256 KiB buffer arrays) does as well: 1 MiB / 32 MiB and
-# 4 MiB / 8 MiB measured the same faults and times within noise.
+# time.  The thresholds below keep freed memory in the process; any pair above the
+# largest block churned (a chain's 256 KiB buffer arrays) does as well.  glibc also
+# gives each thread that allocates an arena of its own, whose free memory no other
+# thread can use: one arena serves all threads.  main() makes the call once the
+# arguments parse and before a command loads numpy, so numpy's own import allocations
+# fall under these settings too.  The README's "Memory" section has the measurements.
 _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD, _M_ARENA_MAX = -1, -3, -8  # mallopt parameters, as in malloc.h
 _MMAP_THRESHOLD = 64 << 20
 _TRIM_THRESHOLD = 256 << 20
-# glibc gives each thread that allocates an arena of its own, and the memory one
-# arena keeps free no other thread can use.  With one arena for all threads, a
-# 2e6-draw chain on 2 threads peaked at 42.3 MB against 43.6 MB, and on 4 threads
-# at 45.9 MB against 47.9 MB, its wall time within noise (wait4, 9 alternating runs)
 _ARENA_MAX = 1
-# main() makes the call once the arguments parse and before a command loads numpy, so
-# numpy's own import allocations fall under these settings too.  The order was measured:
-# against loading numpy first, the 12 benchmark commands peaked 0.0 to 0.4 MB higher,
-# their wall times within noise (wait4, 7 alternating runs)
 
 
 def _keep_freed_memory() -> None:
@@ -112,13 +105,11 @@ def _manifest(args: argparse.Namespace) -> dict:
 
 
 def _emit(args, payload: dict, table: str) -> None:
-    if not getattr(args, "quiet", False):
+    if not args.quiet:
         print(table)
-    if getattr(args, "json", None):
-        payload = dict(payload)
-        payload["manifest"] = _manifest(args)
+    if args.json:
         with open(args.json, "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
+            json.dump({**payload, "manifest": _manifest(args)}, fh, indent=2, sort_keys=True)
 
 
 def _write_csv(path: str, header: list[str], rows) -> None:
@@ -240,7 +231,10 @@ def cmd_analyze(args) -> None:
     from . import conformity
     from .digits import benford_first
 
-    values, malformed = ingest(args.path, args.format, args.column or args.field)
+    for flag, value, fmt in (("--column", args.column, "csv"), ("--field", args.field, "jsonl")):
+        if value is not None and args.format != fmt:
+            raise BadParamsError(f"{flag}: only with --format {fmt}")
+    values, malformed = ingest(args.path, args.format, args.column if args.format == "csv" else args.field)
     if args.min_magnitude is not None:
         values = values[np.abs(values) >= args.min_magnitude]
     if values.size == 0 or not np.any(values != 0):
@@ -276,17 +270,11 @@ def cmd_analyze(args) -> None:
 def cmd_chain(args) -> None:
     from . import chains
 
-    if args.preset:
-        kw = {}
-        if args.depth is not None:
-            kw["depth"] = args.depth
-        if args.m is not None:
-            kw["m"] = args.m
-        if args.cycles is not None:
-            kw["cycles"] = args.cycles
-        spec = chains.preset(args.preset, **kw)
-    else:
-        spec = chains.parse_chain(args.spec)
+    kw = {k: v for k, v in (("depth", args.depth), ("m", args.m), ("cycles", args.cycles))
+          if v is not None}
+    if args.preset is None and kw:
+        raise BadParamsError(f"--{', --'.join(kw)}: only with --preset")
+    spec = chains.preset(args.preset, **kw) if args.preset else chains.parse_chain(args.spec)
     policy = chains.ResamplePolicy(max_attempts=args.max_attempts, on_exhaustion=args.on_exhaustion)
     res = chains.simulate_chain(
         spec, args.n, seed=args.seed, policy=policy,
@@ -311,9 +299,9 @@ def cmd_chain(args) -> None:
 def cmd_scheme(args) -> None:
     from . import schemes
 
-    if args.kind == "simple":
+    if args.case == "simple":
         res = schemes.simple_scheme(args.lb, args.ub_min, args.ub_max)
-    elif args.kind == "iterated":
+    elif args.case == "iterated":
         res = schemes.iterated_scheme(args.lb, args.inner_min, args.top, args.depth, mid_min=args.mid_min)
     else:  # twist
         res = schemes.benford_twist_scheme(args.rate, args.start, args.end, lb=args.lb)
@@ -364,7 +352,7 @@ def cmd_analytic(args) -> None:
 def cmd_growth(args) -> None:
     from . import growth
 
-    if args.sub == "series":
+    if args.case == "series":
         series = growth.GrowthSeries(base=args.base, percent=args.rate, length=args.n)
         dist, chi = growth.series_ld(series)
         rec = growth.detect_anomalous(args.rate, args.t_max)
@@ -374,7 +362,7 @@ def cmd_growth(args) -> None:
                    "anomaly": {"L": rec.L, "T": rec.T} if rec else None,
                    "ld_probs": {str(d): dist.probs[d] for d in range(1, 10)}}
         _emit(args, payload, _ld_table(dist.probs, extra))
-    elif args.sub == "anomalies":
+    elif args.case == "anomalies":
         recs = growth.enumerate_anomalous([args.l], (1, args.t_max))
         rows = [(r.L, r.T, float(r.fraction), round(r.percent, 4)) for r in recs]
         table = "L  T  fraction  percent\n" + "\n".join(
@@ -382,12 +370,11 @@ def cmd_growth(args) -> None:
         if args.csv:
             _write_csv(args.csv, ["L", "T", "fraction", "percent"], rows)
         _emit(args, {"schema_version": 1, "anomalies": rows}, table)
-    elif args.sub == "scan":
+    elif args.case == "scan":
         cells = growth.rate_scan(args.lo, args.hi, args.step, args.n, args.base, args.t_max)
-        csv_text = growth.scan_to_csv(cells)
         if args.csv:
             with open(args.csv, "w") as fh:
-                fh.write(csv_text)
+                fh.write(growth.scan_to_csv(cells))
         spikes = sum(1 for c in cells if c.chi_sqr > 50)
         flagged = sum(1 for c in cells if c.anomaly is not None)
         table = f"scanned {len(cells)} rates; chi>50 spikes: {spikes}; flagged rational: {flagged}"
@@ -408,6 +395,9 @@ def cmd_invariance(args) -> None:
     from . import chains
     from .distributions import family_by_name
 
+    sampling = {k: v for k, v in (("n", args.n), ("seed", args.seed)) if v is not None}
+    if sampling and args.mode != "montecarlo":
+        raise BadParamsError(f"--{', --'.join(sampling)}: only with --mode montecarlo")
     cls = family_by_name(args.family)
     params = fields(cls)
     if len(args.params) != len(params):
@@ -419,7 +409,7 @@ def cmd_invariance(args) -> None:
     if args.scale_only:
         subset = [model.pot_scale_params[0] if model.pot_scale_params else params[0].name]
     diff = chains.power_of_ten_invariance_check(model, args.m, mode=args.mode, subset=subset,
-                                                n=args.n, seed=args.seed)
+                                                **sampling)
     table = (f"family {args.family} params {args.params} scaled by 10^{args.m} "
              f"({args.mode}): max per-digit LD difference = {diff:.3e}")
     _emit(args, {"schema_version": 1, "family": args.family, "params": list(args.params),
@@ -455,6 +445,18 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--json", metavar="PATH", default=None)
         sp.add_argument("--quiet", action="store_true")
 
+    # a command with one subparser per case; each flag names the cases whose branch reads
+    # it, and only they take it.  Flags match exactly, so that --r cannot abbreviate --radius
+    def cases(command: str, summary: str, fn, names: str, flags: dict):
+        sp = sub.add_parser(command, help=summary).add_subparsers(dest="case", required=True)
+        for case in names.split():
+            leaf = sp.add_parser(case, allow_abbrev=False)
+            for flag, (readers, kwargs) in flags.items():
+                if case in readers.split():
+                    leaf.add_argument(flag, **kwargs)
+            common(leaf)
+            leaf.set_defaults(fn=fn)
+
     sp = sub.add_parser("analyze", help="conformity report for a dataset file")
     sp.add_argument("path")
     sp.add_argument("--format", choices=("plain", "csv", "jsonl"), default="plain")
@@ -482,57 +484,50 @@ def build_parser() -> argparse.ArgumentParser:
     common(sp)
     sp.set_defaults(fn=cmd_chain)
 
-    sp = sub.add_parser("scheme", help="deterministic averaging schemes")
-    sp.add_argument("kind", choices=("simple", "iterated", "twist"))
-    sp.add_argument("--lb", type=int, default=1)
-    sp.add_argument("--ub-min", type=int, default=1)
-    sp.add_argument("--ub-max", type=int, default=9999)
-    sp.add_argument("--depth", type=int, default=2)
-    sp.add_argument("--inner-min", type=int, default=1)
-    sp.add_argument("--mid-min", type=int, default=None)
-    sp.add_argument("--top", type=_top_range, default="1:9999", help="top range as lo:hi")
-    sp.add_argument("--rate", type=float, default=2.0, help="twist growth percent")
-    sp.add_argument("--start", type=int, default=99)
-    sp.add_argument("--end", type=int, default=999)
-    common(sp)
-    sp.set_defaults(fn=cmd_scheme)
+    cases("scheme", "deterministic averaging schemes", cmd_scheme, "simple iterated twist", {
+        "--lb": ("simple iterated twist", dict(type=int, default=1)),
+        "--ub-min": ("simple", dict(type=int, default=1)),
+        "--ub-max": ("simple", dict(type=int, default=9999)),
+        "--depth": ("iterated", dict(type=int, default=2)),
+        "--inner-min": ("iterated", dict(type=int, default=1)),
+        "--mid-min": ("iterated", dict(type=int, default=None)),
+        "--top": ("iterated", dict(type=_top_range, default="1:9999", help="top range as lo:hi")),
+        "--rate": ("twist", dict(type=float, default=2.0, help="twist growth percent")),
+        "--start": ("twist", dict(type=int, default=99)),
+        "--end": ("twist", dict(type=int, default=999)),
+    })
 
-    sp = sub.add_parser("analytic", help="exact LD of analytic densities")
-    sp.add_argument("case", choices=("kx", "power-law", "exponential", "ten-to-uniform",
-                                     "ten-to-triangular", "ten-to-semicircle", "shifted-kx",
-                                     "mixed-sign-kx", "ratio-uniforms"))
-    sp.add_argument("--s", type=float, default=0.0)
-    sp.add_argument("--g", type=float, default=3.0)
-    sp.add_argument("--m", type=float, default=1.0)
-    sp.add_argument("--lo", type=float, default=1.0)
-    sp.add_argument("--hi", type=float, default=1000.0)
-    sp.add_argument("--p", type=float, default=1.0)
-    sp.add_argument("--r", type=float, default=0.0)
-    sp.add_argument("--a", type=float, default=0.0)
-    sp.add_argument("--b", type=float, default=3.0)
-    sp.add_argument("--mode", dest="mode", type=float, default=1.5,
-                    help="triangular apex position")
-    sp.add_argument("--center", type=float, default=11.0)
-    sp.add_argument("--radius", type=float, default=1.0)
-    sp.add_argument("--bins", type=int, default=100)
-    sp.add_argument("--csv", metavar="PATH", default=None)
-    common(sp)
-    sp.set_defaults(fn=cmd_analytic)
+    cases("analytic", "exact LD of analytic densities", cmd_analytic,
+          "kx power-law exponential ten-to-uniform ten-to-triangular ten-to-semicircle "
+          "shifted-kx mixed-sign-kx ratio-uniforms", {
+        "--s": ("kx ten-to-uniform", dict(type=float, default=0.0)),
+        "--g": ("kx", dict(type=float, default=3.0)),
+        "--m": ("power-law", dict(type=float, default=1.0)),
+        "--lo": ("power-law", dict(type=float, default=1.0)),
+        "--hi": ("power-law", dict(type=float, default=1000.0)),
+        "--p": ("exponential", dict(type=float, default=1.0)),
+        "--r": ("ten-to-uniform", dict(type=float, default=0.0)),
+        "--a": ("ten-to-triangular", dict(type=float, default=0.0)),
+        "--b": ("ten-to-triangular", dict(type=float, default=3.0)),
+        "--mode": ("ten-to-triangular", dict(type=float, default=1.5, help="triangular apex position")),
+        "--center": ("ten-to-semicircle", dict(type=float, default=11.0)),
+        "--radius": ("ten-to-semicircle", dict(type=float, default=1.0)),
+        "--bins": ("ten-to-uniform ten-to-triangular ten-to-semicircle", dict(type=int, default=100)),
+        "--csv": ("ten-to-uniform ten-to-triangular ten-to-semicircle", dict(metavar="PATH", default=None)),
+    })
 
-    sp = sub.add_parser("growth", help="exponential growth series tools")
-    sp.add_argument("sub", choices=("series", "anomalies", "scan", "factors"))
-    sp.add_argument("--rate", type=float, default=10.0)
-    sp.add_argument("--base", type=float, default=3.0)
-    sp.add_argument("--n", type=int, default=1000)
-    sp.add_argument("--l", type=int, default=1)
-    sp.add_argument("--t-max", type=int, default=100)
-    sp.add_argument("--lo", type=float, default=1.0)
-    sp.add_argument("--hi", type=float, default=600.0)
-    sp.add_argument("--step", type=float, default=0.01)
-    sp.add_argument("--count", type=int, default=31)
-    sp.add_argument("--csv", metavar="PATH", default=None)
-    common(sp)
-    sp.set_defaults(fn=cmd_growth)
+    cases("growth", "exponential growth series tools", cmd_growth, "series anomalies scan factors", {
+        "--rate": ("series factors", dict(type=float, default=10.0)),
+        "--base": ("series scan", dict(type=float, default=3.0)),
+        "--n": ("series scan", dict(type=int, default=1000)),
+        "--l": ("anomalies", dict(type=int, default=1)),
+        "--t-max": ("series anomalies scan", dict(type=int, default=100)),
+        "--lo": ("scan", dict(type=float, default=1.0)),
+        "--hi": ("scan", dict(type=float, default=600.0)),
+        "--step": ("scan", dict(type=float, default=0.01)),
+        "--count": ("factors", dict(type=int, default=31)),
+        "--csv": ("anomalies scan factors", dict(metavar="PATH", default=None)),
+    })
 
     sp = sub.add_parser("invariance", help="power-of-ten LD invariance check")
     sp.add_argument("--family", required=True)
@@ -541,7 +536,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--mode", choices=("analytic", "montecarlo"), default="analytic")
     sp.add_argument("--scale-only", action="store_true",
                     help="scale only the first form parameter")
-    sp.add_argument("--n", type=int, default=10**6)
+    sp.add_argument("--n", type=int, default=None)
     sp.add_argument("--seed", type=_seed, default=None)
     common(sp)
     sp.set_defaults(fn=cmd_invariance)

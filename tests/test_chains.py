@@ -19,10 +19,8 @@ from digitlab.distributions import (
     GeneralizedExp1,
     GeneralizedExp2,
     Normal,
-    PowerLaw,
     Rayleigh,
     Uniform,
-    Weibull,
 )
 from digitlab.errors import (
     ArityMismatchError,
@@ -719,6 +717,14 @@ class TestPresets:
     def test_unknown_preset(self):
         with pytest.raises(UnknownPresetError):
             chains.preset("nope")
+
+    @pytest.mark.parametrize("name,kwargs", [("mini_hill", {"m": 7}), ("benford_twist", {"depth": 3}),
+                                             ("flehinger", {"depth": 3, "cycles": 2}),
+                                             ("rayleigh_cycles", {"m": 1e5})])
+    def test_keyword_only_with_its_preset(self, name, kwargs):
+        # the keywords were dropped without a word
+        with pytest.raises(BadParamsError, match=f"preset '{name}' takes no"):
+            chains.preset(name, **kwargs)
 
     @pytest.mark.parametrize("name,key,most", [("flehinger", "depth", chains._MAX_DEPTH),
                                                ("rayleigh_cycles", "cycles", chains._MAX_DEPTH // 3)])

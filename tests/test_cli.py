@@ -1,5 +1,6 @@
 """End-to-end tests for the command-line interface."""
 
+import argparse
 import ast
 import contextlib
 import csv
@@ -362,6 +363,66 @@ class TestChain:
         assert sum(json.loads(a.read_text())["ld_counts"].values()) > 9000
 
 
+# the flags each case of scheme, analytic and growth reads, besides --json and --quiet
+_CASE_FLAGS = {
+    "scheme": {"simple": "--lb --ub-min --ub-max",
+               "iterated": "--lb --depth --inner-min --mid-min --top",
+               "twist": "--lb --rate --start --end"},
+    "analytic": {"kx": "--s --g", "power-law": "--m --lo --hi", "exponential": "--p",
+                 "ten-to-uniform": "--r --s --bins --csv",
+                 "ten-to-triangular": "--a --mode --b --bins --csv",
+                 "ten-to-semicircle": "--center --radius --bins --csv",
+                 "shifted-kx": "", "mixed-sign-kx": "", "ratio-uniforms": ""},
+    "growth": {"series": "--rate --base --n --t-max", "anomalies": "--l --t-max --csv",
+               "scan": "--lo --hi --step --n --base --t-max --csv", "factors": "--rate --count --csv"},
+}
+
+
+def _foreign(command: str, case: str) -> list[str]:
+    """The flags a sibling case of the command reads and this one does not."""
+    cases = {c: set(flags.split()) for c, flags in _CASE_FLAGS[command].items()}
+    return sorted(set().union(*cases.values()) - cases[case])
+
+
+_FOREIGN = [(command, case, flag) for command, cases in _CASE_FLAGS.items()
+            for case in cases for flag in _foreign(command, case)]
+
+
+def _subparsers(parser: argparse.ArgumentParser) -> dict:
+    """name -> parser of each subcommand or case of a parser; {} if it has none."""
+    return next((a.choices for a in parser._actions if isinstance(a, argparse._SubParsersAction)), {})
+
+
+def _leaves(parser: argparse.ArgumentParser) -> dict:
+    """(command, case) -> the parser that takes a command's flags; case None where it has no cases."""
+    return {(command, case): leaf for command, sp in _subparsers(parser).items()
+            for case, leaf in (_subparsers(sp).items() or [(None, sp)])}
+
+
+def _flags(parser: argparse.ArgumentParser) -> set[str]:
+    return {opt for a in parser._actions for opt in a.option_strings if opt.startswith("--")}
+
+
+# a flag given out of the mode that reads it, and the error it exits 2 with
+_MODE_FLAGS = [
+    (["chain", "--spec", "Uniform(0,1)", "--n", "10", "--depth", "3", "--cycles", "2"],
+     "--depth, --cycles: only with --preset"),
+    (["chain", "--preset", "mini_hill", "--n", "10", "--m", "7"], "preset 'mini_hill' takes no m"),
+    (["chain", "--preset", "flehinger", "--n", "10", "--cycles", "2"],
+     "preset 'flehinger' takes no cycles"),
+    (["chain", "--preset", "rayleigh_cycles", "--n", "10", "--depth", "2"],
+     "preset 'rayleigh_cycles' takes no depth"),
+    (["analyze", "j.jsonl", "--format", "jsonl", "--column", "v"], "--column: only with --format csv"),
+    (["analyze", "v.csv", "--format", "csv", "--column", "v", "--field", "v"],
+     "--field: only with --format jsonl"),
+    (["analyze", "v.txt", "--column", "v"], "--column: only with --format csv"),
+    (["invariance", "--family", "normal", "--params", "0", "1", "--n", "5", "--seed", "3"],
+     "--n, --seed: only with --mode montecarlo"),
+    (["invariance", "--family", "normal", "--params", "0", "1", "--mode", "analytic", "--seed", "3"],
+     "--seed: only with --mode montecarlo"),
+]
+
+
 class TestFlags:
     @pytest.mark.parametrize("argv", [
         ["scheme", "simple", "--threads", "2"],
@@ -374,6 +435,96 @@ class TestFlags:
     def test_flags_only_where_read(self, argv):
         # --seed, --threads and --csv are rejected by commands that ignore them
         assert main([*argv, "--quiet"]) == EXIT_USAGE
+
+    def test_each_case_takes_the_flags_it_reads(self):
+        leaves = _leaves(cli.build_parser())
+        assert {key: _flags(leaf) - {"--help", "--json", "--quiet"}
+                for key, leaf in leaves.items() if key[1] is not None} == {
+            (command, case): set(flags.split())
+            for command, cases in _CASE_FLAGS.items() for case, flags in cases.items()}
+        assert len(_FOREIGN) == 148
+
+    @pytest.mark.parametrize("command,case,flag", _FOREIGN, ids=[" ".join(row) for row in _FOREIGN])
+    def test_case_rejects_a_siblings_flag(self, command, case, flag, capsys):
+        # each was accepted and ignored: kx --csv wrote no file and exited 0.
+        # Flags match exactly, so --r, --b, --m and --l abbreviate no flag of
+        # ten-to-semicircle, ten-to-uniform, ten-to-triangular or scan
+        assert main([command, case, flag, "1", "--quiet"]) == EXIT_USAGE
+        assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv,message", _MODE_FLAGS, ids=[" ".join(argv) for argv, _ in _MODE_FLAGS])
+    def test_flag_only_with_its_mode(self, argv, message, tmp_path, monkeypatch, capsys):
+        # each exited 0 with the flag ignored
+        monkeypatch.chdir(tmp_path)
+        Path("j.jsonl").write_text('{"v": 12.5}\n{"v": 660}\n')
+        Path("v.csv").write_text("v\n12.5\n660\n")
+        Path("v.txt").write_text("12.5\n660\n")
+        assert main([*argv, "--quiet"]) == EXIT_USAGE
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+
+class _ReadRecorder(argparse.Namespace):
+    """A namespace that records the name of each public attribute read from it."""
+
+    def __init__(self):
+        super().__init__()
+        self._read = set()
+
+    def __getattribute__(self, name):
+        if not name.startswith("_"):
+            object.__getattribute__(self, "_read").add(name)
+        return object.__getattribute__(self, name)
+
+
+def _unread_dests(parser: argparse.ArgumentParser, argv: list[str]) -> set[str]:
+    """The dests of the leaf parser that argv reaches which its command does not read."""
+    args = parser.parse_args(argv, namespace=_ReadRecorder())
+    leaf = _leaves(parser)[(args.command, getattr(args, "case", None))]
+    fn = args.fn
+    args._read.clear()  # argparse reads the namespace as it fills it
+    fn(args)
+    return {a.dest for a in leaf._actions if a.dest != "help"} - args._read
+
+
+# one small, quick argv per leaf
+_READ_ARGV = [
+    ["analyze", "v.csv", "--format", "csv", "--column", "v", "--min-magnitude", "1"],
+    ["chain", "--spec", "Uniform(0,1e5)", "--n", "1000", "--seed", "1", "--samples", "s.txt"],
+    ["scheme", "simple", "--ub-max", "99"],
+    ["scheme", "iterated", "--top", "1:99"],
+    ["scheme", "twist"],
+    *(["analytic", case] for case in _CASE_FLAGS["analytic"] if case != "ten-to-uniform"),
+    ["analytic", "ten-to-uniform", "--s", "1"],  # its default support [0, 0] is empty
+    ["growth", "series"],
+    ["growth", "anomalies", "--t-max", "12"],
+    ["growth", "scan", "--lo", "21.1", "--hi", "21.2"],
+    ["growth", "factors"],
+    ["invariance", "--family", "exponential", "--params", "0.3", "--mode", "montecarlo",
+     "--n", "1000", "--seed", "1", "--scale-only"],
+]
+
+
+class TestEveryFlagIsRead:
+    @pytest.fixture
+    def in_tmp(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        Path("v.csv").write_text("v\n12.5\n660\n")
+
+    def test_argv_reaches_every_leaf(self):
+        parser = cli.build_parser()
+        reached = {(a.command, getattr(a, "case", None)) for a in map(parser.parse_args, _READ_ARGV)}
+        assert reached == set(_leaves(parser))
+
+    @pytest.mark.parametrize("argv", _READ_ARGV, ids=" ".join)
+    def test_command_reads_every_flag_of_its_leaf(self, argv, in_tmp):
+        assert _unread_dests(cli.build_parser(), [*argv, "--json", "out.json"]) == set()
+
+    def test_check_sees_a_flag_no_branch_reads(self, in_tmp):
+        # positive control: a flag planted on one leaf of a parser built here
+        parser = cli.build_parser()
+        _leaves(parser)[("growth", "factors")].add_argument("--planted", type=int, default=0)
+        assert _unread_dests(parser, ["growth", "factors", "--planted", "3"]) == {"planted"}
+        assert _unread_dests(parser, ["growth", "series"]) == set()
 
 
 class TestScheme:
@@ -1078,67 +1229,88 @@ print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
 _EDGE = ("inf", "-inf", "nan", "0", "-0", "5e-324", "1e308", "-1e308", "-1", str(10**12),
          str(10**21), "")
 _NUM = st.sampled_from(_EDGE)
+# for the flags of type int: most values parse, so that most draws reach a command body
+_INT = st.sampled_from(("0", "-1", "1", "2", "7", str(10**12), str(10**21), "1.5", ""))
 _OUTPUT = st.sampled_from(("{out}", "/nonexistent/x"))
 _SPECS = ("Uniform(0,1)", "Uniform(0,1e999)", "Normal(Uniform(-1,1), Uniform(-0.5,2))",
           "Gompertz(Uniform(0,10), 1)", "Rayleigh(Uniform(0, 5e-324))", "Weibull(1)", "Uniform(0,",
           "Nope(1)", "Uniform(0,1))", "", "Uniform(0," * 400 + "1" + ")" * 400)
-_PRESETS = ("flehinger", "benford_twist", "mini_hill", "rayleigh_cycles", "table8_chain")
 _FAMILIES = ("normal", "uniform", "exponential", "gamma", "weibull", "rayleigh", "wald", "lognormal",
              "gompertz", "guptakundu", "pareto", "powerlaw", "chisqr", "die", "triangular", "nope")
 
 
-def _command(positionals, options: dict):
-    """argv strategy: a draw of each positional strategy in order (a list is spliced in),
-    then up to five of the options and the common ones, each written --flag=value so that
-    a value may start with '-'; a None option is a flag without a value."""
-    options = {**options, "--json": _OUTPUT, "--quiet": None}
-
+def _command(leaves: list[tuple]):
+    """argv strategy of one command with leaves of (positionals, options, foreign options).
+    It draws a leaf, then a draw of each positional strategy in order (a list is spliced
+    in), then up to five of the options and the common ones, and, when a draw of 0 to 4
+    is 0, one of the foreign options, a flag the leaf does not take.  Each is written
+    --flag=value so that a value may start with '-'; a None option is a flag without a value."""
     @st.composite
     def draw_argv(draw):
+        positionals, options, foreign = draw(st.sampled_from(leaves))
+        options = {**options, "--json": _OUTPUT, "--quiet": None}
         argv = []
         for p in positionals:
             value = draw(p)
             argv += value if isinstance(value, list) else [value]
-        for flag in draw(st.lists(st.sampled_from(sorted(options)), unique=True, max_size=5)):
-            value = options[flag]
+        flags = draw(st.lists(st.sampled_from(sorted(options)), unique=True, max_size=5))
+        if foreign and draw(st.integers(0, 4)) == 0:
+            flags.append(draw(st.sampled_from(sorted(foreign))))
+        for flag in flags:
+            value = {**options, **foreign}[flag]
             argv.append(flag if value is None else f"{flag}={draw(value)}")
         return argv
 
     return draw_argv()
 
 
+def _split(pool: dict, own) -> tuple[dict, dict]:
+    """The options of a pool that a leaf takes, and the others."""
+    return {f: v for f, v in pool.items() if f in own}, {f: v for f, v in pool.items() if f not in own}
+
+
+def _cases(command: str, pool: dict) -> list[tuple]:
+    """A leaf for each case of the command, its own flags and its siblings' drawn from the pool."""
+    return [([st.just(command), st.just(case)], *_split(pool, flags.split()))
+            for case, flags in _CASE_FLAGS[command].items()]
+
+
+_ANALYZE = {"--column": st.sampled_from(("v", "0", "9", "")), "--field": st.sampled_from(("v", "a.b")),
+            "--min-magnitude": _NUM}
+_CHAIN = {"--depth": _INT, "--m": _NUM, "--cycles": _INT, "--max-attempts": _INT,
+          "--on-exhaustion": st.sampled_from(("skip", "error")), "--samples": _OUTPUT,
+          "--threads": st.sampled_from(("1", "2")), "--seed": _INT}
+_CHAIN_N = st.sampled_from(("--n=-1", "--n=0", "--n=1", "--n=1000", "--n=nan", "--n="))
+# a chain's spec or preset, and the preset flags it takes
+_SELECTORS = [(st.sampled_from([f"--spec={s}" for s in _SPECS]), ()),
+              (st.just("--preset=flehinger"), ("--depth", "--m")),
+              (st.just("--preset=rayleigh_cycles"), ("--cycles",)),
+              (st.sampled_from([f"--preset={p}" for p in ("benford_twist", "mini_hill", "table8_chain")]), ())]
+_PRESET_ONLY = {"--depth", "--m", "--cycles"}
+_INVARIANCE = [st.sampled_from([f"--family={f}" for f in _FAMILIES]),
+               # one value as --params=v, so that it may start with '-'
+               st.lists(_NUM, min_size=1, max_size=3).map(
+                   lambda v: [f"--params={v[0]}"] if len(v) == 1 else ["--params", *v])]
+
 _ARGV = st.one_of(
-    _command([st.just("analyze"), st.sampled_from(("{data}", "{out}", "/nonexistent/x"))],
-             {"--format": st.sampled_from(("plain", "csv", "jsonl")),
-              "--column": st.sampled_from(("v", "0", "9", "")), "--field": st.sampled_from(("v", "a.b")),
-              "--min-magnitude": _NUM}),
-    _command([st.just("chain"),
-              st.sampled_from([f"--spec={s}" for s in _SPECS] + [f"--preset={p}" for p in _PRESETS]),
-              st.sampled_from(("--n=-1", "--n=0", "--n=1", "--n=1000", "--n=nan", "--n="))],
-             {"--depth": _NUM, "--m": _NUM, "--cycles": _NUM, "--max-attempts": _NUM,
-              "--on-exhaustion": st.sampled_from(("skip", "error")), "--samples": _OUTPUT,
-              "--threads": st.sampled_from(("1", "2")), "--seed": _NUM}),
-    _command([st.just("scheme"), st.sampled_from(("simple", "iterated", "twist"))],
-             {**{f: _NUM for f in ("--lb", "--ub-min", "--ub-max", "--depth", "--inner-min",
-                                   "--mid-min", "--rate", "--start", "--end")},
-              "--top": st.builds(lambda lo, hi: f"{lo}:{hi}", _NUM, _NUM)}),
-    _command([st.just("analytic"),
-              st.sampled_from(("kx", "power-law", "exponential", "ten-to-uniform", "ten-to-triangular",
-                               "ten-to-semicircle", "shifted-kx", "mixed-sign-kx", "ratio-uniforms"))],
-             {**{f: _NUM for f in ("--s", "--g", "--m", "--lo", "--hi", "--p", "--r", "--a", "--b",
-                                   "--mode", "--center", "--radius", "--bins")},
-              "--csv": _OUTPUT}),
-    _command([st.just("growth"), st.sampled_from(("series", "anomalies", "scan", "factors"))],
-             {**{f: _NUM for f in ("--rate", "--base", "--n", "--l", "--t-max", "--lo", "--hi",
-                                   "--step", "--count")},
-              "--csv": _OUTPUT}),
-    _command([st.just("invariance"), st.sampled_from([f"--family={f}" for f in _FAMILIES]),
-              # one value as --params=v, so that it may start with '-'
-              st.lists(_NUM, min_size=1, max_size=3).map(
-                  lambda v: [f"--params={v[0]}"] if len(v) == 1 else ["--params", *v]),
-              st.sampled_from(("--n=1000", "--n=0", "--n=-1", f"--n={10**12}", f"--n={10**21}"))],
-             {"--m": _NUM, "--mode": st.sampled_from(("analytic", "montecarlo")), "--scale-only": None,
-              "--seed": _NUM}),
+    _command([([st.just("analyze"), st.sampled_from(("{data}", "{out}", "/nonexistent/x")),
+                st.just(f"--format={fmt}")], *_split(_ANALYZE, ("--min-magnitude", *own)))
+              for fmt, own in (("plain", ()), ("csv", ("--column",)), ("jsonl", ("--field",)))]),
+    _command([([st.just("chain"), selector, _CHAIN_N], *_split(_CHAIN, set(_CHAIN) - _PRESET_ONLY | set(own)))
+              for selector, own in _SELECTORS]),
+    _command(_cases("scheme", {**{f: _INT for f in ("--lb", "--ub-min", "--ub-max", "--depth", "--inner-min",
+                                                    "--mid-min", "--start", "--end")},
+                               "--rate": _NUM, "--top": st.builds(lambda lo, hi: f"{lo}:{hi}", _INT, _INT)})),
+    _command(_cases("analytic", {**{f: _NUM for f in ("--s", "--g", "--m", "--lo", "--hi", "--p", "--r", "--a",
+                                                      "--b", "--mode", "--center", "--radius")},
+                                 "--bins": _INT, "--csv": _OUTPUT})),
+    _command(_cases("growth", {**{f: _NUM for f in ("--rate", "--base", "--lo", "--hi", "--step")},
+                               **{f: _INT for f in ("--n", "--l", "--t-max", "--count")}, "--csv": _OUTPUT})),
+    _command([([st.just("invariance"), *_INVARIANCE, st.sampled_from(([], ["--mode=analytic"]))],
+               {"--m": _INT, "--scale-only": None}, {"--n": st.just("1000"), "--seed": _INT}),
+              ([st.just("invariance"), *_INVARIANCE, st.just("--mode=montecarlo"),
+                st.sampled_from(("--n=1000", "--n=0", "--n=-1", f"--n={10**12}", f"--n={10**21}"))],
+               {"--m": _INT, "--scale-only": None, "--seed": _INT}, {})]),
 )
 
 

@@ -9,9 +9,12 @@ A method counts as read where src/ or bench/ load its name outside its own
 body (a test's call does not count), where it overrides a base method that
 is read, or where the README names its class as library API.  The check goes
 by name, not by type: any load of the same name counts.  So numpy's
-``.mean()`` in bench/refs.py would hide an unread ``mean`` method, argparse's
-``args.kind`` an unread ``kind``, and an analytic spec's ``spec.cdf`` an
-unread ``cdf``; the last test below keeps those three out by hand.
+``.mean()`` in bench/refs.py would hide an unread ``mean`` method, the local
+variables named ``kind`` in chains.py and bench/traced.py an unread ``kind``,
+and an analytic spec's ``spec.cdf`` an unread ``cdf``; the last test below
+keeps those three out by hand.
+
+No module in src/, tests/ or bench/ imports a name it never loads.
 """
 
 import ast
@@ -162,6 +165,38 @@ def test_no_mean_api_and_no_second_harmonic_number():
             for i, line in enumerate(path.read_text().splitlines(), 1) if pattern.search(line)]
     assert hits == []
     assert not hasattr(Gompertz, "cdf")
+
+
+def _unused_imports(paths: list[Path], root: Path) -> list[str]:
+    """'path:name' of each name a module binds by import and never loads; __future__ is exempt."""
+    unused = []
+    for path in paths:
+        tree = ast.parse(path.read_text(), str(path))
+        loaded = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.asname or alias.name.partition(".")[0]  # import a.b binds a
+                    if name not in loaded:
+                        unused.append(f"{path.relative_to(root).as_posix()}:{name}")
+    return unused
+
+
+def test_no_unused_imports():
+    paths = sorted(p for tree in ("src", "tests", "bench") for p in (_ROOT / tree).rglob("*.py"))
+    assert _unused_imports(paths, _ROOT) == []
+
+
+def test_import_check_sees_an_unused_import(tmp_path):
+    # positive control: imports planted in a copy of a module; os (bound by import
+    # os.path) is loaded already and tau is used, sh and half_turn are never loaded
+    module = tmp_path / "cli.py"
+    module.write_text((_ROOT / "src" / "digitlab" / "cli.py").read_text()
+                      + "\nimport os.path\nimport shutil as sh\nfrom math import tau, pi as half_turn\n"
+                      + "\n\ndef _turn():\n    return tau\n")
+    assert _unused_imports([module], tmp_path) == ["cli.py:sh", "cli.py:half_turn"]
 
 
 def _cap_table(readme: str) -> dict[str, str]:
