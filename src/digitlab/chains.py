@@ -62,7 +62,6 @@ __all__ = [
     "chain_depth",
     "simulate_chain",
     "sequential_chisqr",
-    "ChainabilityConfig",
     "ChainabilityResult",
     "chainability_experiment",
     "power_of_ten_invariance_check",
@@ -459,7 +458,7 @@ def _family_nodes_bottom_up(node, path=()):
             yield from _family_nodes_bottom_up(c, path + (i,))
 
 
-def sequential_chisqr(spec, n: int, seed=None, policy: ResamplePolicy = ResamplePolicy()):
+def sequential_chisqr(spec, n: int, seed=None):
     """Chi-square of every subtree simulated as its own chain, bottom-up.
 
     Returns a list of (path, rendered subtree, chi_sqr) where path indexes
@@ -472,7 +471,7 @@ def sequential_chisqr(spec, n: int, seed=None, policy: ResamplePolicy = Resample
     nodes = list(_family_nodes_bottom_up(spec))
     for child_seq, (path, node) in zip(seq.spawn(len(nodes)), nodes):
         rng_seed = child_seq.generate_state(1)[0]
-        res = simulate_chain(node, n, seed=int(rng_seed), policy=policy)
+        res = simulate_chain(node, n, seed=int(rng_seed))
         out.append((path, render_chain(node), res.chi_sqr))
     return out
 
@@ -481,33 +480,23 @@ def sequential_chisqr(spec, n: int, seed=None, policy: ResamplePolicy = Resample
 # chainability experiments (Tables 10-11)
 
 
-@dataclass(frozen=True)
-class ChainabilityConfig:
-    """Operational thresholds for the qualitative BEN / not / NOT labels.
-
-    BEN: chained chi-square (8 dof) below ben_threshold (the 5% critical
-    value at n = 10^4).  NOT: chained chi-square within not_factor of the
-    all-constants baseline (or worse): total indifference.  not: everything
-    between (vigorous response without full convergence).
-
-    not_factor 1.4 is calibrated: across the regression grid the
-    indifferent cells keep at least 0.78 of their baseline chi-square
-    while the vigorous-response cells stay below 0.48 of theirs, so the
-    cutoff sits between the clusters.
-
-    The baseline run uses baseline_n_factor * n draws and its chi-square
-    is rescaled to the n-equivalent (noncentrality scales linearly with
-    sample size), shrinking the comparison denominator's noise.
-    """
-
-    n: int = 10_000
-    ben_threshold: float = 15.5
-    not_factor: float = 1.4
-    baseline_n_factor: int = 10
-
-    def baseline_equivalent(self, chi_raw: float) -> float:
-        dof = 8.0
-        return dof + (chi_raw - dof) / self.baseline_n_factor
+# Operational thresholds of the qualitative BEN / not / NOT labels.  BEN: chained
+# chi-square (8 dof) of _CHAINABILITY_N draws below _BEN_THRESHOLD (the 5% critical
+# value at n = 10^4).  NOT: chained chi-square within _NOT_FACTOR of the all-constants
+# baseline (or worse): total indifference.  not: everything between (vigorous response
+# without full convergence).
+#
+# _NOT_FACTOR 1.4 is calibrated: across the regression grid the indifferent cells keep
+# at least 0.78 of their baseline chi-square while the vigorous-response cells stay
+# below 0.48 of theirs, so the cutoff sits between the clusters.
+#
+# The baseline run uses _BASELINE_N_FACTOR times as many draws and its chi-square is
+# rescaled to the n-equivalent (noncentrality scales linearly with sample size),
+# shrinking the comparison denominator's noise.
+_CHAINABILITY_N = 10_000
+_BEN_THRESHOLD = 15.5
+_NOT_FACTOR = 1.4
+_BASELINE_N_FACTOR = 10
 
 
 @dataclass(frozen=True)
@@ -540,7 +529,6 @@ def chainability_experiment(
     fixed_params: dict,
     chainer=("reciprocal_log", 0.0, 3),
     seed=None,
-    config: ChainabilityConfig = ChainabilityConfig(),
     baseline_values: dict | None = None,
 ) -> ChainabilityResult:
     """Run the 2-sequence chainability test for one (family, param subset).
@@ -579,13 +567,13 @@ def chainability_experiment(
     s_chained, s_base = (int(c.generate_state(1)[0]) for c in seq.spawn(2))
     chained_spec = build(True)
     baseline_spec = build(False)
-    res_chained = simulate_chain(chained_spec, config.n, seed=s_chained)
-    res_base = simulate_chain(baseline_spec, config.n * config.baseline_n_factor, seed=s_base)
-    chi_base = config.baseline_equivalent(res_base.chi_sqr)
+    res_chained = simulate_chain(chained_spec, _CHAINABILITY_N, seed=s_chained)
+    res_base = simulate_chain(baseline_spec, _CHAINABILITY_N * _BASELINE_N_FACTOR, seed=s_base)
+    chi_base = 8.0 + (res_base.chi_sqr - 8.0) / _BASELINE_N_FACTOR
 
-    if res_chained.chi_sqr < config.ben_threshold:
+    if res_chained.chi_sqr < _BEN_THRESHOLD:
         verdict = "BEN"
-    elif res_chained.chi_sqr < chi_base / config.not_factor:
+    elif res_chained.chi_sqr < chi_base / _NOT_FACTOR:
         verdict = "not"
     else:
         verdict = "NOT"
@@ -604,16 +592,11 @@ def chainability_majority(
     fixed_params,
     chainer=("reciprocal_log", 0.0, 3),
     seeds=(1, 2, 3),
-    config: ChainabilityConfig = ChainabilityConfig(),
     baseline_values=None,
 ):
     """Majority-vote verdict over several seeded repetitions."""
-    results = [
-        chainability_experiment(
-            family, chained_params, fixed_params, chainer, seed, config, baseline_values
-        )
-        for seed in seeds
-    ]
+    results = [chainability_experiment(family, chained_params, fixed_params, chainer, seed, baseline_values)
+               for seed in seeds]
     votes: dict[str, int] = {}
     for r in results:
         votes[r.verdict] = votes.get(r.verdict, 0) + 1

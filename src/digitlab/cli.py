@@ -163,11 +163,35 @@ def _convert(items: list[str]):
     return values, items.count("")
 
 
+def _jsonl_fields(lines, path: list[str]):
+    """The text of the field at the dotted path of each nonblank JSONL line: a JSON
+    string as it is, a number as its repr, and '' (malformed) for anything else, a
+    line that is not JSON, or a missing path."""
+    for line in lines:
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            obj = json.loads(line)
+            for key in path:
+                obj = obj[key]
+        except (ValueError, TypeError, KeyError):
+            yield ""
+            continue
+        if isinstance(obj, str):
+            yield obj
+        elif isinstance(obj, (int, float)) and not isinstance(obj, bool):
+            yield repr(obj)
+        else:  # true, false, null, a list or an object
+            yield ""
+
+
 def ingest(path: str, fmt: str, selector: str | None):
     """Read values per the ingest spec; returns (values, n_malformed).
 
-    Plain lines and CSV fields go through _convert a block at a time: a blank
-    plain line is skipped, a blank CSV field or short row is malformed.
+    Plain lines, CSV fields and JSONL fields go through _convert a block at a
+    time: a blank plain or JSONL line is skipped, a blank CSV field, short row or
+    JSONL field that is no number is malformed.
     """
     import numpy as np
 
@@ -191,24 +215,7 @@ def ingest(path: str, fmt: str, selector: str | None):
             elif fmt == "jsonl":
                 if selector is None:
                     raise DigitLabError("JSONL ingestion needs --field")
-                parts, found = selector.split("."), []
-                for line in fh:
-                    line = line.strip()
-                    if not line:
-                        continue
-                    try:
-                        obj = json.loads(line)
-                        for p in parts:
-                            obj = obj[p]
-                        v = float(obj)
-                    except (ValueError, TypeError, KeyError, json.JSONDecodeError):
-                        malformed += 1
-                        continue
-                    if math.isfinite(v):
-                        found.append(v)
-                    else:
-                        malformed += 1
-                return np.array(found, dtype=np.float64), malformed
+                items = _jsonl_fields(fh, selector.split("."))
             else:
                 raise DigitLabError(f"unknown format {fmt!r}")
             for block in iter(lambda: list(itertools.islice(items, _BLOCK)), []):
@@ -440,10 +447,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--version", action="version", version=f"digitlab {__version__}")
     sub = p.add_subparsers(dest="command", required=True)
 
-    # --seed, --threads and --csv are registered only on the commands that read them
+    # --seed, --threads and --csv are registered only on the commands that read them.
+    # Each command parser is the one that reports a flag it does not take (main)
     def common(sp):
         sp.add_argument("--json", metavar="PATH", default=None)
         sp.add_argument("--quiet", action="store_true")
+        sp.set_defaults(_parser=sp)
 
     # a command with one subparser per case; each flag names the cases whose branch reads
     # it, and only they take it.  Flags match exactly, so that --r cannot abbreviate --radius
@@ -506,7 +515,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--lo": ("power-law", dict(type=float, default=1.0)),
         "--hi": ("power-law", dict(type=float, default=1000.0)),
         "--p": ("exponential", dict(type=float, default=1.0)),
-        "--r": ("ten-to-uniform", dict(type=float, default=0.0)),
+        "--r": ("ten-to-uniform", dict(type=float, default=-1.0)),
         "--a": ("ten-to-triangular", dict(type=float, default=0.0)),
         "--b": ("ten-to-triangular", dict(type=float, default=3.0)),
         "--mode": ("ten-to-triangular", dict(type=float, default=1.5, help="triangular apex position")),
@@ -548,7 +557,9 @@ def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args, extras = parser.parse_known_args(argv)
+        if extras:  # with the usage of the command or case, not of digitlab itself
+            args._parser.error(f"unrecognized arguments: {' '.join(extras)}")
     except SystemExit as exc:
         # argparse exits 2 on usage errors already; normalize other codes
         return int(exc.code) if exc.code else EXIT_OK

@@ -2,17 +2,13 @@
 metrics, mantissa uniformity (KS), compartmental allotment, the scale
 invariance probe, and an aggregate ConformityReport.
 
-Critical values are computed, not looked up.  The chi-square one inverts
-the upper tail Q(x|nu), which for integer nu is a finite sum (Abramowitz &
-Stegun 26.4.4-26.4.5), by bisection down to adjacent doubles; the KS one is
-the asymptotic Kolmogorov formula.  Default significance 0.01.
+Both critical values are at significance 0.01: the chi-square one is a
+constant (8 dof), the KS one the asymptotic Kolmogorov formula.
 """
 
 from __future__ import annotations
 
-import functools
 import math
-import numbers
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -25,13 +21,13 @@ from .digits import (
     leading_digits,
     prefix_counts,
 )
-from .errors import BadExpectedError, BadParamsError, EmptyInputError
+from .errors import BadExpectedError, EmptyInputError
 
 __all__ = [
     "ConformityReport",
     "chi_sqr",
     "chi_sqr_vs_benford",
-    "chi_sqr_critical",
+    "CHI_SQR_CRITICAL",
     "first_digit_counts",
     "ks_critical",
     "mantissa_uniformity_test",
@@ -48,89 +44,31 @@ _DIGITS = range(1, 10)
 _BENFORD = np.array(benford_distribution().first_order_vector())
 
 
-def chi_sqr(observed, expected: DigitDistribution | None = None):
-    """Pearson chi-square of per-digit counts against a digit law (Benford by default).
+def chi_sqr(observed):
+    """Pearson chi-square of per-digit counts against Benford's law.
 
     ``observed`` maps digits to counts, or is a sequence of the counts of
-    digits 1..base-1, or an array of such rows: the sum runs over the last
-    axis, so one vector gives a float and (rows, base-1) counts one
-    chi-square per row.  Every row needs a positive total.  A digit of
-    probability 0 is left out of the sum; a count on it raises BadExpectedError.
+    digits 1..9, or an array of such rows: the sum runs over the last axis,
+    so one vector gives a float and (rows, 9) counts one chi-square per row.
+    Every row needs a positive total.
     """
-    probs = _BENFORD if expected is None else np.array(expected.first_order_vector())
     if isinstance(observed, dict):
-        observed = [observed.get(d, 0) for d in range(1, probs.size + 1)]
+        observed = [observed.get(d, 0) for d in _DIGITS]
     counts = np.asarray(observed, dtype=np.float64)
     n = counts.sum(axis=-1, keepdims=True)
     if (n <= 0.0).any():
         raise EmptyInputError("no digits to test")
-    if probs.min() <= 0.0:
-        impossible = probs <= 0.0
-        if counts[..., impossible].any():
-            raise BadExpectedError("a digit of expected probability 0 has a count")
-        counts, probs = counts[..., ~impossible], probs[~impossible]
-    expected_counts = n * probs
+    expected_counts = n * _BENFORD
     chi = ((counts - expected_counts) ** 2 / expected_counts).sum(axis=-1)
     return float(chi) if chi.ndim == 0 else chi
 
 
 chi_sqr_vs_benford = chi_sqr
 
-
-_MAX_DOF = 10**5  # each evaluation of Q sums dof/2 terms
-_LN_1E300 = 300.0 * math.log(10.0)
-
-
-def _chi_sqr_upper_tail(x: float, dof: int) -> float:
-    """Q(x|dof) = P(chi-square(dof) > x) for integer dof >= 1.
-
-    Even dof: e^{-x/2} sum_{k < dof/2} (x/2)^k / k!.  Odd dof: erfc(sqrt(x/2))
-    plus e^{-x/2} sum_{r=1}^{(dof-1)/2} sqrt(2x/pi) x^{r-1} / (3 5 ... (2r-1)).
-    The terms are summed without their e^{-x/2}, which is applied last; a
-    partial sum past 1e300 is scaled down and the scale carried in the exponent.
-    """
-    h = 0.5 * x
-    if dof % 2:
-        head, term, k = math.erfc(math.sqrt(h)), math.sqrt(x * 2.0 / math.pi), 0.5
-    else:
-        head, term, k = 0.0, 1.0, 0.0
-    total, exponent = 0.0, -h
-    for _ in range(dof // 2):
-        if term > 1e300:
-            term *= 1e-300
-            total *= 1e-300
-            exponent += _LN_1E300
-        total += term
-        k += 1.0
-        term *= h / k
-    if exponent > -700.0 or total == 0.0:
-        return head + total * math.exp(exponent)
-    return head + math.exp(exponent + math.log(total))  # e^{-x/2} alone would underflow
-
-
-@functools.lru_cache(maxsize=16, typed=True)  # typed: 8.0 must not hit the entry of 8
-def chi_sqr_critical(significance: float = SIGNIFICANCE, dof: int = 8) -> float:
-    """Upper critical value x of the chi-square(dof) law: Q(x|dof) = significance.
-
-    Bisection on [0, hi], hi doubled from max(dof, 2) until it brackets,
-    down to two adjacent doubles lo < hi with Q(lo) > significance >= Q(hi);
-    hi is returned.  dof is an integer in 1..10^5.
-    """
-    if not 0.0 < significance < 1.0:
-        raise BadParamsError(f"significance must lie in (0, 1), got {significance}")
-    if not isinstance(dof, numbers.Integral) or not 1 <= dof <= _MAX_DOF:
-        raise BadParamsError(f"dof must be an integer in 1..{_MAX_DOF}, got {dof!r}")
-    lo, hi = 0.0, float(max(dof, 2))
-    while _chi_sqr_upper_tail(hi, dof) > significance:
-        lo, hi = hi, 2.0 * hi
-    while True:
-        mid = lo + 0.5 * (hi - lo)
-        if not lo < mid < hi:
-            return hi
-        if _chi_sqr_upper_tail(mid, dof) > significance:
-            lo = mid
-        else:
-            hi = mid
+# The upper 0.01 point of chi-square with 8 dof, the one test the report makes:
+# Q(x|8) = e^{-x/2} (1 + x/2 + (x/2)^2/2! + (x/2)^3/3!) = 0.01 (Abramowitz & Stegun
+# 26.4.4), as the double scipy.stats.chi2.isf(0.01, 8) gives.
+CHI_SQR_CRITICAL = 20.090235029663233
 
 
 def first_digit_counts(values) -> np.ndarray:
@@ -138,9 +76,9 @@ def first_digit_counts(values) -> np.ndarray:
     return prefix_counts(values)[0][0, 1:]
 
 
-def ks_critical(n: int, significance: float = SIGNIFICANCE) -> float:
-    """Asymptotic one-sample KS critical distance sqrt(-ln(a/2)/2)/sqrt(n)."""
-    return math.sqrt(-0.5 * math.log(significance / 2.0)) / math.sqrt(n)
+def ks_critical(n: int) -> float:
+    """Asymptotic one-sample KS critical distance sqrt(-ln(a/2)/2)/sqrt(n), a = SIGNIFICANCE."""
+    return math.sqrt(-0.5 * math.log(SIGNIFICANCE / 2.0)) / math.sqrt(n)
 
 
 def _clean(values) -> tuple[np.ndarray, int, int]:
@@ -162,15 +100,15 @@ class KSResult:
     n: int
 
 
-def mantissa_uniformity_test(values, significance: float = SIGNIFICANCE) -> KSResult:
+def mantissa_uniformity_test(values) -> KSResult:
     """KS distance of empirical mantissae from the uniform on [0, 1)."""
     vals, _, _ = _clean(values)
     if vals.size == 0:
         raise EmptyInputError("mantissa test needs nonzero values")
-    return _mantissa_ks(vals, significance)
+    return _mantissa_ks(vals)
 
 
-def _mantissa_ks(vals: np.ndarray, significance: float) -> KSResult:
+def _mantissa_ks(vals: np.ndarray) -> KSResult:
     """The KS test on cleaned values (nonempty, positive, finite): one array of n
     besides them, the sorted mantissae, and D+ = max(i/n - m), D- = max(m - (i-1)/n)
     taken a block of _BLOCK rows at a time."""
@@ -184,7 +122,7 @@ def _mantissa_ks(vals: np.ndarray, significance: float) -> KSResult:
         i = np.arange(lo + 1, lo + block.size + 1)
         stat = max(stat, np.max(i / n - block), np.max(block - (i - 1) / n))
     stat = float(stat)
-    crit = ks_critical(n, significance)
+    crit = ks_critical(n)
     return KSResult(statistic=stat, critical=crit, passed=stat < crit, n=n)
 
 
@@ -231,7 +169,7 @@ def reshuffle_within_compartments(values, seed=0) -> np.ndarray:
     return 10.0 ** (new_mant + exponents)
 
 
-def scale_invariance_probe(values, factors, expected: DigitDistribution | None = None):
+def scale_invariance_probe(values, factors):
     """Chi-square deltas under multiplication by each factor.
 
     Returns {factor: chi_sqr(factor * x) - chi_sqr(x)}; powers of ten give
@@ -242,10 +180,8 @@ def scale_invariance_probe(values, factors, expected: DigitDistribution | None =
     vals, _, _ = _clean(values)
     if vals.size == 0:
         raise EmptyInputError("probe needs nonzero values")
-    if expected is None:
-        expected = benford_distribution()
 
-    base_chi = chi_sqr(first_digit_counts(vals), expected)
+    base_chi = chi_sqr(first_digit_counts(vals))
     out = {}
     for c in factors:
         if c <= 0:
@@ -255,7 +191,7 @@ def scale_invariance_probe(values, factors, expected: DigitDistribution | None =
             with np.errstate(over="ignore"):
                 scaled = vals[lo:lo + _BLOCK] * c
             counts += first_digit_counts(scaled[np.isfinite(scaled)])
-        out[c] = chi_sqr(counts, expected) - base_chi
+        out[c] = chi_sqr(counts) - base_chi
     return out
 
 
@@ -294,7 +230,6 @@ def report(values) -> ConformityReport:
     """Fully populated conformity report; zeros and non-finite values counted and skipped."""
     vals, zeros, nonfinite = _clean(values)
     n = int(vals.size)
-    crit = chi_sqr_critical()
     if n == 0:
         return ConformityReport(
             n=0,
@@ -307,7 +242,7 @@ def report(values) -> ConformityReport:
             excluded_third=0,
             ambiguous=0,
             chi_sqr_first=None,
-            chi_sqr_critical_001=crit,
+            chi_sqr_critical_001=CHI_SQR_CRITICAL,
             l_inf=None,
             l1=None,
             mantissa_ks=None,
@@ -324,7 +259,7 @@ def report(values) -> ConformityReport:
 
     shares = DigitDistribution.from_counts(first)
     benford = benford_distribution()
-    ks = _mantissa_ks(vals, SIGNIFICANCE)
+    ks = _mantissa_ks(vals)
 
     annotations = []
     if n < 1000:
@@ -348,7 +283,7 @@ def report(values) -> ConformityReport:
         excluded_third=n - int(third.sum()),
         ambiguous=ambiguous,
         chi_sqr_first=chi_sqr(first),
-        chi_sqr_critical_001=crit,
+        chi_sqr_critical_001=CHI_SQR_CRITICAL,
         l_inf=shares.l_inf(benford),
         l1=shares.l1(benford),
         mantissa_ks=ks.statistic,

@@ -88,4 +88,4 @@ class EmptyInputError(DigitLabError, ValueError):
 
 
 class BadExpectedError(DigitLabError, ValueError):
-    """Chi-square expected distribution has zero mass where counts exist."""
+    """A scale factor of the invariance probe is not positive."""

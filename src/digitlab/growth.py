@@ -48,6 +48,8 @@ _BLOCK = 2**14
 _MAX_RATES = 10**6
 # rates x n_elements one rate scan may tally: about a minute at the 20-35 ns an element measured
 _MAX_SCAN_ELEMENTS = 2 * 10**9
+# rounds in which random_multiplication_process redraws its nonpositive factors
+_MAX_REDRAWS = 100
 # bins of the mantissa digit table: each holds at most one snap threshold
 _BINS = 4096
 # integers up to 2**53 are doubles exactly
@@ -440,13 +442,12 @@ def random_multiplication_process(
     n: int,
     start: float,
     seed=None,
-    max_attempts: int = 100,
 ) -> MultiplicationResult:
     """x_{j+1} = x_j * factor_j with factors drawn from factor_model.
 
     A plain number is accepted as a degenerate constant-factor model (the
     LD-neutral power-of-ten case).  Nonpositive factors are rejected and
-    redrawn (up to max_attempts rounds).  The trajectory accumulates in
+    redrawn, in at most _MAX_REDRAWS rounds.  The trajectory accumulates in
     log10 space, so long or violent processes cannot overflow.
     """
     if start <= 0:
@@ -463,9 +464,9 @@ def random_multiplication_process(
     attempts = 0
     while bad.any():
         attempts += 1
-        if attempts > max_attempts:
+        if attempts > _MAX_REDRAWS:
             raise PolicyExhaustedError(
-                f"factor model kept producing nonpositive factors after {max_attempts} rounds"
+                f"factor model kept producing nonpositive factors after {_MAX_REDRAWS} rounds"
             )
         rejected += int(bad.sum())
         factors[bad] = factor_model.sample_n(int(bad.sum()), rng)  # type: ignore[union-attr]

@@ -40,6 +40,7 @@ _D = np.arange(1, 10, dtype=np.int64)
 _BLOCK = 65_536  # rows per kernel call: about 5 MB per (rows, 9) int64 array
 _MAX_BOUND = 10**18  # 9 * 10^18 still fits in int64
 _MAX_ROWS = 10**8
+_MAX_DATASET = 10**7  # values of one scheme_dataset
 _GUARD_BITS = 128  # fraction bits of the exact geometric walk
 _H_EXACT = 64  # harmonic terms up to 1/64 are summed one by one
 
@@ -294,22 +295,12 @@ def fixed_width_scheme(width: int, a_min: int, a_max: int) -> SchemeResult:
     return _result(avg, scheme="fixed_width", width=width, a_min=a_min, a_max=a_max)
 
 
-def scheme_dataset(
-    lb: int,
-    ub_min: int,
-    ub_max: int,
-    duplication: str = "pad_random",
-    seed: int | None = 0,
-    count_cap: int = 10**7,
-):
+def scheme_dataset(lb: int, ub_min: int, ub_max: int, seed: int | None = 0):
     """Expand a simple scheme into one grand dataset with duplication.
 
     Every interval [lb, N] is replicated so each contributes the same number
-    of elements as the longest interval (duplication factor max_len/len):
-
-    - ``factor_weighted``: round(factor) whole copies of the interval.
-    - ``pad_random``: floor(factor) whole copies, remainder filled by seeded
-      random picks from the interval.
+    of elements as the longest interval: floor(max_len/len) whole copies,
+    the remainder filled by seeded random picks from the interval.
 
     Returns (values, histogram) where histogram[v] is the frequency of the
     integer v (the unadjusted per-unit-length density table).
@@ -317,24 +308,18 @@ def scheme_dataset(
     _check_bounds(lb=lb, ub_min=ub_min, ub_max=ub_max)
     max_len = ub_max - lb + 1
     est_total = max_len * (ub_max - ub_min + 1)
-    if est_total > count_cap:
-        raise TooLargeError(f"dataset would hold ~{est_total} values, cap is {count_cap}")
+    if est_total > _MAX_DATASET:
+        raise TooLargeError(f"dataset would hold ~{est_total} values, cap is 10^7")
     rng = np.random.default_rng(seed)
     chunks = []
     for n in range(ub_min, ub_max + 1):
         interval = np.arange(lb, n + 1, dtype=np.int64)
         size = n - lb + 1
-        if duplication == "factor_weighted":
-            copies = max(1, round(max_len / size))
-            chunks.append(np.tile(interval, copies))
-        elif duplication == "pad_random":
-            copies = max_len // size
-            rem = max_len - copies * size
-            chunks.append(np.tile(interval, copies))
-            if rem:
-                chunks.append(rng.choice(interval, size=rem, replace=True))
-        else:
-            raise BadIntervalError(f"unknown duplication mode {duplication!r}")
+        copies = max_len // size
+        rem = max_len - copies * size
+        chunks.append(np.tile(interval, copies))
+        if rem:
+            chunks.append(rng.choice(interval, size=rem, replace=True))
     values = np.concatenate(chunks)
     hist = np.bincount(values, minlength=ub_max + 1)
     return values, hist

@@ -21,8 +21,9 @@ placements follow the structural logic of the experiments:
   (location spanning decades, scale kept below it), mirroring the source
   experiments' use of separate reciprocal-log ranges per parameter.
 
-Verdicts use the thresholds in ChainabilityConfig; the expected labels
-are the published qualitative calls.
+Verdicts use the thresholds of chains._CHAINABILITY_N, _BEN_THRESHOLD,
+_NOT_FACTOR and _BASELINE_N_FACTOR; the expected labels are the published
+qualitative calls.
 """
 
 from __future__ import annotations

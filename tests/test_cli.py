@@ -307,6 +307,25 @@ class TestIngestRobustness:
         assert main(argv) == EXIT_EMPTY
         assert "Traceback" not in capsys.readouterr().err
 
+    def test_huge_jsonl_integer_is_malformed(self, tmp_path, capsys):
+        # float() of the 401-digit int raised OverflowError (exit 1); its text reads as
+        # inf and is malformed, as 1e400 is in a plain file
+        path = tmp_path / "big.jsonl"
+        path.write_text('{"a": 1' + "0" * 400 + '}\n{"a": 12.5}\n{"a": 300}\n')
+        assert main(["analyze", str(path), "--format", "jsonl", "--field", "a"]) == EXIT_OK
+        assert capsys.readouterr().out.startswith("n = 2   zeros skipped = 0   malformed = 1\n")
+
+    def test_jsonl_field_that_is_no_number_is_malformed(self, tmp_path, monkeypatch):
+        # true and false read as 1.0 and 0 before; a number string reads as a CSV field does
+        path = tmp_path / "odd.jsonl"
+        path.write_text("".join(f'{{"a": {v}}}\n' for v in (
+            "true", "false", "null", "[1]", '{"b": 1}', "1e400", '"1_000"', '""', '" 12.5 "', "-3", "7e-2"))
+            + '{"b": 1}\n\n')
+        monkeypatch.setattr(cli, "_BLOCK", 3)
+        values, malformed = cli.ingest(str(path), "jsonl", "a")
+        assert values.tolist() == [12.5, -3.0, 0.07]
+        assert malformed == 9
+
     def test_long_csv_field_is_read_and_malformed(self, tmp_path):
         # 1e199999 is past the doubles; the field is four times csv's default size limit
         path = tmp_path / "big.csv"
@@ -593,6 +612,26 @@ class TestAnalytic:
 
     def test_ratio_uniforms(self):
         assert main(["analytic", "ratio-uniforms", "--quiet"]) == EXIT_OK
+
+    def test_bare_ten_to_uniform_is_benford(self, tmp_path, capsys):
+        # the default support was [0, 0], so the bare command always exited 2;
+        # --r -1 --s 0 is the log-uniform on one decade, exactly Benford
+        from digitlab.digits import benford_first
+
+        out = tmp_path / "u.json"
+        assert main(["analytic", "ten-to-uniform", "--json", str(out)]) == EXIT_OK
+        table = capsys.readouterr().out
+        probs = json.loads(out.read_text())["ld_probs"]
+        for d in range(1, 10):
+            assert f"{d:>5}  {benford_first(d):>11.5f}  {benford_first(d):>7.5f}" in table
+            assert probs[str(d)] == pytest.approx(benford_first(d), rel=1e-14)
+
+    def test_rejected_flag_shows_the_cases_usage(self, capsys):
+        # the root parser reported it, with the usage of digitlab itself
+        assert main(["analytic", "kx", "--bins", "7"]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("usage: digitlab analytic kx [-h] [--s S] [--g G]")
+        assert err.endswith("digitlab analytic kx: error: unrecognized arguments: --bins 7\n")
 
 
 class TestGrowth:

@@ -19,10 +19,12 @@ No module in src/, tests/ or bench/ imports a name it never loads.
 
 import ast
 import importlib
+import inspect
 import re
 import shutil
 from pathlib import Path
 
+from digitlab import chains, conformity, growth, schemes
 from digitlab.distributions import Gompertz
 
 _ROOT = Path(__file__).resolve().parents[1]
@@ -165,6 +167,26 @@ def test_no_mean_api_and_no_second_harmonic_number():
             for i, line in enumerate(path.read_text().splitlines(), 1) if pattern.search(line)]
     assert hits == []
     assert not hasattr(Gompertz, "cdf")
+
+
+def test_no_one_value_knobs():
+    # each parameter below was never set by src/ or bench/ to anything but its
+    # default, so it is a constant now; the code only another value reached is gone
+    removed = {
+        chains.chainability_experiment: {"config"}, chains.chainability_majority: {"config"},
+        chains.sequential_chisqr: {"policy"}, conformity.chi_sqr: {"expected"},
+        conformity.scale_invariance_probe: {"expected"},
+        conformity.mantissa_uniformity_test: {"significance"}, conformity.ks_critical: {"significance"},
+        conformity._mantissa_ks: {"significance"}, schemes.scheme_dataset: {"duplication", "count_cap"},
+        growth.random_multiplication_process: {"max_attempts"},
+    }
+    assert {f.__name__: names & set(inspect.signature(f).parameters)
+            for f, names in removed.items()} == {f.__name__: set() for f in removed}
+    assert not hasattr(conformity, "chi_sqr_critical")
+    pattern = re.compile(r"ChainabilityConfig|_chi_sqr_upper_tail|_MAX_DOF|factor_weighted")
+    hits = [f"{path.name}:{i}" for path in sorted((_ROOT / "src").rglob("*.py"))
+            for i, line in enumerate(path.read_text().splitlines(), 1) if pattern.search(line)]
+    assert hits == []
 
 
 def _unused_imports(paths: list[Path], root: Path) -> list[str]:

@@ -323,7 +323,7 @@ class TestSchemeDataset:
     def test_greek_parable(self):
         greek_shares = [0.314, 0.203, 0.148, 0.111, 0.083, 0.061, 0.042, 0.026, 0.012]
         # fixture seed: one concrete 81-element dataset close to the scheme
-        values, hist = schemes.scheme_dataset(1, 1, 9, duplication="pad_random", seed=5)
+        values, hist = schemes.scheme_dataset(1, 1, 9, seed=5)
         assert values.size == 81
         shares = np.bincount([first_digit(int(v)) for v in values], minlength=10)[1:] / 81
         for d in DIGITS:
@@ -331,14 +331,14 @@ class TestSchemeDataset:
         # and the padding is unbiased: seed-averaged shares sit much closer
         acc = np.zeros(9)
         for seed in range(20):
-            v, _ = schemes.scheme_dataset(1, 1, 9, duplication="pad_random", seed=seed)
+            v, _ = schemes.scheme_dataset(1, 1, 9, seed=seed)
             acc += np.bincount([first_digit(int(x)) for x in v], minlength=10)[1:] / 81
         acc /= 20
         for d in DIGITS:
             assert abs(acc[d - 1] - greek_shares[d - 1]) < 0.01
 
     def test_density_tails_right(self):
-        _, hist = schemes.scheme_dataset(1, 9, 99, duplication="pad_random", seed=1)
+        _, hist = schemes.scheme_dataset(1, 9, 99, seed=1)
         block1 = hist[1:10].mean()
         block2 = hist[10:100].mean()
         assert block1 >= block2
@@ -349,4 +349,4 @@ class TestSchemeDataset:
 
     def test_size_cap(self):
         with pytest.raises(TooLargeError):
-            schemes.scheme_dataset(1, 1, 10**6, count_cap=10**6)
+            schemes.scheme_dataset(1, 1, 10**6)
