@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 import re
 import threading
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -80,7 +80,7 @@ class FamilyNode:
     args: tuple
 
     def __post_init__(self):
-        arity = len(fields(self.family))
+        arity = len(self.family.names)
         if len(self.args) != arity:
             raise ArityMismatchError(
                 f"{self.family.__name__} takes {arity} argument(s), got {len(self.args)}"
@@ -545,7 +545,7 @@ def chainability_experiment(
     if isinstance(family, str):
         family = family_by_name(family)
     chained = set(chained_params)
-    names = [f.name for f in fields(family)]
+    names = family.names
     unknown = chained - set(names)
     if unknown:
         raise UnknownPresetError(f"{family.__name__} has no parameter(s) {sorted(unknown)}")

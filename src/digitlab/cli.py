@@ -397,8 +397,6 @@ def cmd_growth(args) -> None:
 
 
 def cmd_invariance(args) -> None:
-    from dataclasses import fields
-
     from . import chains
     from .distributions import family_by_name
 
@@ -406,15 +404,14 @@ def cmd_invariance(args) -> None:
     if sampling and args.mode != "montecarlo":
         raise BadParamsError(f"--{', --'.join(sampling)}: only with --mode montecarlo")
     cls = family_by_name(args.family)
-    params = fields(cls)
-    if len(args.params) != len(params):
-        raise BadParamsError(f"{cls.__name__} takes {len(params)} parameter(s), got {len(args.params)}")
-    # integral values go to the integer fields (ChiSqr dof, Die faces) as ints
-    model = cls(*(int(p) if f.type == "int" and p.is_integer() else p
-                  for f, p in zip(params, args.params)))
+    # integral values go to the integer parameters (ChiSqr dof, Die faces) as ints; the
+    # padding leaves a surplus value for the model's own arity check
+    names = cls.names + ("",) * len(args.params)
+    model = cls(*(int(p) if name in cls.ints and p.is_integer() else p
+                  for name, p in zip(names, args.params)))
     subset = None
     if args.scale_only:
-        subset = [model.pot_scale_params[0] if model.pot_scale_params else params[0].name]
+        subset = [model.pot_scale_params[0] if model.pot_scale_params else model.names[0]]
     diff = chains.power_of_ten_invariance_check(model, args.m, mode=args.mode, subset=subset,
                                                 **sampling)
     table = (f"family {args.family} params {args.params} scaled by 10^{args.m} "

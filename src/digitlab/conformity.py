@@ -21,7 +21,7 @@ from .digits import (
     leading_digits,
     prefix_counts,
 )
-from .errors import BadExpectedError, EmptyInputError
+from .errors import BadParamsError, EmptyInputError
 
 __all__ = [
     "ConformityReport",
@@ -184,8 +184,8 @@ def scale_invariance_probe(values, factors):
     base_chi = chi_sqr(first_digit_counts(vals))
     out = {}
     for c in factors:
-        if c <= 0:
-            raise BadExpectedError(f"factors must be positive, got {c}")
+        if not 0 < c < math.inf:
+            raise BadParamsError(f"factors must be positive and finite, got {c}")
         counts = np.zeros(9, np.int64)
         for lo in range(0, vals.size, _BLOCK):  # the products a block at a time
             with np.errstate(over="ignore"):

@@ -1,15 +1,17 @@
 """Parametric distribution families: pdf, sampler and support.
 
-Each family is a small frozen dataclass whose fields are its parameters,
-in order (``dataclasses.fields`` of the class or an instance).  It
-declares its parameter rule and its sampler once, as two vectorized
-static methods: ``valid(*params)`` and ``draw(rng, n, *params)``.  Both
-take scalars or length-n arrays, so the scalar model (``__post_init__``,
-``sample_n``) and the chain engine, which samples with per-element
-parameters, run the same code.  Samplers draw from a caller-supplied
-numpy Generator, so concurrent use just needs per-caller generator
-states.  Every sampler is closed form or a native numpy generator
-method; Gompertz inverts its CDF through the Wright omega function.
+Each family is a plain class that names its parameters once, in order, in
+the tuple ``names`` (the integer ones also in ``ints``).  ``DistributionModel``
+builds every family's constructor, equality, hash, repr and immutability
+from that tuple.  A family declares its parameter rule and its sampler once,
+as two vectorized static methods: ``valid(*params)`` and
+``draw(rng, n, *params)``.  Both take scalars or length-n arrays, so the
+scalar model (``__init__``, ``sample_n``) and the chain engine, which
+samples with per-element parameters, run the same code.  Samplers draw
+from a caller-supplied numpy Generator, so concurrent use just needs
+per-caller generator states.  Every sampler is closed form or a native
+numpy generator method; Gompertz inverts its CDF through the Wright omega
+function.
 
 The six Exponential variants share one sampler and differ only in how the
 chained parameter maps to the effective scale (rho, 1/rho, sqrt(rho),
@@ -20,8 +22,7 @@ reparameterizations.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
-from typing import ClassVar
+from dataclasses import FrozenInstanceError, dataclass
 
 import numpy as np
 
@@ -83,23 +84,50 @@ def _positive(x):
 class DistributionModel:
     """Base class; subclasses are the concrete families.
 
-    A family declares ``valid(*params)``, true where its parameters are
-    admissible (finite ones only), and ``draw(rng, n, *params)``, n draws
-    for parameters that are scalars or length-n arrays of valid values.
+    A family declares ``names``, its parameters in order, and ``ints``, those
+    that must be Python integers.  It declares ``valid(*params)``, true where
+    its parameters are admissible (finite ones only), and
+    ``draw(rng, n, *params)``, n draws for parameters that are scalars or
+    length-n arrays of valid values.  A model is an immutable record of its
+    parameters: it compares, hashes and prints by them.
     """
 
+    names: tuple[str, ...] = ()
+    ints = frozenset()
     # Parameters scaled_by_power_of_ten multiplies by default (the
     # family's scale and location parameters; shape parameters excluded).
-    pot_scale_params: ClassVar[tuple[str, ...]] = ()
+    pot_scale_params: tuple[str, ...] = ()
 
-    def __post_init__(self):
-        name = type(self).__name__
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if f.type == "int" and (isinstance(value, bool) or not isinstance(value, int)):
-                raise BadParamsError(f"{name} {f.name} must be an integer, got {value!r}")
+    def __init__(self, *args, **kwargs):
+        name, names = type(self).__name__, self.names
+        got = len(args) + len(kwargs)
+        if got != len(names):
+            raise BadParamsError(f"{name} takes {len(names)} parameter(s), got {got}")
+        values = {**dict(zip(names, args)), **kwargs}
+        if values.keys() != set(names):
+            raise BadParamsError(f"{name} takes parameters {', '.join(names)}, got {', '.join(values)}")
+        for key in self.ints:
+            if isinstance(values[key], bool) or not isinstance(values[key], int):
+                raise BadParamsError(f"{name} {key} must be an integer, got {values[key]!r}")
+        self.__dict__.update(values)
         if not self.valid(*self.params):
             raise BadParamsError(f"invalid {name} parameters {self.params}")
+
+    def __setattr__(self, key, value):
+        raise FrozenInstanceError(f"cannot assign to field {key!r}")
+
+    def __delattr__(self, key):
+        raise FrozenInstanceError(f"cannot delete field {key!r}")
+
+    def __eq__(self, other):
+        return self.params == other.params if type(other) is type(self) else NotImplemented
+
+    def __hash__(self):
+        return hash(self.params)
+
+    def __repr__(self):
+        args = ", ".join(f"{k}={v!r}" for k, v in zip(self.names, self.params))
+        return f"{type(self).__qualname__}({args})"
 
     @staticmethod
     def valid(*params):
@@ -111,7 +139,7 @@ class DistributionModel:
 
     @property
     def params(self) -> tuple[float, ...]:
-        return tuple(getattr(self, f.name) for f in fields(self))
+        return tuple(getattr(self, key) for key in self.names)
 
     def pdf(self, x: float) -> float:
         raise NotImplementedError
@@ -135,28 +163,29 @@ class DistributionModel:
         ``subset`` limits scaling to the named parameters; the default is the
         family's registered power-of-ten form (shape parameters excluded).
         """
+        name = type(self).__name__
         if not -323 <= m <= 308:
             raise BadParamsError(f"10**m must be a double, got m = {m}")
         if subset is None:
             if not self.pot_scale_params:
-                raise UnsupportedFormError(f"{type(self).__name__} has no power-of-ten parameter form")
+                raise UnsupportedFormError(f"{name} has no power-of-ten parameter form")
             subset = self.pot_scale_params
-        kwargs = {}
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if f.name in subset:
-                # an integer field (ChiSqr dof, Die faces) stays an integer
-                value = value * 10**m if f.type == "int" and m >= 0 else value * 10.0**m
-                if value > _DOUBLE_MAX:  # inf, or an integer field past the double range
-                    raise BadParamsError(f"{f.name} * 10**{m} is not a double")
-            kwargs[f.name] = value
-        return type(self)(**kwargs)
+        unknown = [key for key in subset if key not in self.names]
+        if unknown:
+            raise BadParamsError(f"{name} has no parameter(s) {unknown}")
+        values = []
+        for key, value in zip(self.names, self.params):
+            if key in subset:
+                # an integer parameter (ChiSqr dof, Die faces) stays an integer
+                value = value * 10**m if key in self.ints and m >= 0 else value * 10.0**m
+                if value > _DOUBLE_MAX:  # inf, or an integer parameter past the double range
+                    raise BadParamsError(f"{key} * 10**{m} is not a double")
+            values.append(value)
+        return type(self)(*values)
 
 
-@dataclass(frozen=True)
 class Uniform(DistributionModel):
-    a: float
-    b: float
+    names = ("a", "b")
     pot_scale_params = ("a", "b")
 
     @staticmethod
@@ -178,10 +207,8 @@ class Uniform(DistributionModel):
         return Support(self.a, self.b)
 
 
-@dataclass(frozen=True)
 class Normal(DistributionModel):
-    mu: float
-    sigma: float
+    names = ("mu", "sigma")
     pot_scale_params = ("mu", "sigma")
 
     @staticmethod
@@ -200,9 +227,8 @@ class Normal(DistributionModel):
         return Support(-math.inf, math.inf)
 
 
-@dataclass(frozen=True)
 class OriginNormal(DistributionModel):
-    sigma: float
+    names = ("sigma",)
     pot_scale_params = ("sigma",)
 
     @staticmethod
@@ -222,11 +248,12 @@ class OriginNormal(DistributionModel):
 
 
 class _ExponentialBase(DistributionModel):
-    """Common machinery for the six Exponential reparameterizations."""
+    """Common machinery for the six Exponential reparameterizations.
 
-    @staticmethod
-    def _scale(rho):
-        raise NotImplementedError
+    A variant is its effective scale, ``_scale(rho)``; see the table below.
+    """
+
+    names = ("rho",)
 
     @classmethod
     def valid(cls, rho):
@@ -248,84 +275,24 @@ class _ExponentialBase(DistributionModel):
         return Support(0.0, math.inf)
 
 
-@dataclass(frozen=True)
-class Exponential(_ExponentialBase):
-    """Variant 1: rate parameterization, pdf rho * exp(-rho x)."""
-
-    rho: float
-    pot_scale_params = ("rho",)
-
-    @staticmethod
-    def _scale(rho):
-        return 1.0 / rho
-
-
-@dataclass(frozen=True)
-class Exp2(_ExponentialBase):
-    """Variant 2: scale parameterization, pdf (1/rho) exp(-x/rho)."""
-
-    rho: float
-    pot_scale_params = ("rho",)
-
-    @staticmethod
-    def _scale(rho):
-        return rho
+# name, effective scale of rho, pot_scale_params
+Exponential, Exp2, Exp3, Exp4, Exp5, Exp6 = (
+    type(name, (_ExponentialBase,), {"_scale": staticmethod(scale), "pot_scale_params": pot})
+    for name, scale, pot in [
+        ("Exponential", lambda rho: 1.0 / rho, ("rho",)),  # rate form, pdf rho * exp(-rho x)
+        ("Exp2", lambda rho: rho, ("rho",)),  # scale form, pdf (1/rho) exp(-x/rho)
+        ("Exp3", np.sqrt, ()),
+        ("Exp4", lambda rho: rho**7.5, ()),
+        ("Exp5", lambda rho: rho**8, ()),
+        ("Exp6", np.log, ()),  # valid where ln(rho) is positive: rho > 1
+    ]
+)
 
 
-@dataclass(frozen=True)
-class Exp3(_ExponentialBase):
-    """Variant 3: effective scale sqrt(rho)."""
-
-    rho: float
-
-    @staticmethod
-    def _scale(rho):
-        return np.sqrt(rho)
-
-
-@dataclass(frozen=True)
-class Exp4(_ExponentialBase):
-    """Variant 4: effective scale rho**7.5."""
-
-    rho: float
-
-    @staticmethod
-    def _scale(rho):
-        return rho**7.5
-
-
-@dataclass(frozen=True)
-class Exp5(_ExponentialBase):
-    """Variant 5: effective scale rho**8."""
-
-    rho: float
-
-    @staticmethod
-    def _scale(rho):
-        return rho**8
-
-
-@dataclass(frozen=True)
-class Exp6(_ExponentialBase):
-    """Variant 6: effective scale ln(rho); requires rho > 1."""
-
-    rho: float
-
-    @staticmethod
-    def _scale(rho):
-        return np.log(rho)
-
-    @staticmethod
-    def valid(rho):
-        return (rho > 1) & (rho < math.inf)
-
-
-@dataclass(frozen=True)
 class GeneralizedExp1(DistributionModel):
     """pdf rho * exp(-rho (x - mu)) on [mu, +inf): the b*f(b(x-a)) form."""
 
-    rho: float
-    mu: float
+    names = ("rho", "mu")
     pot_scale_params = ("rho", "mu")
 
     @staticmethod
@@ -345,12 +312,10 @@ class GeneralizedExp1(DistributionModel):
         return Support(self.mu, math.inf)
 
 
-@dataclass(frozen=True)
 class GeneralizedExp2(DistributionModel):
     """pdf (1/rho) * exp(-(x - mu)/rho) on [mu, +inf): loc-scale form."""
 
-    rho: float
-    mu: float
+    names = ("rho", "mu")
     pot_scale_params = ("rho", "mu")
 
     @staticmethod
@@ -370,10 +335,8 @@ class GeneralizedExp2(DistributionModel):
         return Support(self.mu, math.inf)
 
 
-@dataclass(frozen=True)
 class Gamma(DistributionModel):
-    k: float
-    theta: float
+    names = ("k", "theta")
     pot_scale_params = ("theta",)
 
     @staticmethod
@@ -401,12 +364,10 @@ class Gamma(DistributionModel):
         return Support(0.0, math.inf)
 
 
-@dataclass(frozen=True)
 class Weibull(DistributionModel):
     """Shape k first, scale lam second (chains pass shape as argument 1)."""
 
-    k: float
-    lam: float
+    names = ("k", "lam")
     pot_scale_params = ("lam",)
 
     @staticmethod
@@ -433,9 +394,8 @@ class Weibull(DistributionModel):
         return Support(0.0, math.inf)
 
 
-@dataclass(frozen=True)
 class Rayleigh(DistributionModel):
-    sigma: float
+    names = ("sigma",)
     pot_scale_params = ("sigma",)
 
     @staticmethod
@@ -458,12 +418,10 @@ class Rayleigh(DistributionModel):
         return Support(0.0, math.inf)
 
 
-@dataclass(frozen=True)
 class Wald(DistributionModel):
     """Inverse Gaussian with mean mu and shape lam."""
 
-    mu: float
-    lam: float
+    names = ("mu", "lam")
     pot_scale_params = ("mu", "lam")
 
     @staticmethod
@@ -486,12 +444,10 @@ class Wald(DistributionModel):
         return Support(0.0, math.inf)
 
 
-@dataclass(frozen=True)
 class LogNormal(DistributionModel):
     """location = mean of the generating normal, shape = its s.d."""
 
-    location: float
-    shape: float
+    names = ("location", "shape")
 
     @staticmethod
     def valid(location, shape):
@@ -577,7 +533,6 @@ def _wright_omega(z):
         return np.where(z < -37.0, p, np.where(z > 1e20, z, w))
 
 
-@dataclass(frozen=True)
 class Gompertz(DistributionModel):
     """pdf b e^{-bx} e^{-eta e^{-bx}} [1 + eta (1 - e^{-bx})] on (0, +inf).
 
@@ -585,8 +540,7 @@ class Gompertz(DistributionModel):
     inverts it in closed form (see quantile).
     """
 
-    b: float
-    eta: float
+    names = ("b", "eta")
     pot_scale_params = ("b",)
 
     @staticmethod
@@ -638,12 +592,10 @@ class Gompertz(DistributionModel):
         return Support(0.0, math.inf)
 
 
-@dataclass(frozen=True)
 class Nakagami(DistributionModel):
     """Shape mu >= 0.5-ish, spread omega; X = sqrt(Gamma(mu, omega/mu))."""
 
-    mu: float
-    omega: float
+    names = ("mu", "omega")
 
     @staticmethod
     def valid(mu, omega):
@@ -670,12 +622,10 @@ class Nakagami(DistributionModel):
         return Support(0.0, math.inf)
 
 
-@dataclass(frozen=True)
 class GuptaKundu(DistributionModel):
     """Generalized exponential of Gupta-Kundu: CDF (1 - e^{-lam x})**alpha."""
 
-    alpha: float
-    lam: float
+    names = ("alpha", "lam")
     pot_scale_params = ("lam",)
 
     @staticmethod
@@ -701,12 +651,10 @@ class GuptaKundu(DistributionModel):
         return Support(0.0, math.inf)
 
 
-@dataclass(frozen=True)
 class Pareto(DistributionModel):
     """pdf (theta/a)(x/a)^{-(theta+1)} on [a, +inf)."""
 
-    a: float
-    theta: float
+    names = ("a", "theta")
     pot_scale_params = ("a",)
 
     @staticmethod
@@ -726,12 +674,10 @@ class Pareto(DistributionModel):
         return Support(self.a, math.inf)
 
 
-@dataclass(frozen=True)
 class FisherTippett(DistributionModel):
     """Gumbel with location mu and scale lam."""
 
-    mu: float
-    lam: float
+    names = ("mu", "lam")
     pot_scale_params = ("mu", "lam")
 
     @staticmethod
@@ -752,10 +698,8 @@ class FisherTippett(DistributionModel):
         return Support(-math.inf, math.inf)
 
 
-@dataclass(frozen=True)
 class Logistic(DistributionModel):
-    mu: float
-    s: float
+    names = ("mu", "s")
     pot_scale_params = ("mu", "s")
 
     @staticmethod
@@ -774,10 +718,8 @@ class Logistic(DistributionModel):
         return Support(-math.inf, math.inf)
 
 
-@dataclass(frozen=True)
 class CauchyLorentz(DistributionModel):
-    x0: float
-    gamma: float
+    names = ("x0", "gamma")
     pot_scale_params = ("x0", "gamma")
 
     @staticmethod
@@ -796,11 +738,11 @@ class CauchyLorentz(DistributionModel):
         return Support(-math.inf, math.inf)
 
 
-@dataclass(frozen=True)
 class ChiSqr(DistributionModel):
     """Chi-square with integer degrees of freedom (a chained dof is floored)."""
 
-    dof: int
+    names = ("dof",)
+    ints = {"dof"}
 
     @staticmethod
     def valid(dof):
@@ -823,7 +765,6 @@ class ChiSqr(DistributionModel):
         return Support(0.0, math.inf)
 
 
-@dataclass(frozen=True)
 class Triangular(DistributionModel):
     """Triangular on [a, b] with mode m; sampled by the two-branch inverse CDF
 
@@ -831,9 +772,7 @@ class Triangular(DistributionModel):
         otherwise:         b - sqrt((1-rd)(b-m)(b-a))
     """
 
-    a: float
-    m: float
-    b: float
+    names = ("a", "m", "b")
     pot_scale_params = ("a", "m", "b")
 
     @staticmethod
@@ -865,16 +804,13 @@ class Triangular(DistributionModel):
         return Support(self.a, self.b)
 
 
-@dataclass(frozen=True)
 class PowerLaw(DistributionModel):
     """pdf k / x**m on (lo, hi), k the normalizing constant.
 
     m = 1 over a decade-integral range is the exactly-Benford density.
     """
 
-    m: float
-    lo: float
-    hi: float
+    names = ("m", "lo", "hi")
     pot_scale_params = ("lo", "hi")
 
     @staticmethod
@@ -917,11 +853,11 @@ class PowerLaw(DistributionModel):
         return Support(self.lo, self.hi)
 
 
-@dataclass(frozen=True)
 class Die(DistributionModel):
     """Discrete uniform on 1..faces (chained faces are floored); pdf() reports the pmf."""
 
-    faces: int
+    names = ("faces",)
+    ints = {"faces"}
 
     @staticmethod
     def valid(faces):

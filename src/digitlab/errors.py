@@ -85,7 +85,3 @@ class PolicyExhaustedError(DigitLabError, RuntimeError):
 class EmptyInputError(DigitLabError, ValueError):
     """Statistic requested on an empty value set."""
     exit_code = 3
-
-
-class BadExpectedError(DigitLabError, ValueError):
-    """A scale factor of the invariance probe is not positive."""

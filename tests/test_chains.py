@@ -4,7 +4,6 @@ import math
 import sys
 import threading
 import tracemalloc
-from dataclasses import fields
 from unittest import mock
 
 import numpy as np
@@ -41,7 +40,7 @@ _FAMILIES = sorted(set(FAMILIES.values()), key=lambda fam: fam.__name__)
 def _family_over(args):
     """FamilyNode trees whose arguments are drawn from ``args``."""
     return st.sampled_from(_FAMILIES).flatmap(
-        lambda fam: st.tuples(*[args] * len(fields(fam))).map(lambda a: chains.FamilyNode(fam, a)))
+        lambda fam: st.tuples(*[args] * len(fam.names)).map(lambda a: chains.FamilyNode(fam, a)))
 
 
 def _spec_trees():

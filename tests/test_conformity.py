@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 from digitlab import conformity, digits
 from digitlab.digits import benford_distribution, benford_first, leading_digits
 from digitlab.distributions import PowerLaw
-from digitlab.errors import BadExpectedError, EmptyInputError
+from digitlab.errors import BadParamsError, EmptyInputError
 
 DIGITS = range(1, 10)
 
@@ -185,9 +185,9 @@ class TestScaleInvarianceProbe:
         deltas = conformity.scale_invariance_probe(vals, [3.0])
         assert abs(deltas[3.0]) > 100
 
-    @pytest.mark.parametrize("factor", [0.0, -2.0])
+    @pytest.mark.parametrize("factor", [0.0, -2.0, math.nan, math.inf])
     def test_nonpositive_factor_rejected(self, factor):
-        with pytest.raises(BadExpectedError):
+        with pytest.raises(BadParamsError):
             conformity.scale_invariance_probe([1.0, 2.0], [2.0, factor])
 
 

@@ -8,6 +8,7 @@ or quadrature in the test; samples must stay inside the support.
 
 import decimal
 import math
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
@@ -285,6 +286,38 @@ def test_agreement_models_cover_every_family():
     assert {type(m) for m in AGREEMENT_MODELS} == set(dm.FAMILIES.values())
 
 
+@pytest.mark.parametrize("fam", sorted(set(dm.FAMILIES.values()), key=lambda fam: fam.__name__),
+                         ids=lambda fam: fam.__name__)
+def test_record_behaviour(fam):
+    # a model is an immutable record of its parameters, named once in fam.names
+    model = next(m for m in MODELS if type(m) is fam)
+    keyword = fam(**dict(zip(fam.names, model.params)))
+    assert keyword == model and keyword is not model and model != model.params
+    assert hash(keyword) == hash(model) == hash(model.params)
+    fields = ", ".join(f"{k}={v!r}" for k, v in zip(fam.names, model.params))
+    assert repr(model) == f"{fam.__name__}({fields})"
+    with pytest.raises(FrozenInstanceError):
+        setattr(model, fam.names[0], model.params[0])
+    with pytest.raises(FrozenInstanceError):
+        delattr(model, fam.names[0])
+    n = len(fam.names)
+    with pytest.raises(BadParamsError, match=f"{fam.__name__} takes {n} parameter\\(s\\), got {n + 1}"):
+        fam(*model.params, 1.0)
+    with pytest.raises(BadParamsError, match=f"takes {n} parameter\\(s\\), got {n - 1}"):
+        fam(*model.params[1:])
+    with pytest.raises(BadParamsError, match="takes parameters"):
+        fam(*model.params[1:], nosuchparameter=1.0)
+    assert not hasattr(fam, "__dataclass_fields__")
+
+
+def test_record_repr_and_integer_parameters():
+    assert repr(dm.Uniform(0, 1)) == "Uniform(a=0, b=1)" and dm.Uniform(0, 1) == dm.Uniform(a=0, b=1)
+    assert repr(dm.Exp6(5.0)) == "Exp6(rho=5.0)" and repr(dm.ChiSqr(4)) == "ChiSqr(dof=4)"
+    for bad in (lambda: dm.ChiSqr(2.0), lambda: dm.Die(True)):
+        with pytest.raises(BadParamsError, match="must be an integer"):
+            bad()
+
+
 @pytest.mark.parametrize("model", AGREEMENT_MODELS, ids=repr)
 def test_sample_n_draws_what_a_chain_draws(model):
     # the scalar model and a chain with the same constants share one sampler
@@ -313,6 +346,10 @@ class TestPowerOfTenScaling:
     def test_subset(self):
         m = dm.GeneralizedExp2(1.0, 3.0).scaled_by_power_of_ten(1, subset=["rho"])
         assert m == dm.GeneralizedExp2(10.0, 3.0)
+
+    def test_subset_naming_no_parameter_refused(self):
+        with pytest.raises(BadParamsError, match="sigmaa"):
+            chains.power_of_ten_invariance_check(dm.Normal(1.0, 2.0), 3, subset=["sigmaa"])
 
     def test_integer_fields_stay_integers(self):
         assert dm.ChiSqr(4).scaled_by_power_of_ten(1, subset=["dof"]) == dm.ChiSqr(40)

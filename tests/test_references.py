@@ -24,7 +24,7 @@ import re
 import shutil
 from pathlib import Path
 
-from digitlab import chains, conformity, growth, schemes
+from digitlab import chains, conformity, errors, growth, schemes
 from digitlab.distributions import Gompertz
 
 _ROOT = Path(__file__).resolve().parents[1]
@@ -187,6 +187,26 @@ def test_no_one_value_knobs():
     hits = [f"{path.name}:{i}" for path in sorted((_ROOT / "src").rglob("*.py"))
             for i, line in enumerate(path.read_text().splitlines(), 1) if pattern.search(line)]
     assert hits == []
+
+
+def _reads_dataclass_fields(node) -> bool:
+    """Whether an AST node imports or loads dataclasses.fields."""
+    if isinstance(node, ast.ImportFrom):
+        return node.module == "dataclasses" and any(a.name == "fields" for a in node.names)
+    return (isinstance(node, ast.Attribute) and node.attr == "fields"
+            and isinstance(node.value, ast.Name) and node.value.id == "dataclasses")
+
+
+def test_families_are_plain_classes():
+    # a family names its parameters once; DistributionModel is its one record code,
+    # so the only dataclass left in distributions.py is Support
+    package = _ROOT / "src" / "digitlab"
+    assert (package / "distributions.py").read_text().count("@dataclass") <= 1
+    readers = [f"{path.name}:{node.lineno}" for path in sorted(package.glob("*.py"))
+               for node in ast.walk(ast.parse(path.read_text(), str(path)))
+               if _reads_dataclass_fields(node)]
+    assert readers == []
+    assert not hasattr(errors, "BadExpectedError")  # the probe's bad factor is a BadParamsError
 
 
 def _unused_imports(paths: list[Path], root: Path) -> list[str]:
