@@ -23,13 +23,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .digits import DigitDistribution, benford_first
-from .errors import (
-    BadParamsError,
-    BadRangeError,
-    QuadratureFailureError,
-    TooLargeError,
-    UnsupportedFamilyError,
-)
+from .errors import BadParamsError, NumericalFailureError, TooLargeError
 
 if TYPE_CHECKING:  # an annotation only; importing distributions would cost every analytic start
     from .distributions import DistributionModel
@@ -79,7 +73,7 @@ def ld_kx(s: float, g: float) -> DigitDistribution:
     exact fold modulo 1.  Integer g telescopes to log10(1+1/d).
     """
     if g <= 0:
-        raise BadRangeError(f"need g > 0, got {g}")
+        raise BadParamsError(f"need g > 0, got {g}")
     return ld_ten_to_symmetric(UniformLog(s, s + g))
 
 
@@ -93,9 +87,9 @@ def ld_power_law(m: float, lo: float, hi: float) -> DigitDistribution:
     and the block at ref keeps the total positive.
     """
     if not 0 < lo < hi < math.inf:
-        raise BadRangeError(f"need 0 < lo < hi < inf, got ({lo}, {hi})")
+        raise BadParamsError(f"need 0 < lo < hi < inf, got ({lo}, {hi})")
     if not 0 < m < math.inf:
-        raise BadRangeError(f"need 0 < m < inf, got {m}")
+        raise BadParamsError(f"need 0 < m < inf, got {m}")
     p = 1.0 - m
 
     def mass(a: float, b: float) -> float:
@@ -140,7 +134,7 @@ def ld_exponential(p: float) -> DigitDistribution:
                 if term < 1e-16 and j != j0:
                     break
             else:
-                raise QuadratureFailureError(
+                raise NumericalFailureError(
                     f"exponential decade sum for p={p} did not fall below 1e-16 "
                     f"in {_MAX_DECADES} decades")
         vec.append(total)
@@ -408,7 +402,7 @@ def _qk21(f, a: float, b: float) -> tuple[float, float, float, float]:
     with np.errstate(all="ignore"):  # an inf or NaN value is reported below
         k21, g10 = float(half * (_KRONROD @ fv)), float(half * (_GAUSS @ fv))
     if not math.isfinite(k21):
-        raise QuadratureFailureError(f"integral over ({a}, {b}) is not finite")
+        raise NumericalFailureError(f"integral over ({a}, {b}) is not finite")
     return -abs(k21 - g10), a, b, k21
 
 
@@ -418,10 +412,10 @@ def quad(f, a: float, b: float, tol: float) -> tuple[float, float]:
     Globally adaptive: the piece with the largest error estimate is bisected
     until the summed error is at most tol * max(1, |value|) (tol is both the
     absolute and the relative tolerance), _LIMIT pieces exist, or no piece can
-    be split further.  A non-finite value raises QuadratureFailureError.
+    be split further.  A non-finite value raises NumericalFailureError.
     """
     if not (math.isfinite(a) and math.isfinite(b) and a < b):
-        raise BadRangeError(f"quad needs finite limits a < b, got ({a}, {b})")
+        raise BadParamsError(f"quad needs finite limits a < b, got ({a}, {b})")
     pieces = [_qk21(f, a, b)]
     value, err = pieces[0][3], -pieces[0][0]
     while err > tol * max(1.0, abs(value)) and len(pieces) < _LIMIT:
@@ -515,7 +509,7 @@ def ld_of_density(pdf, support: tuple[float, float], tol: float = 1e-9) -> Digit
 
     total = masses.sum()
     if total <= 0:
-        raise QuadratureFailureError("density integrated to zero mass")
+        raise NumericalFailureError("density integrated to zero mass")
     return DigitDistribution.from_counts(masses)
 
 
@@ -550,7 +544,7 @@ def ld_decades(model: DistributionModel, decades: tuple[int, int]) -> DecadeDeco
     """
     j_lo, j_hi = decades
     if not _J_LO <= j_lo <= j_hi < _J_HI:
-        raise BadRangeError(f"need {_J_LO} <= j_lo <= j_hi <= {_J_HI - 1}, got {decades}")
+        raise BadParamsError(f"need {_J_LO} <= j_lo <= j_hi <= {_J_HI - 1}, got {decades}")
     sup = model.support()
     spans = [(10.0**j, 10.0 ** (j + 1)) for j in range(j_lo, j_hi + 1)]
     weights_raw, locals_ = [], []
@@ -562,7 +556,7 @@ def ld_decades(model: DistributionModel, decades: tuple[int, int]) -> DecadeDeco
 
     total_in = math.fsum(weights_raw)
     if total_in <= 0:
-        raise QuadratureFailureError("no mass in the requested decades")
+        raise NumericalFailureError("no mass in the requested decades")
     return DecadeDecomposition(
         decades=spans,
         weights=[w / total_in for w in weights_raw],
@@ -579,6 +573,5 @@ def ld_inflection_point(model: DistributionModel) -> float:
         return 1.0 / model.rho
     if isinstance(model, LogNormal):
         return math.exp(model.location)
-    raise UnsupportedFamilyError(
-        f"ld_inflection_point supports Exponential and LogNormal, got {type(model).__name__}"
-    )
+    raise BadParamsError("ld_inflection_point supports Exponential and LogNormal, "
+                         f"got {type(model).__name__}")

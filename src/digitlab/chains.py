@@ -41,15 +41,7 @@ from .distributions import (
     Uniform,
     family_by_name,
 )
-from .errors import (
-    ArityMismatchError,
-    BadParamsError,
-    ChainSyntaxError,
-    EmptyInputError,
-    PolicyExhaustedError,
-    TooLargeError,
-    UnknownPresetError,
-)
+from .errors import BadParamsError, ChainSyntaxError, EmptyInputError, NumericalFailureError, TooLargeError
 
 __all__ = [
     "FamilyNode",
@@ -82,9 +74,7 @@ class FamilyNode:
     def __post_init__(self):
         arity = len(self.family.names)
         if len(self.args) != arity:
-            raise ArityMismatchError(
-                f"{self.family.__name__} takes {arity} argument(s), got {len(self.args)}"
-            )
+            raise BadParamsError(f"{self.family.__name__} takes {arity} argument(s), got {len(self.args)}")
 
 
 @dataclass(frozen=True)
@@ -193,8 +183,8 @@ def parse_chain(text: str) -> FamilyNode:
         expect("punct", ")")
         try:
             return FamilyNode(family=family, args=tuple(args))
-        except ArityMismatchError as exc:
-            raise ArityMismatchError(f"{exc} (at position {p})") from None
+        except BadParamsError as exc:
+            raise ChainSyntaxError(str(exc), p) from None
 
     def parse_arg(level: int):
         k, v, p = peek()
@@ -323,7 +313,7 @@ def _draw_batch(spec, n, rng, policy, samples=None) -> tuple[np.ndarray, int, in
     its own count of resamples.  The last buffer has no fresh rows after
     it, so its invalid rows are drawn again in place, a round at a time.
     A row still invalid after policy.max_attempts resamples is dropped, or
-    raises PolicyExhaustedError.  A done buffer's invalid rows are set to 0
+    raises NumericalFailureError.  A done buffer's invalid rows are set to 0
     in place and the buffer tallied as it is.  The generator carries on from
     one buffer to the next, and no more than one buffer of draws is alive.
     Returns (ld_counts, zeros, resampled, dropped); a list passed as
@@ -354,9 +344,8 @@ def _draw_batch(spec, n, rng, policy, samples=None) -> tuple[np.ndarray, int, in
             invalid = 0 if valid else int(np.count_nonzero(bad))
             lost = invalid - redo.size
             if lost and policy.on_exhaustion == "error":
-                raise PolicyExhaustedError(
-                    f"{lost} draw(s) still invalid after {policy.max_attempts} attempts"
-                )
+                raise NumericalFailureError(
+                    f"{lost} draw(s) still invalid after {policy.max_attempts} attempts")
             dropped += lost
             if invalid:  # set to 0 in place, the invalid rows tally as nothing, as zeros do
                 vals[np.flatnonzero(bad)] = 0.0
@@ -514,13 +503,13 @@ def _chainer(chainer) -> tuple[FamilyNode, float]:
     if kind == "reciprocal_log":
         _, f_exp, span = chainer
         if span != int(span) or span < 1:
-            raise UnknownPresetError("reciprocal_log span must be a positive integer")
+            raise BadParamsError("reciprocal_log span must be a positive integer")
         return (FamilyNode(PowerLaw, (1.0, 10.0**f_exp, 10.0 ** (f_exp + span))),
                 10.0 ** (f_exp + span / 2.0))
     if kind == "lognormal":
         _, loc, shape = chainer
         return FamilyNode(LogNormal, (float(loc), float(shape))), math.exp(loc)
-    raise UnknownPresetError(f"unknown chainer {chainer!r}")
+    raise BadParamsError(f"unknown chainer {chainer!r}")
 
 
 def chainability_experiment(
@@ -548,7 +537,7 @@ def chainability_experiment(
     names = family.names
     unknown = chained - set(names)
     if unknown:
-        raise UnknownPresetError(f"{family.__name__} has no parameter(s) {sorted(unknown)}")
+        raise BadParamsError(f"{family.__name__} has no parameter(s) {sorted(unknown)}")
 
     def chainer_for(name):
         return chainer[name] if isinstance(chainer, dict) else chainer
@@ -643,7 +632,7 @@ def power_of_ten_invariance_check(
             return DigitDistribution.from_counts(counts)
 
         return empirical(model, c1).l_inf(empirical(scaled, c2))
-    raise UnknownPresetError(f"unknown mode {mode!r}")
+    raise BadParamsError(f"unknown mode {mode!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -729,4 +718,4 @@ def preset(name: str, **kwargs):
                 FamilyNode(Uniform, (0.0, 2.0)),
             ),
         )
-    raise UnknownPresetError(f"unknown preset {name!r}")
+    raise BadParamsError(f"unknown preset {name!r}")

@@ -31,12 +31,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (
-    BadBaseError,
-    BadDigitError,
-    ZeroInputError,
-    ZeroPrefixProbabilityError,
-)
+from .errors import BadParamsError, TooLargeError
 
 __all__ = [
     "DigitDistribution",
@@ -60,14 +55,14 @@ __all__ = [
 
 def _check_base(base: int) -> None:
     if not isinstance(base, int) or base < 2:
-        raise BadBaseError(f"base must be an integer >= 2, got {base!r}")
+        raise BadParamsError(f"base must be an integer >= 2, got {base!r}")
 
 
 def _check_input(x: float) -> float:
     if x == 0:
-        raise ZeroInputError("digit operations are undefined for 0")
+        raise BadParamsError("digit operations are undefined for 0")
     if not math.isfinite(x):
-        raise ZeroInputError(f"digit operations need a finite input, got {x!r}")
+        raise BadParamsError(f"digit operations need a finite input, got {x!r}")
     return abs(x)
 
 
@@ -128,7 +123,7 @@ def _repr_digits(a: float, k: int) -> tuple[int, int]:
 def _prefix(a: float, k: int, base: int) -> int:
     """The k-digit prefix of a finite a > 0: the scalar lookup in the same rows."""
     if base**k > _MAX_ROW:
-        raise BadDigitError(f"{k} base-{base} digits need rows of {base}**{k} thresholds; "
+        raise TooLargeError(f"{k} base-{base} digits need rows of {base}**{k} thresholds; "
                             f"at most {_MAX_ROW} are built")
     if base == 10 and a < sys.float_info.min:
         return _repr_digits(a, k)[0]  # subnormal: possibly ambiguous
@@ -191,7 +186,7 @@ def _slots(values: np.ndarray, k: int) -> tuple[np.ndarray, int]:
     exp = key >> b
     count = np.bincount(exp)
     if count.size == 2048:  # the top exponent holds inf and NaN
-        raise ZeroInputError("leading digits need finite values")
+        raise BadParamsError("leading digits need finite values")
     exps = np.flatnonzero(count).tolist()
     tiny = np.flatnonzero(exp == 0) if count[0] else key[:0]
     block = np.zeros(count.size, np.int64)  # one block of cells per exponent present
@@ -235,13 +230,13 @@ def leading_digits(values, k: int = 1) -> LeadingDigits:
     (_KEY_BITS); its key's cell holds at most one threshold (_cells).
     """
     if not 1 <= k <= 3:
-        raise BadDigitError(f"prefix length must be 1..3, got {k}")
+        raise BadParamsError(f"prefix length must be 1..3, got {k}")
     vals = np.asarray(values, dtype=np.float64).ravel()
     if vals.size == 0:
         return LeadingDigits(np.zeros(0, np.int16), np.zeros(0, np.int8), 0)
     slot, ambiguous = _slots(vals, k)
     if not slot.all():
-        raise ZeroInputError("leading digits need nonzero values")
+        raise BadParamsError("leading digits need nonzero values")
     return LeadingDigits(slot % 10**k, (slot // 10**k).astype(np.int8), ambiguous)
 
 
@@ -255,7 +250,7 @@ def prefix_counts(values, k: int = 1) -> tuple[np.ndarray, int]:
     scratch a value, and no per-value prefix or digit count.
     """
     if not 1 <= k <= 3:
-        raise BadDigitError(f"prefix length must be 1..3, got {k}")
+        raise BadParamsError(f"prefix length must be 1..3, got {k}")
     vals = np.asarray(values, dtype=np.float64).ravel()
     slots = np.zeros((k + 1) * 10**k, np.int64)
     ambiguous = 0
@@ -284,7 +279,7 @@ def digit_pattern(x: float, k: int, base: int = 10) -> tuple[int, ...]:
     """
     _check_base(base)
     if k < 1:
-        raise BadDigitError(f"pattern length must be >= 1, got {k}")
+        raise BadParamsError(f"pattern length must be >= 1, got {k}")
     n = _prefix(_check_input(x), k, base)
     return tuple(n // base**j % base for j in range(k - 1, -1, -1))
 
@@ -325,7 +320,7 @@ def benford_first(d: int, base: int = 10) -> float:
     """P[first digit = d] = log(1 + 1/d) / log(base)."""
     _check_base(base)
     if not 1 <= d <= base - 1:
-        raise BadDigitError(f"first digit must be in [1, {base - 1}], got {d}")
+        raise BadParamsError(f"first digit must be in [1, {base - 1}], got {d}")
     return math.log1p(1.0 / d) / math.log(base)
 
 
@@ -334,13 +329,13 @@ def benford_pattern(pattern, base: int = 10) -> float:
     _check_base(base)
     pattern = tuple(pattern)
     if not pattern:
-        raise BadDigitError("pattern must be non-empty")
+        raise BadParamsError("pattern must be non-empty")
     if pattern[0] < 1:
-        raise BadDigitError("first digit of a pattern is never 0")
+        raise BadParamsError("first digit of a pattern is never 0")
     n = 0
     for d in pattern:
         if not 0 <= d <= base - 1:
-            raise BadDigitError(f"digit {d} out of range for base {base}")
+            raise BadParamsError(f"digit {d} out of range for base {base}")
         n = n * base + d
     return math.log1p(1 / n) / math.log(base)  # 1 / n of a long pattern underflows to 0.0
 
@@ -349,9 +344,9 @@ def benford_nth_unconditional(n: int, d: int, base: int = 10) -> float:
     """Unconditional probability that the n-th significant digit is d (n >= 2)."""
     _check_base(base)
     if n < 2:
-        raise BadDigitError("nth-digit law needs n >= 2; use benford_first for n = 1")
+        raise BadParamsError("nth-digit law needs n >= 2; use benford_first for n = 1")
     if not 0 <= d <= base - 1:
-        raise BadDigitError(f"digit {d} out of range for base {base}")
+        raise BadParamsError(f"digit {d} out of range for base {base}")
     prefixes = itertools.product(range(1, base), *[range(base)] * (n - 2))
     return math.fsum(benford_pattern(prefix + (d,), base) for prefix in prefixes)
 
@@ -361,10 +356,10 @@ def benford_conditional(n: int, d: int, prefix, base: int = 10) -> float:
     _check_base(base)
     prefix = tuple(prefix)
     if len(prefix) != n - 1:
-        raise BadDigitError(f"prefix length {len(prefix)} != n - 1 = {n - 1}")
+        raise BadParamsError(f"prefix length {len(prefix)} != n - 1 = {n - 1}")
     p_prefix = benford_pattern(prefix, base)
     if p_prefix <= 0.0:  # a prefix of about 324 or more digits: its law underflows
-        raise ZeroPrefixProbabilityError(f"prefix {prefix} has zero probability")
+        raise BadParamsError(f"prefix {prefix} has zero probability")
     return benford_pattern(prefix + (d,), base) / p_prefix
 
 
@@ -383,10 +378,10 @@ class DigitDistribution:
         _check_base(self.base)
         total = math.fsum(self.probs.values())
         if self.probs and abs(total - 1.0) > 1e-9:
-            raise BadDigitError(f"probabilities sum to {total}, not 1")
+            raise BadParamsError(f"probabilities sum to {total}, not 1")
         for p in self.probs.values():
             if not -1e-12 <= p <= 1.0 + 1e-12:
-                raise BadDigitError(f"probability {p} outside [0, 1]")
+                raise BadParamsError(f"probability {p} outside [0, 1]")
 
     @classmethod
     def from_counts(cls, counts) -> "DigitDistribution":
@@ -440,7 +435,7 @@ def digital_usage(num_digits: int) -> dict[int, float]:
     and beyond are approximated as uniform 10% per digit.
     """
     if num_digits < 1:
-        raise BadDigitError(f"num_digits must be >= 1, got {num_digits}")
+        raise BadParamsError(f"num_digits must be >= 1, got {num_digits}")
     usage = {d: 0.0 for d in range(10)}
     for d in range(1, 10):
         usage[d] += benford_first(d)

@@ -22,11 +22,12 @@ reparameterizations.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import FrozenInstanceError, dataclass
 
 import numpy as np
 
-from .errors import BadParamsError, TooLargeError, UnknownFamilyError, UnsupportedFormError
+from .errors import BadParamsError, TooLargeError
 
 __all__ = [
     "DistributionModel",
@@ -85,11 +86,12 @@ class DistributionModel:
     """Base class; subclasses are the concrete families.
 
     A family declares ``names``, its parameters in order, and ``ints``, those
-    that must be Python integers.  It declares ``valid(*params)``, true where
-    its parameters are admissible (finite ones only), and
-    ``draw(rng, n, *params)``, n draws for parameters that are scalars or
-    length-n arrays of valid values.  A model is an immutable record of its
-    parameters: it compares, hashes and prints by them.
+    that must be integers (any ``numbers.Integral`` but a bool, kept as an
+    int).  It declares ``valid(*params)``, true where its parameters are
+    admissible (finite ones only), and ``draw(rng, n, *params)``, n draws
+    for parameters that are scalars or length-n arrays of valid values.  A
+    model is an immutable record of its parameters: it compares, hashes and
+    prints by them.
     """
 
     names: tuple[str, ...] = ()
@@ -107,8 +109,9 @@ class DistributionModel:
         if values.keys() != set(names):
             raise BadParamsError(f"{name} takes parameters {', '.join(names)}, got {', '.join(values)}")
         for key in self.ints:
-            if isinstance(values[key], bool) or not isinstance(values[key], int):
+            if isinstance(values[key], bool) or not isinstance(values[key], numbers.Integral):
                 raise BadParamsError(f"{name} {key} must be an integer, got {values[key]!r}")
+            values[key] = int(values[key])
         self.__dict__.update(values)
         if not self.valid(*self.params):
             raise BadParamsError(f"invalid {name} parameters {self.params}")
@@ -168,7 +171,7 @@ class DistributionModel:
             raise BadParamsError(f"10**m must be a double, got m = {m}")
         if subset is None:
             if not self.pot_scale_params:
-                raise UnsupportedFormError(f"{name} has no power-of-ten parameter form")
+                raise BadParamsError(f"{name} has no power-of-ten parameter form")
             subset = self.pot_scale_params
         unknown = [key for key in subset if key not in self.names]
         if unknown:
@@ -919,4 +922,4 @@ def family_by_name(name: str) -> type:
     try:
         return FAMILIES[key]
     except KeyError:
-        raise UnknownFamilyError(f"unknown distribution family {name!r}") from None
+        raise BadParamsError(f"unknown distribution family {name!r}") from None

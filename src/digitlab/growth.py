@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, NamedTuple
@@ -19,7 +20,7 @@ import numpy as np
 
 from .conformity import chi_sqr, first_digit_counts
 from .digits import DigitDistribution, compartment_boundaries
-from .errors import BadParamsError, EmptyInputError, PolicyExhaustedError, TooLargeError
+from .errors import BadParamsError, EmptyInputError, NumericalFailureError, TooLargeError
 
 if TYPE_CHECKING:  # an annotation only; importing distributions would cost every growth start
     from .distributions import DistributionModel
@@ -61,11 +62,17 @@ def _check_percent(percent: float) -> None:
         raise BadParamsError(f"percent must be finite and > -100, got {percent}")
 
 
-def _check_count(name: str, count: int) -> None:
+def _integer(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _check_count(name: str, count: int, cap: float = _MAX_RATES) -> None:
+    if not _integer(count):
+        raise BadParamsError(f"{name} must be an integer, got {count!r}")
     if count < 1:
         raise BadParamsError(f"{name} must be >= 1, got {count}")
-    if count > _MAX_RATES:
-        raise TooLargeError(f"{name} must be at most {_MAX_RATES}, got {count}")
+    if count > cap:
+        raise TooLargeError(f"{name} must be at most {cap}, got {count}")
 
 
 @dataclass(frozen=True)
@@ -95,10 +102,12 @@ class AnomalyRecord:
     T: int
 
     def __post_init__(self):
-        if self.L < 1 or self.T < 1:
+        if not (_integer(self.L) and _integer(self.T)) or self.L < 1 or self.T < 1:
             raise BadParamsError("L and T must be positive integers")
         if math.gcd(self.L, self.T) != 1:
             raise BadParamsError(f"L/T must be reduced, got {self.L}/{self.T}")
+        for key in ("L", "T"):  # a numpy integer would wrap 10**L
+            object.__setattr__(self, key, int(getattr(self, key)))
 
     @property
     def fraction(self) -> Fraction:
@@ -349,6 +358,7 @@ def cumulative_factors(percent: float, count: int) -> np.ndarray:
 
 def equivalent_rate(percent: float, subdivisions: int) -> float:
     """Percent rate over 1/subdivisions of the period: 100((1+P/100)^(1/R)-1)."""
+    _check_percent(percent)
     if subdivisions < 1:
         raise BadParamsError(f"subdivisions must be >= 1, got {subdivisions}")
     return 100.0 * ((1.0 + percent / 100.0) ** (1.0 / subdivisions) - 1.0)
@@ -450,6 +460,7 @@ def random_multiplication_process(
     redrawn, in at most _MAX_REDRAWS rounds.  The trajectory accumulates in
     log10 space, so long or violent processes cannot overflow.
     """
+    _check_count("n", n, cap=math.inf)  # a constant factor skips sample_n, which caps a model's n
     if start <= 0:
         raise BadParamsError(f"start must be > 0, got {start}")
     rng = np.random.default_rng(seed)
@@ -465,7 +476,7 @@ def random_multiplication_process(
     while bad.any():
         attempts += 1
         if attempts > _MAX_REDRAWS:
-            raise PolicyExhaustedError(
+            raise NumericalFailureError(
                 f"factor model kept producing nonpositive factors after {_MAX_REDRAWS} rounds"
             )
         rejected += int(bad.sum())

@@ -22,7 +22,7 @@ from fractions import Fraction
 import numpy as np
 
 from .digits import DigitDistribution
-from .errors import BadIntervalError, DepthUnsupportedError, TooLargeError
+from .errors import BadParamsError, TooLargeError
 
 __all__ = [
     "SchemeResult",
@@ -70,9 +70,9 @@ def _check_bounds(**bounds) -> None:
     """The bounds, in the order given, must be integers with 1 <= b1 <= b2 <= ... <= 10^18."""
     vals = tuple(bounds.values())
     if not all(isinstance(v, int) for v in vals):
-        raise BadIntervalError(f"bounds must be integers, got {vals}")
+        raise BadParamsError(f"bounds must be integers, got {vals}")
     if not all(a <= b for a, b in zip((1, *vals), vals)):
-        raise BadIntervalError(f"need 1 <= {' <= '.join(bounds)}, got {vals}")
+        raise BadParamsError(f"need 1 <= {' <= '.join(bounds)}, got {vals}")
     if vals[-1] > _MAX_BOUND:
         raise TooLargeError(f"bound {vals[-1]} exceeds 10^18, the int64 range of the leader count")
 
@@ -204,7 +204,7 @@ def iterated_scheme(
     """
     top_lo, top_hi = top_range
     if depth not in (2, 3):
-        raise DepthUnsupportedError(f"iterated_scheme supports depths 2 and 3, got {depth}")
+        raise BadParamsError(f"iterated_scheme supports depths 2 and 3, got {depth}")
     if mid_min is None:
         mid_min = inner_ub_min
     mids = {"mid_min": mid_min} if depth == 3 else {}
@@ -236,7 +236,7 @@ def _geometric_bounds(growth_percent: float, ub_start: int, ub_end: int):
     """Generator behind geometric_upper_bounds; checks its arguments on the first next()."""
     _check_bounds(ub_start=ub_start, ub_end=ub_end)
     if not (math.isfinite(growth_percent) and growth_percent > 0):
-        raise BadIntervalError(f"growth_percent must be finite and > 0, got {growth_percent}")
+        raise BadParamsError(f"growth_percent must be finite and > 0, got {growth_percent}")
     growth = math.log1p(growth_percent / 100.0)
     if growth == 0.0 or math.log((ub_end + 1) / ub_start) > _MAX_ROWS * growth:
         raise TooLargeError(f"growth_percent {growth_percent} needs more than 10^8 steps to reach {ub_end}")

@@ -21,15 +21,7 @@ from digitlab.distributions import (
     Rayleigh,
     Uniform,
 )
-from digitlab.errors import (
-    ArityMismatchError,
-    BadParamsError,
-    ChainSyntaxError,
-    PolicyExhaustedError,
-    TooLargeError,
-    UnknownFamilyError,
-    UnknownPresetError,
-)
+from digitlab.errors import BadParamsError, ChainSyntaxError, NumericalFailureError, TooLargeError
 
 DIGITS = range(1, 10)
 
@@ -73,11 +65,15 @@ class TestParser:
         assert spec.args == (-35.0, 2.0)
 
     def test_arity_mismatch(self):
-        with pytest.raises(ArityMismatchError):
-            chains.parse_chain("Weibull(1.5)")
+        # the message names the position, and the error carries it as data
+        for text, at in (("Weibull(1.5)", 0), ("Normal(0, Weibull(1.5))", 10)):
+            msg = rf"^Weibull takes 2 argument\(s\), got 1 \(at position {at}\)$"
+            with pytest.raises(ChainSyntaxError, match=msg) as err:
+                chains.parse_chain(text)
+            assert err.value.position == at
 
     def test_unknown_family(self):
-        with pytest.raises(UnknownFamilyError):
+        with pytest.raises(BadParamsError, match="unknown distribution family 'Zeta'"):
             chains.parse_chain("Zeta(1, 2)")
 
     def test_syntax_error_reports_position(self):
@@ -167,7 +163,7 @@ class TestSimulate:
         # sigma is always negative: every draw fails all attempts
         spec = chains.parse_chain("Normal(0, Uniform(-2, -1))")
         policy = chains.ResamplePolicy(max_attempts=3, on_exhaustion="error")
-        with pytest.raises(PolicyExhaustedError):
+        with pytest.raises(NumericalFailureError, match="still invalid after 3 attempts"):
             chains.simulate_chain(spec, 100, seed=19, policy=policy)
 
     def test_policy_bounds(self):
@@ -444,7 +440,7 @@ class TestChunkedStream:
         # the error policy raises exactly when the skip policy drops a draw
         error = chains.ResamplePolicy(max_attempts=max_attempts, on_exhaustion="error")
         if res.policy_dropped:
-            with pytest.raises(PolicyExhaustedError):
+            with pytest.raises(NumericalFailureError, match="still invalid after"):
                 chains.simulate_chain(spec, n, seed=seed, policy=error, workers=workers)
         else:
             again = chains.simulate_chain(spec, n, seed=seed, policy=error, workers=workers)
@@ -464,7 +460,7 @@ class TestChunkedStream:
         policy = chains.ResamplePolicy(max_attempts=1, on_exhaustion=on_exhaustion)
         n = 2 * chains._CHUNK + 1
         if on_exhaustion == "error":
-            with pytest.raises(PolicyExhaustedError):
+            with pytest.raises(NumericalFailureError, match="still invalid after 1 attempts"):
                 chains.simulate_chain(chains.FormulaNode("late", late), n, seed=1, policy=policy)
             assert len(calls) == 2
         else:
@@ -566,7 +562,7 @@ class TestChunkedStream:
         spec = chains.FormulaNode("off_main", off_main)
         policy = chains.ResamplePolicy(max_attempts=2, on_exhaustion="error")
         before = threading.active_count()
-        with pytest.raises(PolicyExhaustedError, match="after 2 attempts"):
+        with pytest.raises(NumericalFailureError, match="after 2 attempts"):
             chains.simulate_chain(spec, 3000, seed=1, policy=policy, workers=workers)
         assert threading.active_count() == before
         res = chains.simulate_chain(spec, 3000, seed=1, policy=policy, workers=1)
@@ -624,7 +620,7 @@ class TestChainability:
         assert res.verdict == "BEN"
 
     def test_unknown_param_rejected(self):
-        with pytest.raises(UnknownPresetError):
+        with pytest.raises(BadParamsError, match=r"Weibull has no parameter\(s\) \['nope'\]"):
             chains.chainability_experiment("weibull", ("nope",), {}, seed=1)
 
     @pytest.mark.parametrize("chainer", [
@@ -634,7 +630,7 @@ class TestChainability:
         {"lam": ("reciprocal_log", 0.0, -2)},
     ])
     def test_bad_chainer_rejected(self, chainer):
-        with pytest.raises(UnknownPresetError):
+        with pytest.raises(BadParamsError, match="unknown chainer|span must be a positive integer"):
             chains.chainability_experiment("weibull", ("lam",), {"k": 2.0}, chainer=chainer, seed=1)
 
     def test_full_grid(self):
@@ -714,7 +710,7 @@ class TestPresets:
         assert res.n_requested == res.n_accepted + res.skipped_zeros + res.policy_dropped
 
     def test_unknown_preset(self):
-        with pytest.raises(UnknownPresetError):
+        with pytest.raises(BadParamsError, match="unknown preset 'nope'"):
             chains.preset("nope")
 
     @pytest.mark.parametrize("name,kwargs", [("mini_hill", {"m": 7}), ("benford_twist", {"depth": 3}),

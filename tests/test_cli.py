@@ -776,8 +776,7 @@ class TestExitCodes:
         classes = [c for c in vars(errors).values()
                    if isinstance(c, type) and issubclass(c, errors.DigitLabError)]
         assert {c.__name__: c.exit_code for c in classes if c.exit_code != EXIT_USAGE} == {
-            "EmptyInputError": EXIT_EMPTY, "QuadratureFailureError": EXIT_NUMERIC,
-            "PolicyExhaustedError": EXIT_NUMERIC}
+            "EmptyInputError": EXIT_EMPTY, "NumericalFailureError": EXIT_NUMERIC}
 
     def test_removed_keep_sign_exits_2(self, tmp_path, capsys):
         # the flag did nothing: the report reads |x| whatever it said
@@ -795,7 +794,7 @@ class TestExitCodes:
         assert capsys.readouterr().err.startswith("error: all 1 draws")
 
     def test_exhausted_policy_on_threads_exits_4(self):
-        # every draw is invalid: both workers raise PolicyExhaustedError, the
+        # every draw is invalid: both workers raise NumericalFailureError, the
         # second in a thread of its own
         proc = _run(["-m", "digitlab.cli", "chain", "--spec", "Normal(0, Uniform(-2, -1))",
                      "--n", "1000", "--threads", "2", "--max-attempts", "3",

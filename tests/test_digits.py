@@ -13,12 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from digitlab import digits
-from digitlab.errors import (
-    BadBaseError,
-    BadDigitError,
-    ZeroInputError,
-    ZeroPrefixProbabilityError,
-)
+from digitlab.errors import BadParamsError, TooLargeError
 
 DIGITS = range(1, 10)
 
@@ -37,11 +32,11 @@ class TestFirstDigit:
         assert digits.first_digit(15, base=16) == 15
 
     def test_zero_rejected(self):
-        with pytest.raises(ZeroInputError):
+        with pytest.raises(BadParamsError, match="undefined for 0"):
             digits.first_digit(0.0)
 
     def test_bad_base(self):
-        with pytest.raises(BadBaseError):
+        with pytest.raises(BadParamsError, match="base must be an integer >= 2, got 1"):
             digits.first_digit(5, base=1)
 
     @given(st.floats(min_value=1e-300, max_value=1e300))
@@ -76,9 +71,10 @@ class TestDigitPattern:
             assert digits.digit_pattern(x, 4)[0] != 0
 
     def test_bad_length(self):
-        with pytest.raises(BadDigitError):
+        with pytest.raises(BadParamsError, match="pattern length must be >= 1, got 0"):
             digits.digit_pattern(5, 0)
-        with pytest.raises(BadDigitError):  # a 9e19-entry row is never built
+        # a 9e19-entry row is never built
+        with pytest.raises(TooLargeError, match=r"need rows of 10\*\*20 thresholds"):
             digits.digit_pattern(5, 20)
 
 
@@ -147,10 +143,10 @@ class TestLeadingDigits:
 
     def test_empty_and_bad_input(self):
         assert digits.leading_digits([], 3).prefix.size == 0
-        with pytest.raises(BadDigitError):
+        with pytest.raises(BadParamsError, match="prefix length must be 1..3, got 4"):
             digits.leading_digits([1.0], 4)
         for bad in (0.0, math.inf, math.nan):
-            with pytest.raises(ZeroInputError):
+            with pytest.raises(BadParamsError, match="leading digits need (finite|nonzero) values"):
                 digits.leading_digits([1.0, bad])
 
 
@@ -279,10 +275,10 @@ class TestPrefixCounts:
     def test_empty_and_bad_input(self):
         counts, ambiguous = digits.prefix_counts([], 2)
         assert counts.tolist() == [[0] * 10] * 2 and ambiguous == 0
-        with pytest.raises(BadDigitError):
+        with pytest.raises(BadParamsError, match="prefix length must be 1..3, got 4"):
             digits.prefix_counts([1.0], 4)
         for bad in (math.inf, -math.inf, math.nan):
-            with pytest.raises(ZeroInputError):
+            with pytest.raises(BadParamsError, match="leading digits need finite values"):
                 digits.prefix_counts([1.0, bad])
 
 
@@ -420,11 +416,11 @@ class TestBenfordLaws:
         assert total == pytest.approx(1.0, abs=1e-12)
 
     def test_bad_patterns(self):
-        with pytest.raises(BadDigitError):
+        with pytest.raises(BadParamsError, match="first digit of a pattern is never 0"):
             digits.benford_pattern([0, 5])
-        with pytest.raises(BadDigitError):
+        with pytest.raises(BadParamsError, match="digit 11 out of range for base 10"):
             digits.benford_pattern([3, 11])
-        with pytest.raises(BadDigitError):
+        with pytest.raises(BadParamsError, match="pattern must be non-empty"):
             digits.benford_pattern([])
 
     def test_from_counts(self):
@@ -460,7 +456,7 @@ class TestBenfordLaws:
         assert total == pytest.approx(1.0, abs=1e-12)
 
     def test_conditional_prefix_length_checked(self):
-        with pytest.raises(BadDigitError):
+        with pytest.raises(BadParamsError, match="prefix length 2 != n - 1 = 1"):
             digits.benford_conditional(2, 2, [1, 5])
 
     def test_pattern_past_the_double_range(self):
@@ -471,7 +467,7 @@ class TestBenfordLaws:
     def test_conditional_on_a_prefix_past_the_double_range(self):
         # a 310-digit prefix still has a (subnormal) law; a 400-digit one has none
         assert digits.benford_conditional(311, 0, (1,) + (0,) * 309) == pytest.approx(0.1, rel=1e-9)
-        with pytest.raises(ZeroPrefixProbabilityError):
+        with pytest.raises(BadParamsError, match="has zero probability"):
             digits.benford_conditional(401, 0, (9,) * 400)
 
 
@@ -511,7 +507,7 @@ class TestDigitalUsage:
 
 class TestDigitDistribution:
     def test_invariants_enforced(self):
-        with pytest.raises(BadDigitError):
+        with pytest.raises(BadParamsError, match="probabilities sum to"):
             digits.DigitDistribution(base=10, probs={1: 0.9, 2: 0.3})
 
     def test_benford_distribution_valid(self):

@@ -16,7 +16,7 @@ from scipy import integrate, special, stats
 
 from digitlab import chains
 from digitlab import distributions as dm
-from digitlab.errors import BadParamsError, TooLargeError, UnknownFamilyError
+from digitlab.errors import BadParamsError, TooLargeError
 
 # One representative parameterization per family.  Infinite supports are
 # truncated at 40 scale-lengths for the normalization quadrature.
@@ -245,7 +245,7 @@ class TestValidation:
         assert dm.family_by_name("WEIBULL") is dm.Weibull
         assert dm.family_by_name("chi-sqr") is dm.ChiSqr
         assert dm.family_by_name("Cauchy") is dm.CauchyLorentz
-        with pytest.raises(UnknownFamilyError):
+        with pytest.raises(BadParamsError, match="unknown distribution family 'frobnitz'"):
             dm.family_by_name("frobnitz")
 
 
@@ -313,9 +313,13 @@ def test_record_behaviour(fam):
 def test_record_repr_and_integer_parameters():
     assert repr(dm.Uniform(0, 1)) == "Uniform(a=0, b=1)" and dm.Uniform(0, 1) == dm.Uniform(a=0, b=1)
     assert repr(dm.Exp6(5.0)) == "Exp6(rho=5.0)" and repr(dm.ChiSqr(4)) == "ChiSqr(dof=4)"
-    for bad in (lambda: dm.ChiSqr(2.0), lambda: dm.Die(True)):
+    for bad in (lambda: dm.ChiSqr(2.0), lambda: dm.Die(True), lambda: dm.Die(np.bool_(True))):
         with pytest.raises(BadParamsError, match="must be an integer"):
             bad()
+    # a numpy integer is kept as the int it equals
+    from_numpy = dm.ChiSqr(np.int64(4))
+    assert from_numpy == dm.ChiSqr(4) and hash(from_numpy) == hash(dm.ChiSqr(4))
+    assert repr(from_numpy) == "ChiSqr(dof=4)" and type(from_numpy.dof) is int
 
 
 @pytest.mark.parametrize("model", AGREEMENT_MODELS, ids=repr)
@@ -368,9 +372,7 @@ class TestPowerOfTenScaling:
             dm.Die(6).scaled_by_power_of_ten(308, subset=["faces"])
 
     def test_no_form(self):
-        from digitlab.errors import UnsupportedFormError
-
-        with pytest.raises(UnsupportedFormError):
+        with pytest.raises(BadParamsError, match="Die has no power-of-ten parameter form"):
             dm.Die(6).scaled_by_power_of_ten(1)
 
 

@@ -46,6 +46,10 @@ class TestGenerateSeries:
             make(0)
         with pytest.raises(TooLargeError):
             make(growth._MAX_RATES + 1)
+        make(np.int64(3))
+        for bad in (2.5, 3.0, True):  # np.arange would round a float count up
+            with pytest.raises(BadParamsError, match="must be an integer"):
+                make(bad)
 
 
 class TestSeriesLd:
@@ -246,6 +250,9 @@ class TestEnumerate:
 
     def test_big_l_exact_power(self):
         assert growth.AnomalyRecord(277, 600).first_power_of_ten_factor == 10**277
+        # numpy integers are kept as ints: 10**np.int64(20) would wrap
+        from_numpy = growth.AnomalyRecord(np.int64(20), np.int64(3))
+        assert from_numpy == growth.AnomalyRecord(20, 3) and from_numpy.first_power_of_ten_factor == 10**20
 
     @pytest.mark.parametrize("t_range", [(0, 5), (1, 0), (-3, 4)])
     def test_t_below_one_rejected(self, t_range):
@@ -265,6 +272,9 @@ class TestEnumerate:
             growth.AnomalyRecord(2, 4)  # not reduced
         with pytest.raises(BadParamsError):
             growth.AnomalyRecord(0, 5)
+        for l, t in ((1.5, 2), (1, 2.0), (True, 3)):  # math.gcd takes integers only
+            with pytest.raises(BadParamsError, match="L and T must be positive integers"):
+                growth.AnomalyRecord(l, t)
 
     def test_percent_past_the_doubles_refused(self):
         assert growth.AnomalyRecord(401, 2).percent == pytest.approx(100.0 * 10.0**200.5)
@@ -496,6 +506,12 @@ class TestEquivalentRate:
     def test_identity(self):
         assert growth.equivalent_rate(37.5, 1) == pytest.approx(37.5, abs=1e-12)
 
+    @pytest.mark.parametrize("percent", [-200.0, -100.0, math.nan, math.inf])
+    def test_percent_checked(self, percent):
+        # a negative factor to the power 1/2 is complex, and NaN would pass through
+        with pytest.raises(BadParamsError, match="percent must be finite and > -100"):
+            growth.equivalent_rate(percent, 2)
+
 
 class TestNonAnomalousInvariants:
     def test_long_series_conform(self):
@@ -537,6 +553,15 @@ class TestMultiplicationProcess:
 
         res = growth.random_multiplication_process(Normal(2.0, 0.5), 20_000, 1.0, seed=3)
         assert res.n_rejected >= 0 and res.chi_sqr < 30
+
+    @pytest.mark.parametrize("factor_model", [2.0, Uniform(0.5, 2.5)])
+    def test_count_checked(self, factor_model):
+        # a constant factor never reaches sample_n, which checks a model's count
+        for n in (-1, 0):
+            with pytest.raises(BadParamsError, match=f"n must be >= 1, got {n}"):
+                growth.random_multiplication_process(factor_model, n, 1.0)
+        with pytest.raises(BadParamsError, match="n must be an integer, got 2.5"):
+            growth.random_multiplication_process(factor_model, 2.5, 1.0)
 
 
 class TestPowerTransform:

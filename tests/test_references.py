@@ -18,6 +18,7 @@ No module in src/, tests/ or bench/ imports a name it never loads.
 """
 
 import ast
+import builtins
 import importlib
 import inspect
 import re
@@ -206,7 +207,25 @@ def test_families_are_plain_classes():
                for node in ast.walk(ast.parse(path.read_text(), str(path)))
                if _reads_dataclass_fields(node)]
     assert readers == []
-    assert not hasattr(errors, "BadExpectedError")  # the probe's bad factor is a BadParamsError
+
+
+# Exceptions the code, tests and README may name that are neither digitlab's nor builtins
+_LIBRARY_ERRORS = {"ArgumentTypeError", "FrozenInstanceError", "PackageNotFoundError"}
+
+
+def test_one_error_class_per_exit_code():
+    # a class is kept where a caller needs its data or its name, one per exit code otherwise;
+    # every other ...Error word in src/, tests/, bench/ and the README is Python's or a library's
+    kept = {c.__name__: c.exit_code for c in vars(errors).values()
+            if isinstance(c, type) and issubclass(c, Exception)}
+    assert kept == {"DigitLabError": 2, "BadParamsError": 2, "TooLargeError": 2,
+                    "ChainSyntaxError": 2, "EmptyInputError": 3, "NumericalFailureError": 4}
+    paths = [p for tree in ("src", "tests", "bench") for p in sorted((_ROOT / tree).rglob("*.py"))]
+    stray = sorted({f"{path.relative_to(_ROOT).as_posix()}:{word}"
+                    for path in [*paths, _ROOT / "README.md"]
+                    for word in re.findall(r"\b[A-Z]\w*Error\b", path.read_text())
+                    if word not in kept and word not in _LIBRARY_ERRORS and not hasattr(builtins, word)})
+    assert stray == []
 
 
 def _unused_imports(paths: list[Path], root: Path) -> list[str]:

@@ -16,7 +16,7 @@ from hypothesis import example, given, settings, strategies as st
 from digitlab import schemes
 from digitlab.conformity import chi_sqr_vs_benford
 from digitlab.digits import first_digit
-from digitlab.errors import BadIntervalError, DepthUnsupportedError, TooLargeError
+from digitlab.errors import BadParamsError, TooLargeError
 
 DIGITS = range(1, 10)
 
@@ -82,9 +82,9 @@ class TestIntervalLd:
             call()
 
     def test_validation(self):
-        with pytest.raises(BadIntervalError):
+        with pytest.raises(BadParamsError, match="need 1 <= lb <= ub"):
             schemes.interval_ld(0, 5)
-        with pytest.raises(BadIntervalError):
+        with pytest.raises(BadParamsError, match="need 1 <= lb <= ub"):
             schemes.interval_ld(7, 3)
 
 
@@ -179,7 +179,7 @@ class TestIteratedScheme:
             assert got.ld.probs[d] == pytest.approx(want[d - 1], abs=1e-12)
 
     def test_depth_cap(self):
-        with pytest.raises(DepthUnsupportedError):
+        with pytest.raises(BadParamsError, match="supports depths 2 and 3, got 4"):
             schemes.iterated_scheme(1, 1, (10, 100), 4)
 
 
@@ -208,7 +208,7 @@ class TestBenfordTwist:
 
     @pytest.mark.parametrize("rate", [float("nan"), float("inf"), 0.0, -1.0])
     def test_rate_must_be_finite_and_positive(self, rate):
-        with pytest.raises(BadIntervalError):
+        with pytest.raises(BadParamsError, match="growth_percent must be finite and > 0"):
             schemes.benford_twist_scheme(rate, 99, 999)
 
     @pytest.mark.parametrize("rate,index,want", [("0.1", 14290, 591862695),
