@@ -46,14 +46,14 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 
 # glibc serves each allocation of 128 KiB or more from its own mmap, unmapped on
-# free, and gives back the heap top once 128 KiB of it is free: the blocks a growth
-# scan or a chain allocates and frees over and over then fault in page by page each
+# free, and gives back the heap top once 128 KiB of it is free: the 256 KiB buffer
+# arrays a chain allocates and frees over and over then fault in page by page each
 # time.  The thresholds below keep freed memory in the process; any pair above the
-# largest block churned (a chain's 256 KiB buffer arrays) does as well.  glibc also
-# gives each thread that allocates an arena of its own, whose free memory no other
-# thread can use: one arena serves all threads.  main() makes the call once the
-# arguments parse and before a command loads numpy, so numpy's own import allocations
-# fall under these settings too.  The README's "Memory" section has the measurements.
+# largest block churned does as well.  glibc also gives each thread that allocates
+# an arena of its own, whose free memory no other thread can use: one arena serves
+# all threads.  main() makes the call once the arguments parse and before a command
+# loads numpy, so numpy's own import allocations fall under these settings too.  The
+# README's "Memory" section has the measurements.
 _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD, _M_ARENA_MAX = -1, -3, -8  # mallopt parameters, as in malloc.h
 _MMAP_THRESHOLD = 64 << 20
 _TRIM_THRESHOLD = 256 << 20

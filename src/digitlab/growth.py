@@ -9,7 +9,6 @@ never overflow; values themselves are materialized only on request.
 
 from __future__ import annotations
 
-import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -51,8 +50,6 @@ _MAX_RATES = 10**6
 _MAX_SCAN_ELEMENTS = 2 * 10**9
 # rounds in which random_multiplication_process redraws its nonpositive factors
 _MAX_REDRAWS = 100
-# bins of the mantissa digit table: each holds at most one snap threshold
-_BINS = 4096
 # integers up to 2**53 are doubles exactly
 _EXACT = 2**53
 
@@ -157,70 +154,39 @@ def series_mantissas(series: GrowthSeries) -> np.ndarray:
     return _mantissa_rows(math.log10(series.base) % 1.0, m_f, series.length)[0]
 
 
-def _snap_threshold(edge: float) -> float:
-    """Smallest double m with abs(m - edge) < 1e-9, by bisection over doubles."""
-    lo, hi = edge - 2e-9, edge  # the rule is false at lo and true at hi
-    while math.nextafter(lo, hi) != hi:
-        mid = (lo + hi) / 2
-        if abs(mid - edge) < 1e-9:
-            hi = mid
-        else:
-            lo = mid
-    return hi
+def _tol(magnitude):
+    """The float error of a mantissa reduced from logs of at most this magnitude, with room to spare."""
+    return 2**-50 * (1 + magnitude)
 
 
-@functools.cache
-def _digit_table() -> tuple[np.ndarray, np.ndarray]:
-    """Per mantissa bin [i, i + 1) / _BINS (and one more bin for 1.0): the
-    digit at the bin start and the snap threshold inside the bin (inf if
-    none), where the next digit starts.  Digits run 1..10, 10 being a power
-    of ten; built on first use."""
-    thresholds = [_snap_threshold(edge) for edge in _BOUNDS[1:]]  # digits 2..10
-    starts = np.arange(_BINS + 1) / _BINS
-    start_digit = 1 + np.searchsorted(thresholds, starts, side="right")
-    split = np.full(_BINS + 1, np.inf)
-    for t in thresholds:
-        i = int(t * _BINS)
-        if t > starts[i]:
-            split[i] = t
-    start_digit.setflags(write=False)  # shared by every caller
-    split.setflags(write=False)
-    return start_digit, split
+def _series_tol(base: float, x, length: int):
+    """_tol of frac(log10(base) + j x), j < length: the error of j x grows with j."""
+    return _tol(abs(math.log10(base)) + length * (1 + abs(x)))
 
 
-def _digits_from_mantissas(mant: np.ndarray) -> np.ndarray:
-    """First digits of mantissas in [0, 1), elementwise for any shape.
+def _digit_counts(mant: np.ndarray, tol) -> np.ndarray:
+    """Tallies of digits 1..9 along the last axis of a 1-D or 2-D mantissa array.
 
-    A mantissa within 1e-9 of a compartment edge log10 d counts as sitting
-    on it, so accumulated float drift cannot flip exact-boundary series
-    elements (a series starting at 3 has every mantissa exactly on the
-    digit-3 edge): it gets digit d.  Within 1e-9 of 0, and within 1e-9
-    below 1 (an element that is a power of ten), give digit 1 (so does a
-    mantissa rounded up to 1.0).  The rule is applied through a table: each
-    edge's threshold is the smallest double the rule sends to digit d,
-    found once by bisection.
+    Mantissas m in [0, 1] are read by the half-open compartments [log10 d,
+    log10(d+1)), m + tol at or past an edge counting as on it, so float error
+    cannot move an element that is exactly d 10^k down a digit; the edge 1 is
+    a power of ten, digit 1.  tol is a scalar or one per row, (rows, 1).
     """
-    start_digit, split = _digit_table()
-    i = (mant * _BINS).astype(np.intp)
-    digs = start_digit[i] + (mant >= split[i])
-    digs[digs == 10] = 1
-    return digs
+    m = np.atleast_2d(mant) + tol  # once: comparing with a (rows, 1) column is several times slower
+    digs = np.zeros(m.shape, dtype=np.uint8)  # edges passed: digit - 1, or 9 for the edge 1
+    passed = np.empty(m.shape, dtype=bool)
+    for edge in _BOUNDS[1:]:
+        digs += np.greater_equal(m, edge, out=passed).view(np.uint8)
+    digs[digs == 9] = 0
+    counts = np.bincount((digs + 9 * np.arange(len(m))[:, None]).ravel(), minlength=9 * len(m))
+    return counts.reshape(mant.shape[:-1] + (9,))
 
 
-def _digit_counts(mant: np.ndarray) -> np.ndarray:
-    """Tallies of digits 1..9 along the last axis of a 1-D or 2-D mantissa array."""
-    digs = np.atleast_2d(_digits_from_mantissas(mant))
-    rows = digs.shape[0]
-    offset = 10 * np.arange(rows)[:, None]
-    counts = np.bincount((digs + offset).ravel(), minlength=10 * rows)
-    return counts.reshape(mant.shape[:-1] + (10,))[..., 1:]
-
-
-def _ld_chi(x: np.ndarray, tally=_digit_counts) -> tuple[DigitDistribution, float]:
-    """Digit law and Benford chi-square of a 1-D mantissa vector (or of values, tallied by tally)."""
+def _ld_chi(x: np.ndarray, tally, *args) -> tuple[DigitDistribution, float]:
+    """Digit law and Benford chi-square of a 1-D vector, tallied by tally(x, *args)."""
     if not np.isfinite(x).all():
         raise BadParamsError("a non-finite value has no leading digit")
-    counts = tally(x)
+    counts = tally(x, *args)
     return DigitDistribution.from_counts(counts), chi_sqr(counts)
 
 
@@ -229,10 +195,12 @@ def series_ld(values_or_series) -> tuple[DigitDistribution, float]:
 
     Accepts either a real vector (zeros skipped, digits as leading_digits
     reads them) or a GrowthSeries, processed in log space so huge series
-    cannot overflow.
+    cannot overflow: its mantissas are read as _digit_counts reads them,
+    within the float error _series_tol bounds.
     """
     if isinstance(values_or_series, GrowthSeries):
-        return _ld_chi(series_mantissas(values_or_series))
+        s = values_or_series
+        return _ld_chi(series_mantissas(s), _digit_counts, _series_tol(s.base, math.log10(s.factor), s.length))
     vals = np.asarray(values_or_series, dtype=np.float64)
     if not vals.any():  # NaN counts as nonzero: it is refused as non-finite
         raise EmptyInputError("no nonzero values")
@@ -320,20 +288,19 @@ def detect_anomalous(percent: float, t_max: int, tol: float = 1e-10) -> AnomalyR
     kernel rate_scan uses.
     """
     _check_percent(percent)
-    if t_max < 1:
-        raise BadParamsError(f"t_max must be >= 1, got {t_max}")
+    _check_count("t_max", t_max, cap=math.inf)
     return _anomalies(np.array([math.log10(1.0 + percent / 100.0)]), t_max, tol)[0]
 
 
 def enumerate_anomalous(l_set, t_range: tuple[int, int]) -> list[AnomalyRecord]:
     """All reduced (L, T) records with L in l_set, T in t_range, by percent.
 
-    T values below 1 raise BadParamsError; more than _MAX_RATES (L, T) pairs
-    raise TooLargeError before any record is built.
+    T bounds that are not integers >= 1 raise BadParamsError; more than
+    _MAX_RATES (L, T) pairs raise TooLargeError before any record is built.
     """
     t_lo, t_hi = t_range
-    if min(t_lo, t_hi) < 1:
-        raise BadParamsError(f"T must be >= 1, got the range {t_lo}..{t_hi}")
+    for t in t_range:
+        _check_count("T", t, cap=math.inf)
     ls = sorted(set(l_set))
     if len(ls) * (t_hi - t_lo + 1) > _MAX_RATES:
         raise TooLargeError(f"{len(ls)} L values x T in {t_lo}..{t_hi} is more than {_MAX_RATES} pairs")
@@ -386,20 +353,19 @@ def rate_scan(
     chi-square equals series_ld(GrowthSeries(base, rate, n_elements))[1]:
     the rates go through in blocks of max(1, _BLOCK // n_elements) series,
     each block one (rates x n_elements) mantissa matrix, so memory stays
-    bounded whatever the grid size.  Digits come from the mantissas, a
-    mantissa within 1e-9 of the edge log10 d counting as digit d (see
-    _digits_from_mantissas).  A rate is flagged as detect_anomalous(rate,
-    t_flag, tol=1/(2 n_elements)) would flag it: a rate within that distance
-    of a bounded-denominator rational behaves anomalously at this series
-    length, which is what the flag is for.  _BLOCK rates at a time get one
+    bounded whatever the grid size.  Digits come from the mantissas as
+    _digit_counts reads them, each row with the _series_tol of its own
+    series.  A rate is flagged as detect_anomalous(rate, t_flag,
+    tol=1/(2 n_elements)) would flag it: a rate within that distance of a
+    bounded-denominator rational behaves anomalously at this series length,
+    which is what the flag is for.  _BLOCK rates at a time get one
     chi-square call over their stacked counts and one exact continued-fraction
     expansion for the flags, on the same x = log10(1 + rate/100) whose
     fractional part drives the mantissas.
     """
     if not (lo_percent < hi_percent < math.inf and 0 < step < math.inf):
         raise BadParamsError("need lo < hi and step > 0, all finite")
-    if t_flag < 1:
-        raise BadParamsError(f"t_max must be >= 1, got {t_flag}")
+    _check_count("t_max", t_flag, cap=math.inf)
     GrowthSeries(base=base, percent=lo_percent, length=n_elements)  # validates the lowest rate
     steps = (hi_percent - lo_percent) / step
     if not steps + 1 <= _MAX_RATES:  # also inf; checked before any list is built
@@ -413,6 +379,7 @@ def rate_scan(
     # log10 can differ from it in the last bit
     x = np.array([math.log10(1.0 + pct / 100.0) for pct in pcts])
     m_b, m_f = math.log10(base) % 1.0, x % 1.0
+    digit_tol = _series_tol(base, x, n_elements)[:, None]
     rows = max(1, _BLOCK // n_elements)
     tol = 0.5 / n_elements
     chis: list[float] = []
@@ -420,7 +387,8 @@ def rate_scan(
     for i in range(0, len(pcts), _BLOCK):
         end = min(i + _BLOCK, len(pcts))
         counts = np.concatenate([
-            _digit_counts(_mantissa_rows(m_b, m_f[j:min(j + rows, end)], n_elements))
+            _digit_counts(_mantissa_rows(m_b, m_f[j:min(j + rows, end)], n_elements),
+                          digit_tol[j:min(j + rows, end)])
             for j in range(i, end, rows)
         ])
         chis += chi_sqr(counts).tolist()
@@ -460,9 +428,11 @@ def random_multiplication_process(
     redrawn, in at most _MAX_REDRAWS rounds.  The trajectory accumulates in
     log10 space, so long or violent processes cannot overflow.
     """
-    _check_count("n", n, cap=math.inf)  # a constant factor skips sample_n, which caps a model's n
-    if start <= 0:
-        raise BadParamsError(f"start must be > 0, got {start}")
+    from .distributions import _MAX_DRAWS  # here: a growth start does not load distributions
+
+    _check_count("n", n, cap=_MAX_DRAWS)  # a constant factor skips sample_n, which caps a model's n
+    if not 0 < start < math.inf:  # NaN fails too
+        raise BadParamsError(f"start must be finite and > 0, got {start}")
     rng = np.random.default_rng(seed)
     if isinstance(factor_model, (int, float)):
         if factor_model <= 0:
@@ -484,10 +454,14 @@ def random_multiplication_process(
         bad = ~(factors > 0)
     log10_factors = np.log10(factors)
     log10_vals = math.log10(start) + np.cumsum(log10_factors)
-    # mantissas accumulate mod-1 increments so power-of-ten factors stay
-    # exactly LD-neutral over arbitrarily long trajectories
-    mant = (math.log10(start) % 1.0 + np.cumsum(log10_factors % 1.0)) % 1.0
-    dist, chi = _ld_chi(mant)
+    if not math.isfinite(log10_vals[-1]):
+        raise BadParamsError("a non-finite factor has no leading digit")
+    # frac(log10 f) adds up in 2**-62 units exactly (wrapping drops whole units): power-of-ten
+    # factors stay LD-neutral and each step adds a rounding of 2**-63 = 2**-50 * 2**-13 at most
+    steps = np.rint(np.concatenate(([math.log10(start)], log10_factors)) % 1.0 * 2**62)
+    mant = (np.cumsum(steps.astype(np.int64))[1:] & (2**62 - 1)) * 2.0**-62
+    tol = _tol(abs(math.log10(start)) + np.abs(log10_factors).sum() + n * 2**-13)
+    dist, chi = _ld_chi(mant, _digit_counts, tol)
     return MultiplicationResult(log10_values=log10_vals, ld=dist, chi_sqr=chi, n_rejected=rejected)
 
 
@@ -502,4 +476,5 @@ def power_transform_ld(
     x = np.abs(x[x != 0])
     if x.size == 0:
         raise EmptyInputError("model produced only zeros")
-    return _ld_chi((exponent * np.log10(x)) % 1.0)
+    logs = exponent * np.log10(x)
+    return _ld_chi(logs % 1.0, _digit_counts, _tol(np.abs(logs).max()))

@@ -1236,16 +1236,15 @@ class TestAllocator:
         cli._keep_freed_memory()
         assert asked == [(-3, 64 << 20), (-1, 256 << 20), (-8, 1)]  # M_MMAP_THRESHOLD, M_TRIM_THRESHOLD, M_ARENA_MAX
 
-    # minor page faults of one rate scan of the benchmark's size (14,901 rates x 1000
-    # elements), without the allocator call ("off") or after it ("on"); at 2,000 rates
-    # every scratch array is under 128 KiB and the two counts barely differ
+    # minor page faults of one chain command (flehinger, 3e6 draws) on modules already
+    # loaded, with the allocator call taken out ("off") or made as main() makes it ("on")
     _FAULTS = """
 import resource, sys
-from digitlab import cli, growth
-if sys.argv[1] == "on":
-    cli._keep_freed_memory()
+from digitlab import chains, cli
+if sys.argv[1] == "off":
+    cli._keep_freed_memory = lambda: None
 before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-growth.rate_scan(10.0, 159.0, 0.01, 1000, 3.0, 100)
+cli.main(["chain", "--preset", "flehinger", "--n", "3000000", "--seed", "7", "--quiet"])
 print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
 """
 
@@ -1256,8 +1255,8 @@ print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
             proc = _run(["-c", self._FAULTS, mode])
             assert proc.returncode == 0, proc.stderr
             faults[mode] = int(proc.stdout)
-        # about 99,000 against 1,800 on glibc 2.36: each freed block of the flag
-        # and tally passes goes back to the kernel and faults in afresh
+        # about 23,700 against 370 on glibc 2.36: each freed 256 KiB buffer array of
+        # the draw and tally passes goes back to the kernel and faults in afresh
         assert faults["on"] * 5 <= faults["off"], faults
 
 

@@ -16,6 +16,15 @@ from digitlab.errors import BadParamsError, EmptyInputError, TooLargeError
 DIGITS = range(1, 10)
 
 
+@pytest.fixture
+def kernel_calls(monkeypatch) -> list:
+    """The (mantissas, tol) of every growth._digit_counts call, in order."""
+    seen = []
+    real = growth._digit_counts
+    monkeypatch.setattr(growth, "_digit_counts", lambda m, tol: seen.append((m, tol)) or real(m, tol))
+    return seen
+
+
 class TestGenerateSeries:
     def test_12_percent_head(self):
         s = growth.GrowthSeries(base=1.0, percent=12.0, length=21)
@@ -169,6 +178,12 @@ class TestDetection:
         with pytest.raises(BadParamsError, match="t_max"):
             growth.detect_anomalous(10.0, 0)
 
+    def test_t_max_must_be_an_integer(self):
+        with pytest.raises(BadParamsError, match="t_max must be an integer, got 100.0"):
+            growth.detect_anomalous(21.152765862859, 100.0)
+        # a bound past int64 stays legal: the double x itself, n / 2**56, is the answer
+        assert growth.detect_anomalous(21.152765862859, 10**21).T == 2**56
+
 
 def _flag_oracle(x: float, t_max: int, tol: float):
     """The documented flag rule on one x = log10(1 + P/100), through
@@ -257,6 +272,12 @@ class TestEnumerate:
     @pytest.mark.parametrize("t_range", [(0, 5), (1, 0), (-3, 4)])
     def test_t_below_one_rejected(self, t_range):
         with pytest.raises(BadParamsError, match="T must be"):
+            growth.enumerate_anomalous([1], t_range)
+
+    @pytest.mark.parametrize("t_range", [(1, 2.5), (1.0, 3)])
+    def test_t_must_be_an_integer(self, t_range):
+        # range() would raise a bare TypeError
+        with pytest.raises(BadParamsError, match="T must be an integer"):
             growth.enumerate_anomalous([1], t_range)
 
     def test_too_many_pairs_refused_before_building(self):
@@ -384,10 +405,22 @@ class TestRateScan:
         if rows > 1:
             assert any(c.anomaly is not None for c in cells)
 
+    def test_each_row_is_tallied_as_its_series_alone(self, kernel_calls):
+        # a row's tol is that of its own series, not of its block: rates up to 3,664%
+        # put tols 2.5 times apart in one block
+        cells = growth.rate_scan(1.0, 3664.0, 37.0, 500, 4.217, t_flag=50)
+        rows = [(row, tol) for m, tols in kernel_calls for row, tol in zip(m, tols[:, 0])]
+        assert len(kernel_calls) == 4 and len(rows) == len(cells) == 100
+        for c, (row, tol) in zip(cells, rows):
+            kernel_calls.clear()
+            growth.series_ld(growth.GrowthSeries(4.217, c.percent, 500))
+            assert np.array_equal(kernel_calls[0][0], row) and kernel_calls[0][1] == tol
+
     @pytest.mark.parametrize("args,digest", [
-        # the bench grid's shape: 14,901 rates, n = 1000, T <= 100
+        # the bench grid's shape: 14,901 rates, n = 1000, T <= 100; its row 142.254 has
+        # chi-square 0.420132 (0.3436 under a 1e-9 snap, see TestExactDigits)
         ((1.0037, 150.0037, 0.01, 1000, 4.217, 100),
-         "a7a85b09751679a4f84ae4322f972652825c6745663fff2a8078afa62bba20b5"),
+         "5a92337b7a770e8310fab4848ffaa200fc8b7f25a1e90272976fb2ffcf3438ec"),
         # across 900 %, where log10(1 + P/100) passes 1
         ((850.0, 950.0, 0.01, 500, 3.0, 100),
          "f5c40f92c27c7a1a32f61e2db52453e405e7c6a2e5bfa8e5c29f336727ced2e6"),
@@ -402,13 +435,17 @@ class TestRateScan:
     ], ids=["bench", "cross-900", "negative", "tiny", "tiny-huge-t"])
     def test_csv_golden(self, args, digest):
         # sha256 of scan_to_csv as the per-rate Fraction loop and the
-        # searchsorted digit rule wrote it
+        # searchsorted digit rule wrote it, but for the bench row above
         csv = growth.scan_to_csv(growth.rate_scan(*args))
         assert hashlib.sha256(csv.encode()).hexdigest() == digest
 
     def test_t_flag_below_one_rejected(self):
         with pytest.raises(BadParamsError, match="t_max"):
             growth.rate_scan(1.0, 2.0, 0.5, 10, 3.0, t_flag=0)
+
+    def test_t_flag_must_be_an_integer(self):
+        with pytest.raises(BadParamsError, match="t_max must be an integer, got 50.0"):
+            growth.rate_scan(1.0, 2.0, 0.5, 10, 3.0, t_flag=50.0)
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -430,66 +467,97 @@ class TestRateScan:
             growth.rate_scan(lo, hi, step, 10, 3.0, t_flag=10)
 
 
-def _snap_reference(m: float) -> int:
-    """The documented digit rule, one mantissa at a time: within 1e-9 of
-    the edge log10 d means digit d (d = 10, the edge 1, is a power of ten:
-    digit 1); otherwise the compartment [log10 d, log10(d+1)) holding m."""
+def _digit_reference(m: float, tol: float) -> int:
+    """The documented digit rule, one mantissa at a time: the largest d whose
+    edge log10 d is at most m + tol, where the edge 1 (d = 10) is a power of
+    ten, digit 1."""
+    d = max(d for d in range(1, 11) if m + tol >= math.log10(d))
+    return 1 if d == 10 else d
+
+
+def _near(x: float, ulps: int) -> list[float]:
+    """x and the ulps doubles either side of it."""
+    out, lo, hi = [x], x, x
+    for _ in range(ulps):
+        lo, hi = math.nextafter(lo, -1.0), math.nextafter(hi, 2.0)
+        out += [lo, hi]
+    return out
+
+
+TOLS = st.one_of(st.sampled_from([0.0, 2**-50, 1.6e-12, 4.2e-10]), st.floats(0.0, 1e-6))
+
+
+@st.composite
+def _mantissas(draw, tol: float):
+    """Mantissas in [0, 1] near the edges, near the edges less tol, and anywhere."""
     edges = [math.log10(d) for d in range(1, 11)]
-    for d, e in enumerate(edges, start=1):
-        if abs(m - e) < 1e-9:
-            return 1 if d == 10 else d
-    return max(1, min(9, sum(1 for e in edges if e <= m)))
+    near = [v for e in edges for v in _near(e, 2) + _near(e - tol, 2) if 0.0 <= v <= 1.0]
+    return draw(st.lists(st.one_of(st.sampled_from(near), st.floats(0.0, 1.0)), min_size=1, max_size=60))
 
 
-def _edge_neighbourhood() -> list[float]:
-    out = [1.0 - 2**-53, 1.0 - 1e-10, 1.0 - 1e-9, 1.0 - 2e-9, 0.0, 2**-1074]
-    for e in (math.log10(d) for d in range(1, 11)):
-        out += [e, math.nextafter(e, 0.0), math.nextafter(e, 2.0)]
-        out += [e + s * (1e-9 + t * 1e-12) for s in (-1, 1) for t in (-1, 1)]
-        # a few ulps either side of the snap threshold e +- 1e-9
-        for m in (e - 1e-9, e + 1e-9):
-            for _ in range(3):
-                m = math.nextafter(m, 0.0)
-            for _ in range(7):
-                out.append(m)
-                m = math.nextafter(m, 2.0)
-    return [m for m in out if 0.0 <= m < 1.0]
+def _reference_counts(mants, tol) -> list[int]:
+    digs = [_digit_reference(m, tol) for m in mants]
+    return [digs.count(d) for d in DIGITS]
 
 
-EDGE_VALUES = _edge_neighbourhood()
+class TestDigitCounts:
+    @given(st.data(), TOLS, TOLS)
+    def test_matches_the_rule(self, data, tol, other_tol):
+        mants = data.draw(_mantissas(tol))
+        assert growth._digit_counts(np.array(mants), tol).tolist() == _reference_counts(mants, tol)
+        # the 2-D (block) form, one tol per row
+        rows = np.array([mants, mants[::-1]])
+        got = growth._digit_counts(rows, np.array([[tol], [other_tol]]))
+        assert got.tolist() == [_reference_counts(mants, tol), _reference_counts(mants, other_tol)]
+
+    def test_edges_and_one(self):
+        # a mantissa on an edge, or under it by at most tol, is that edge's digit; 1.0,
+        # where (x - floor(x)) rounds just below a power of ten, is digit 1
+        log2, log5 = math.log10(2), math.log10(5)
+        mants = np.array([0.0, 1.0, 1.0 - 2**-45, log2 - 2**-45, log5, log5 - 2**-45, log5 - 2**-35])
+        assert growth._digit_counts(mants, 2**-40).tolist() == [3, 1, 0, 1, 2, 0, 0, 0, 0]
+        assert growth._digit_counts(mants, 0.0).tolist() == [3, 0, 0, 2, 1, 0, 0, 0, 1]
 
 
-class TestDigitsFromMantissas:
-    @given(st.lists(
-        st.one_of(
-            st.sampled_from(EDGE_VALUES),
-            st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
-            st.builds(lambda e, off: min(max(e + off, 0.0), math.nextafter(1.0, 0.0)),
-                      st.sampled_from(EDGE_VALUES), st.floats(-3e-9, 3e-9)),
-        ),
-        min_size=1, max_size=60,
-    ))
-    @example(EDGE_VALUES)
-    def test_matches_snap_rule(self, mants):
-        got = growth._digits_from_mantissas(np.array(mants))
-        assert got.tolist() == [_snap_reference(m) for m in mants]
-        # the 2-D (block) form is elementwise the same
-        twice = np.array([mants, mants[::-1]])
-        assert growth._digits_from_mantissas(twice).tolist() == [got.tolist(), got.tolist()[::-1]]
+def _exact_digits(base: float, percent: float, n: int) -> list[int]:
+    """Leading digits of base * f**j, j < n, f = 1 + percent/100, exactly for
+    the doubles base and f."""
+    f, v, out = Fraction(1.0 + percent / 100.0), Fraction(base), []
+    for _ in range(n):
+        k = (v.numerator.bit_length() - v.denominator.bit_length()) * 3 // 10
+        while v < Fraction(10) ** k:
+            k -= 1
+        while v >= Fraction(10) ** (k + 1):
+            k += 1
+        out.append(int(v / Fraction(10) ** k))
+        v *= f
+    return out
 
 
-class TestDigitTable:
-    @pytest.mark.parametrize("d", range(2, 11))
-    def test_thresholds_are_where_the_rule_switches(self, d):
-        # the bisected threshold goes to digit d, the double below it does not
-        thr, want = growth._snap_threshold(math.log10(d)), 1 if d == 10 else d
-        below = math.nextafter(thr, 0.0)
-        assert (_snap_reference(below), _snap_reference(thr)) == (d - 1, want)
-        assert growth._digits_from_mantissas(np.array([below, thr])).tolist() == [d - 1, want]
+class TestExactDigits:
+    @pytest.mark.parametrize("base,percent,j,digit", [
+        (3.7, 52.78, 839, 9),  # 9.99999998551e154: a 1e-9 snap to the edge 1 read 1
+        (4.217, 142.2537, 448, 5),  # 5.99999999432e171, a row of the bench grid: the snap read 6
+    ])
+    def test_near_edge_element(self, base, percent, j, digit):
+        n = 1000
+        want = _exact_digits(base, percent, n)
+        assert want[j] == digit
+        ld, _ = growth.series_ld(growth.GrowthSeries(base, percent, n))
+        assert ld.probs == {d: want.count(d) / n for d in DIGITS}
 
-    def test_mantissa_one_counts_as_digit_one(self):
-        # (x - floor(x)) rounds to 1.0 just below a power of ten
-        assert growth._digit_counts(np.array([1.0, 0.0, 0.5])).tolist() == [2, 0, 1, 0, 0, 0, 0, 0, 0]
+    def test_trajectory_and_power_transform_read_the_value(self):
+        # both values are 1.9999999999, 2.2e-11 below the edge log10 2 in log space
+        assert growth.random_multiplication_process(1.9999999999, 1, 1.0).ld.probs[1] == 1.0
+        x = 1.9999999999 ** (1 / 3)
+        ld, _ = growth.power_transform_ld(Uniform(x, math.nextafter(x, 2.0)), 3, 10, seed=1)
+        assert ld.probs[1] == 1.0
+
+    def test_constant_factor_half(self):
+        # 0.5**j = 5**j / 10**j; log10 0.5 mod 1 lands within float error of log10 5
+        res = growth.random_multiplication_process(0.5, 60, 1.0)
+        firsts = [int(str(5**j)[0]) for j in range(1, 61)]
+        assert res.ld.probs[5] > 0 and res.ld.probs == {d: firsts.count(d) / 60 for d in DIGITS}
 
 
 class TestEquivalentRate:
@@ -562,6 +630,49 @@ class TestMultiplicationProcess:
                 growth.random_multiplication_process(factor_model, n, 1.0)
         with pytest.raises(BadParamsError, match="n must be an integer, got 2.5"):
             growth.random_multiplication_process(factor_model, 2.5, 1.0)
+
+    @pytest.mark.parametrize("start", [0.0, -1.0, math.inf, math.nan])
+    def test_start_checked(self, start):
+        with pytest.raises(BadParamsError, match="start must be finite and > 0"):
+            growth.random_multiplication_process(2.0, 10, start)
+
+    @pytest.mark.parametrize("factor_model", [2.0, Uniform(0.5, 2.5)])
+    def test_count_capped_before_allocating(self, factor_model):
+        # 10**13 constant factors would be a 73 TiB array
+        from digitlab.distributions import _MAX_DRAWS
+
+        for n in (_MAX_DRAWS + 1, 10**13):
+            with pytest.raises(TooLargeError, match=f"n must be at most {_MAX_DRAWS}"):
+                growth.random_multiplication_process(factor_model, n, 1.0)
+
+    def test_non_finite_factor_rejected(self):
+        from digitlab.distributions import Exponential
+
+        # draws of mean 1e308 overflow to inf
+        with pytest.raises(BadParamsError, match="non-finite"):
+            growth.random_multiplication_process(Exponential(1e-308), 1000, 1.0, seed=1)
+
+    def test_trajectory_mantissa_error_under_its_tol(self, kernel_calls):
+        # the mantissas against a 60-digit Decimal sum of the same factors' logs: a float
+        # cumsum of frac(log10 f) drifts about 1e-10 by 10**4 steps, past the tol
+        from decimal import Decimal, localcontext
+
+        from digitlab.distributions import Die
+
+        n, start = 10**4, 3.7
+        growth.random_multiplication_process(Die(6), n, start, seed=5)
+        (mant, tol), = kernel_calls
+        factors = Die(6).sample_n(n, np.random.default_rng(5))
+        with localcontext() as ctx:
+            ctx.prec = 60
+            logs = {f: Decimal(f).log10() for f in set(factors.tolist())}
+            total, want = Decimal(start).log10(), []
+            for f in factors.tolist():
+                total += logs[f]
+                want.append(float(total % 1))
+        err = np.abs(mant - np.array(want))
+        err = np.minimum(err, 1.0 - err)  # on the circle
+        assert err.max() < tol < 1e-11
 
 
 class TestPowerTransform:
